@@ -13,25 +13,10 @@ let of_value = function
 
 let to_value p = Value.Ptr { addr = p.addr; ty = p.ty }
 
-(* Field resolution is on every data access of every workload; memoize it
-   per (architecture, type, field). *)
-type field_info = { offset : int; fty : Type_desc.t }
-
-let field_memo : (string * string * string, field_info) Hashtbl.t = Hashtbl.create 256
-
+(* Field resolution is on every data access of every workload; the
+   layout it reads is computed once per registry and word size. *)
 let field_info node p ~field =
-  let arch = Address_space.arch (Node.space node) in
-  let key = (arch.Arch.name, p.ty, field) in
-  match Hashtbl.find_opt field_memo key with
-  | Some info -> info
-  | None ->
-    let reg = Node.registry node in
-    let ty = Type_desc.Named p.ty in
-    let offset = Layout.field_offset reg arch ~ty ~field in
-    let fty = Layout.field_type reg ~ty ~field in
-    let info = { offset; fty } in
-    Hashtbl.add field_memo key info;
-    info
+  Layout.field (Node.registry node) (Node.arch node) ~ty:(Type_desc.Named p.ty) ~field
 
 let resolve_prim node fty =
   match Registry.resolve (Node.registry node) fty with
@@ -46,7 +31,7 @@ let check_not_null p =
 let get_int node p ~field =
   check_not_null p;
   Node.charge_touch ~addr:p.addr node;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let addr = p.addr + offset in
   let m = Node.mmu node in
   match resolve_prim node fty with
@@ -63,7 +48,7 @@ let get_int node p ~field =
    collecting witnesses. *)
 let set_int node p ~field v =
   check_not_null p;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let addr = p.addr + offset in
   let m = Node.mmu node in
   let prim = resolve_prim node fty in
@@ -88,12 +73,12 @@ let set_int node p ~field v =
 let get_i64 node p ~field =
   check_not_null p;
   Node.charge_touch ~addr:p.addr node;
-  let { offset; _ } = field_info node p ~field in
+  let { Layout.offset; _ } = field_info node p ~field in
   Mem.load_i64 (Node.mmu node) ~addr:(p.addr + offset)
 
 let set_i64 node p ~field v =
   check_not_null p;
-  let { offset; _ } = field_info node p ~field in
+  let { Layout.offset; _ } = field_info node p ~field in
   let addr = p.addr + offset in
   let m = Node.mmu node in
   let unchanged = Node.traced node && Int64.equal (Mem.load_i64 m ~addr) v in
@@ -103,7 +88,7 @@ let set_i64 node p ~field v =
 let get_f64 node p ~field =
   check_not_null p;
   Node.charge_touch ~addr:p.addr node;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let addr = p.addr + offset in
   let m = Node.mmu node in
   match resolve_prim node fty with
@@ -113,7 +98,7 @@ let get_f64 node p ~field =
 
 let set_f64 node p ~field v =
   check_not_null p;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let addr = p.addr + offset in
   let m = Node.mmu node in
   let prim = resolve_prim node fty in
@@ -148,14 +133,14 @@ let pointee node fty =
 let get_ptr node p ~field =
   check_not_null p;
   Node.charge_touch ~addr:p.addr node;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let target = pointee node fty in
   let word = Mem.load_word (Node.mmu node) ~addr:(p.addr + offset) in
   { addr = word; ty = target }
 
 let set_ptr node p ~field q =
   check_not_null p;
-  let { offset; fty } = field_info node p ~field in
+  let { Layout.offset; ty = fty; _ } = field_info node p ~field in
   let target = pointee node fty in
   if (not (is_null q)) && not (String.equal q.ty target) then
     invalid_arg

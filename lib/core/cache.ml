@@ -19,6 +19,14 @@ type entry = {
 
 type cursor = { mutable page : int; mutable off : int }
 
+(* The entries on one page, and how many of them are absent: the page
+   stays inaccessible while any is. *)
+type page_entries = { mutable on_page : entry list; mutable absent : int }
+
+(* What a fill cursor groups new entries by, per the allocation
+   grouping. *)
+type group = Origin of Space_id.t | All | Of_type of string
+
 type t = {
   space : Address_space.t;
   base : int;
@@ -27,12 +35,13 @@ type t = {
   mutable grain : Strategy.writeback_grain;
   by_lp : entry Long_pointer.Table.t;
   by_addr : (int, entry) Hashtbl.t;
-  by_page : (int, entry list ref) Hashtbl.t;
+  by_page : (int, page_entries) Hashtbl.t;
   dirty_pages : (int, unit) Hashtbl.t;
   twins : (int, bytes) Hashtbl.t;
-  cursors : (string, cursor) Hashtbl.t;
-  free_slots : (string, (int * int list) list ref) Hashtbl.t;
-      (** rounded size (+ scope) -> freed (addr, pages) slots available
+  cursors : (group * int option, cursor) Hashtbl.t;
+      (** (group, scope) -> where the group's next entry goes *)
+  free_slots : (int * int option, (int * int list) list ref) Hashtbl.t;
+      (** (rounded size, scope) -> freed (addr, pages) slots available
           for reuse *)
   mutable next_page : int;
   mutable allocated_bytes : int;
@@ -88,29 +97,22 @@ let fresh_pages t n =
   t.next_page <- first + n;
   first
 
-let scoped t key =
-  match t.scope with
-  | None -> key
-  | Some sid -> Printf.sprintf "%s/#%d" key sid
-
-let grouping_key t (lp : Long_pointer.t) =
-  scoped t
-    (match t.grouping with
-    | Strategy.By_origin -> Space_id.to_string lp.origin
-    | Strategy.Sequential -> "*"
-    | Strategy.By_type -> lp.ty
-    | Strategy.Entry_per_page -> assert false (* handled separately *))
+let group_of t (lp : Long_pointer.t) =
+  match t.grouping with
+  | Strategy.By_origin -> Origin lp.origin
+  | Strategy.Sequential -> All
+  | Strategy.By_type -> Of_type lp.ty
+  | Strategy.Entry_per_page -> assert false (* handled separately *)
 
 let take_free_slot t ~size =
-  match Hashtbl.find_opt t.free_slots (scoped t (string_of_int (round_up size)))
-  with
+  match Hashtbl.find_opt t.free_slots (round_up size, t.scope) with
   | Some ({ contents = slot :: rest } as r) ->
     r := rest;
     Some slot
   | Some { contents = [] } | None -> None
 
 let release_slot t ~addr ~size ~pages =
-  let key = scoped t (string_of_int (round_up size)) in
+  let key = (round_up size, t.scope) in
   match Hashtbl.find_opt t.free_slots key with
   | Some r -> r := (addr, pages) :: !r
   | None -> Hashtbl.add t.free_slots key (ref [ (addr, pages) ])
@@ -125,7 +127,7 @@ let place t lp ~size =
     let first = fresh_pages t (max n 1) in
     (first * psz, pages_for first (max n 1))
   | Strategy.By_origin | Strategy.Sequential | Strategy.By_type ->
-    let key = grouping_key t lp in
+    let key = (group_of t lp, t.scope) in
     let cursor =
       match Hashtbl.find_opt t.cursors key with
       | Some c -> c
@@ -162,15 +164,17 @@ let place t lp ~size =
     end
 
 let entries_on_page t page =
-  match Hashtbl.find_opt t.by_page page with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.by_page page with Some p -> p.on_page | None -> []
+
+let absent_on_page t page =
+  match Hashtbl.find_opt t.by_page page with Some p -> p.absent | None -> 0
 
 let is_page_dirty t ~page = Hashtbl.mem t.dirty_pages page
 
 let refresh_protection t ~page =
   if Address_space.is_mapped t.space ~page then begin
-    let entries = entries_on_page t page in
     let prot =
-      if List.exists (fun e -> not e.present) entries then Prot.No_access
+      if absent_on_page t page > 0 then Prot.No_access
       else if is_page_dirty t ~page then Prot.Read_write
       else Prot.Read_only
     in
@@ -206,8 +210,10 @@ let allocate t lp ~size =
   List.iter
     (fun page ->
       (match Hashtbl.find_opt t.by_page page with
-      | Some r -> r := entry :: !r
-      | None -> Hashtbl.add t.by_page page (ref [ entry ]));
+      | Some p ->
+        p.on_page <- entry :: p.on_page;
+        p.absent <- p.absent + 1
+      | None -> Hashtbl.add t.by_page page { on_page = [ entry ]; absent = 1 });
       if not (Address_space.is_mapped t.space ~page) then
         Address_space.map t.space ~page ~prot:Prot.No_access;
       refresh_protection t ~page)
@@ -233,7 +239,15 @@ let iter_entries t f =
 let entry_count t = Hashtbl.length t.by_addr
 
 let mark_present t e =
-  e.present <- true;
+  if not e.present then begin
+    e.present <- true;
+    List.iter
+      (fun page ->
+        match Hashtbl.find_opt t.by_page page with
+        | Some p -> p.absent <- p.absent - 1
+        | None -> ())
+      e.pages
+  end;
   List.iter (fun page -> refresh_protection t ~page) e.pages
 
 let mark_page_dirty t ~page =
@@ -386,8 +400,9 @@ let remove t e =
     (fun page ->
       match Hashtbl.find_opt t.by_page page with
       | None -> ()
-      | Some r ->
-        r := List.filter (fun e' -> e'.local_addr <> e.local_addr) !r;
+      | Some p ->
+        p.on_page <- List.filter (fun e' -> e'.local_addr <> e.local_addr) p.on_page;
+        if not e.present then p.absent <- p.absent - 1;
         refresh_protection t ~page)
     e.pages;
   release_slot t ~addr:e.local_addr ~size:e.size ~pages:e.pages;
@@ -407,13 +422,10 @@ let invalidate_session t ~session =
   (* The session's fill cursors and recycled slots die with it: its
      pages must not be refilled by a later session (page-grain fault
      handling would sweep across the sessions sharing the page). *)
-  let suffix = Printf.sprintf "/#%d" session in
-  let ends_with s key =
-    let n = String.length s and k = String.length key in
-    k >= n && String.sub key (k - n) n = s
-  in
   let doomed tbl =
-    Hashtbl.fold (fun k _ acc -> if ends_with suffix k then k :: acc else acc)
+    Hashtbl.fold
+      (fun ((_, scope) as key) _ acc ->
+        if scope = Some session then key :: acc else acc)
       tbl []
   in
   List.iter (Hashtbl.remove t.cursors) (doomed t.cursors);
@@ -498,12 +510,16 @@ let check_invariants t =
       | None -> err "page %d in table but unmapped" page
       | Some prot ->
         let es = entries_on_page t page in
+        let missing = List.length (List.filter (fun e -> not e.present) es) in
         let expect =
-          if List.exists (fun e -> not e.present) es then Prot.No_access
+          if missing > 0 then Prot.No_access
           else if is_page_dirty t ~page then Prot.Read_write
           else Prot.Read_only
         in
-        if es = [] || Prot.equal prot expect then prot_ok rest
+        if missing <> absent_on_page t page then
+          err "page %d counts %d absent entries, holds %d" page
+            (absent_on_page t page) missing
+        else if es = [] || Prot.equal prot expect then prot_ok rest
         else
           err "page %d protection %s, expected %s" page (Prot.to_string prot)
             (Prot.to_string expect))

@@ -16,6 +16,7 @@ let default_retry =
 
 type t = {
   id : Space_id.t;
+  ep : string;  (** [id] as a transport endpoint name *)
   space : Address_space.t;
   mmu : Mmu.t;
   heap : Allocator.t;
@@ -52,7 +53,7 @@ type t = {
       (** per session, write-backs delivered by [Wb_stage] /
           [Wb_stage_delta] and not yet applied; [Wb_commit] applies and
           drops them, in delivery order *)
-  directory : (int, string Space_id.Table.t) Hashtbl.t;
+  directory : (int, (Space_id.t * string) list) Hashtbl.t;
       (** copy directory (delta coherency): own-heap datum address →
           per-peer encoding that peer's cached copy agrees with. It is
           both the base image a peer's byte-range delta patches against
@@ -77,6 +78,11 @@ type t = {
       (** concurrent admission: datum address -> session that recorded
           its copy-directory rows, so a session-scoped purge can drop
           exactly its rows. Unused in single-open mode. *)
+  peer_eps : string Space_id.Table.t;
+      (** other spaces' endpoint names, formatted once each: every
+          request and trace note names one *)
+  closure_seen : (int, unit) Hashtbl.t;
+      (** addresses one [ship_closure] has visited; cleared per call *)
 }
 
 and proc = t -> Value.t list -> Value.t list
@@ -113,7 +119,16 @@ let set_strategy t s =
   Cache.set_policy t.cache ~grouping:s.Strategy.grouping ~grain:s.Strategy.grain
 let cache t = t.cache
 let heap t = t.heap
-let endpoint t = Space_id.to_string t.id
+let endpoint t = t.ep
+
+let endpoint_of t id =
+  match Space_id.Table.find_opt t.peer_eps id with
+  | Some ep -> ep
+  | None ->
+    let ep = Space_id.to_string id in
+    Space_id.Table.add t.peer_eps id ep;
+    ep
+
 let sizeof t ty = Layout.sizeof_name t.registry (arch t) ty
 
 let in_heap t addr = addr >= Allocator.base t.heap && addr < Allocator.limit t.heap
@@ -123,27 +138,29 @@ let in_heap t addr = addr >= Allocator.base t.heap && addr < Allocator.limit t.h
 (* A datum is named by its home and heap address: "B/66560". The marks
    are only witnesses for [Srpc_analysis.Race_lint]; they move no bytes,
    charge no time, and are skipped entirely when no trace is attached or
-   no session is open (setup-time touches cannot race). *)
-let datum_name (lp : Long_pointer.t) =
-  Printf.sprintf "%s/%d"
-    (Space_id.to_string lp.Long_pointer.origin)
-    lp.Long_pointer.addr
-
-let datum_of_addr t addr = Printf.sprintf "%s/%d" (Space_id.to_string t.id) addr
-
+   no session is open (setup-time touches cannot race). A name is
+   formatted only once a trace is known to be attached: the untraced
+   path touches every datum and must not pay for it. *)
 let note_access t ~datum akind =
   if Transport.traced t.transport then
     match Session.current t.session with
     | None -> ()
     | Some info ->
-      Transport.mark t.transport ~src:(endpoint t)
+      Transport.mark t.transport ~src:t.ep
         (Trace.Access { session = info.Session.id; datum; akind })
 
 (* Provisional pointers are renamed when the allocation batch resolves,
    so marks under the provisional name would never pair up with the
    home-side marks under the real one; they are elided instead. *)
 let note_datum t (lp : Long_pointer.t) akind =
-  if lp.Long_pointer.addr > 0 then note_access t ~datum:(datum_name lp) akind
+  if lp.addr > 0 && Transport.traced t.transport then
+    note_access t akind
+      ~datum:(Printf.sprintf "%s/%d" (endpoint_of t lp.origin) lp.addr)
+
+(* A datum of this node's own heap, by address. *)
+let note_own t addr akind =
+  if Transport.traced t.transport then
+    note_access t akind ~datum:(Printf.sprintf "%s/%d" t.ep addr)
 
 (* Concurrent admission: a cache entry belongs to the open sessions that
    touched it. Pins drive the session-scoped dirty-set filter and the
@@ -207,13 +224,9 @@ let encode_item t ~(lp : Long_pointer.t) ~addr : Wire.item =
 
 let delta_on t = t.strategy.Strategy.delta_coherency
 
-let dir_table t addr =
-  match Hashtbl.find_opt t.directory addr with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Space_id.Table.create 4 in
-    Hashtbl.add t.directory addr tbl;
-    tbl
+(* A datum's directory rows, one per peer holding a copy: a short list,
+   since few peers ever hold one datum. *)
+let dir_rows t addr = Option.value ~default:[] (Hashtbl.find_opt t.directory addr)
 
 (* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. *)
 let dir_record t ~peer ~addr image =
@@ -221,12 +234,10 @@ let dir_record t ~peer ~addr image =
      match Session.current t.session with
      | Some info -> Hashtbl.replace t.dir_owner addr info.Session.id
      | None -> ());
-  Space_id.Table.replace (dir_table t addr) peer image
+  Hashtbl.replace t.directory addr
+    ((peer, image) :: List.remove_assoc peer (dir_rows t addr))
 
-let dir_base t ~peer ~addr =
-  match Hashtbl.find_opt t.directory addr with
-  | None -> None
-  | Some tbl -> Space_id.Table.find_opt tbl peer
+let dir_base t ~peer ~addr = List.assoc_opt peer (dir_rows t addr)
 
 (* [dst] received data copies this session (items installed, or deltas
    patched — either can swizzle foreign pointers into fresh cache
@@ -242,7 +253,7 @@ let record_copy t ~dst n =
     | Some info ->
       Session.record_casher t.session dst;
       Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string dst) (Trace.Copy info.Session.id)
+        ~dst:(endpoint_of t dst) (Trace.Copy info.Session.id)
 
 (* Wire sizes of the two write-back encodings for one datum, mirroring
    the XDR framing: a non-null long pointer is 20 bytes, opaques pad to
@@ -451,24 +462,23 @@ let shipped_set t peer =
 let ship_closure t ~peer ~forced_seeds ~seeds =
   let strategy = t.strategy in
   let shipped = shipped_set t peer in
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let visited = t.closure_seen in
+  Hashtbl.clear visited;
   let out = ref [] in
   let total = ref 0 in
   let budget_exceeded = ref false in
+  (* the policy's per-type budgets, and the bytes charged to each type *)
   let per_type_budget =
     match t.policy with
     | Some pol when strategy.Strategy.budget <> Strategy.Unbounded ->
-      Some (fun ty -> Srpc_policy.Engine.budget_for pol ~ty)
+      Some (Hashtbl.create 8, fun ty -> Srpc_policy.Engine.budget_for pol ~ty)
     | Some _ | None -> None
   in
-  let total_by_ty : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let used_by_ty ty =
-    Option.value ~default:0 (Hashtbl.find_opt total_by_ty ty)
-  in
+  let used_by_ty used ty = Option.value ~default:0 (Hashtbl.find_opt used ty) in
   let budget_allows ~ty ~extra =
     match per_type_budget with
     | None -> Strategy.budget_allows strategy ~total:!total ~extra
-    | Some budget -> used_by_ty ty + extra <= budget ty
+    | Some (used, budget) -> used_by_ty used ty + extra <= budget ty
   in
   let queue = Queue.create () in
   let stack = ref [] in
@@ -503,7 +513,9 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
         List.iter push (children (raw ()) lp.ty)
       else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
         total := !total + size;
-        Hashtbl.replace total_by_ty lp.ty (used_by_ty lp.ty + size);
+        (match per_type_budget with
+        | Some (used, _) -> Hashtbl.replace used lp.ty (used_by_ty used lp.ty + size)
+        | None -> ());
         let raw = raw () in
         let data = Object_codec.encode (encode_ctx t) ~ty:lp.ty raw in
         out := { Wire.lp; data } :: !out;
@@ -670,7 +682,7 @@ let purge_session t sid =
   t.focused <- None
 
 let request t ~dst req =
-  let dst_ep = Space_id.to_string dst in
+  let dst_ep = endpoint_of t dst in
   match Transport.fault_plan t.transport with
   | None ->
     let reply =
@@ -1157,11 +1169,12 @@ let fetch_missing t missing =
       | Wire.Fetched { items } ->
         (* Items we asked for are demand fetches; anything extra in the
            same reply is the server's speculative closure around them. *)
+        let asked = Long_pointer.Table.create (List.length wanted) in
+        List.iter (fun lp -> Long_pointer.Table.replace asked lp ()) wanted;
         List.iter
           (fun (item : Wire.item) ->
             let kind =
-              if List.exists (Long_pointer.equal item.Wire.lp) wanted then `Demand
-              else `Eager
+              if Long_pointer.Table.mem asked item.Wire.lp then `Demand else `Eager
             in
             install_item t ~src:origin ~kind item)
           items;
@@ -1181,7 +1194,7 @@ let fetch_missing t missing =
              never recoup. *)
           let c =
             Transport.link_cost t.transport ~src:(endpoint t)
-              ~dst:(Space_id.to_string origin)
+              ~dst:(endpoint_of t origin)
           in
           let overhead =
             (2.0 *. c.Cost_model.message_latency) +. c.Cost_model.fault_overhead
@@ -1258,8 +1271,7 @@ let charge_touch ?addr ?(write = false) t =
          trace is actually collecting witnesses *)
       match Allocator.find_containing t.heap a with
       | Some (base, _) ->
-        note_access t ~datum:(datum_of_addr t base)
-          (if write then Trace.Acc_write else Trace.Acc_read)
+        note_own t base (if write then Trace.Acc_write else Trace.Acc_read)
       | None -> ()
 
 (* The plan walker's memory closure over this node's program path: every
@@ -1619,7 +1631,7 @@ let handle t src req =
       List.map
         (fun (prov, ty) ->
           let real = Allocator.alloc t.heap ~size:(sizeof t ty) in
-          note_access t ~datum:(datum_of_addr t real) Trace.Acc_alloc;
+          note_own t real Trace.Acc_alloc;
           (prov, real))
         reqs
     in
@@ -1797,7 +1809,7 @@ let end_session_plain t (info : Session.info) =
   Space_id.Set.iter
     (fun peer ->
       Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent info.Session.id);
+        ~dst:(endpoint_of t peer) (Trace.Inval_sent info.Session.id);
       expect_ack (request t ~dst:peer (Wire.Invalidate { session = info.Session.id })))
     others;
   close_tail t info
@@ -1834,7 +1846,7 @@ let end_session_faulty t (info : Session.info) =
   Space_id.Set.iter
     (fun peer ->
       Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent sid);
+        ~dst:(endpoint_of t peer) (Trace.Inval_sent sid);
       try expect_ack (request t ~dst:peer (Wire.Invalidate { session = sid }))
       with Peer_unreachable _ -> ())
     others;
@@ -1854,7 +1866,7 @@ let targeted_invalidate t (info : Session.info) ~reached ~tolerate =
   Space_id.Set.iter
     (fun peer ->
       Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string peer) (Trace.Inval_sent sid);
+        ~dst:(endpoint_of t peer) (Trace.Inval_sent sid);
       try expect_ack (request t ~dst:peer (Wire.Invalidate { session = sid }))
       with Peer_unreachable _ when tolerate -> ())
     remaining;
@@ -1892,7 +1904,7 @@ let end_session_delta_plain t (info : Session.info) =
       let frees = Option.value ~default:[] (List.assoc_opt origin frees_by) in
       record_copy t ~dst:origin (List.length full + List.length deltas);
       Transport.note t.transport ~src:(endpoint t)
-        ~dst:(Space_id.to_string origin) (Trace.Inval_sent sid);
+        ~dst:(endpoint_of t origin) (Trace.Inval_sent sid);
       expect_ack
         (request t ~dst:origin
            (Wire.Wb_delta { session = sid; full; deltas; frees; invalidate = true })))
@@ -2054,7 +2066,7 @@ let end_session_validated t adm =
 let malloc t ~ty =
   refocus t;
   let addr = Allocator.alloc t.heap ~size:(sizeof t ty) in
-  note_access t ~datum:(datum_of_addr t addr) Trace.Acc_alloc;
+  note_own t addr Trace.Acc_alloc;
   addr
 
 let malloc_n t ~ty n =
@@ -2063,7 +2075,7 @@ let malloc_n t ~ty n =
     Layout.sizeof t.registry (arch t) (Type_desc.Array (Type_desc.Named ty, n))
   in
   let addr = Allocator.alloc t.heap ~size in
-  note_access t ~datum:(datum_of_addr t addr) Trace.Acc_alloc;
+  note_own t addr Trace.Acc_alloc;
   addr
 
 let extended_malloc t ~home ~ty =
@@ -2111,7 +2123,7 @@ let extended_free t addr =
       t.traveling []
     |> List.iter (Long_pointer.Table.remove t.traveling);
     Hashtbl.remove t.directory addr;
-    note_access t ~datum:(datum_of_addr t addr) Trace.Acc_free;
+    note_own t addr Trace.Acc_free;
     Allocator.free t.heap addr
   end
   else raise (Invalid_pointer addr)
@@ -2143,6 +2155,7 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
   let t =
     {
       id;
+      ep = Space_id.to_string id;
       space;
       mmu;
       heap;
@@ -2171,6 +2184,8 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       sstash = Hashtbl.create 4;
       focused = None;
       dir_owner = Hashtbl.create 32;
+      peer_eps = Space_id.Table.create 4;
+      closure_seen = Hashtbl.create 64;
     }
   in
   Mmu.set_handler mmu (handle_fault t);
@@ -2200,10 +2215,6 @@ let cached_entries t = Cache.entry_count t.cache
 let reply_cache_size t = Hashtbl.length t.replies
 
 let copy_directory t =
-  Hashtbl.fold
-    (fun addr tbl acc ->
-      (addr, Space_id.Table.fold (fun peer _ peers -> peer :: peers) tbl [])
-      :: acc)
-    t.directory []
+  Hashtbl.fold (fun addr rows acc -> (addr, List.map fst rows) :: acc) t.directory []
 
 let pp_alloc_table ppf t = Cache.pp_table ppf t.cache

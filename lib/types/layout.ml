@@ -37,29 +37,7 @@ let rec layout_rec reg (arch : Arch.t) visiting ty : t =
     in
     { size = round_up offset align; align; fields = List.rev rev_fields }
 
-let of_type reg arch ty = layout_rec reg arch [] ty
-let sizeof reg arch ty = (of_type reg arch ty).size
-let sizeof_name reg arch name = sizeof reg arch (Type_desc.Named name)
-
-let struct_fields reg ty =
-  match Registry.resolve reg ty with
-  | Type_desc.Struct fs -> fs
-  | Type_desc.Prim _ | Pointer _ | Array _ -> raise Not_found
-  | Type_desc.Named _ -> assert false (* resolve returns structural *)
-
-let field_offset reg arch ~ty ~field =
-  let resolved = Registry.resolve reg ty in
-  let l = of_type reg arch resolved in
-  match List.find_opt (fun f -> String.equal f.name field) l.fields with
-  | Some f -> f.offset
-  | None -> raise Not_found
-
-let field_type reg ~ty ~field =
-  match List.assoc_opt field (struct_fields reg ty) with
-  | Some t -> t
-  | None -> raise Not_found
-
-let leaves reg (arch : Arch.t) ty =
+let leaves_of reg (arch : Arch.t) ty =
   let out = ref [] in
   let rec go base visiting ty =
     match (ty : Type_desc.t) with
@@ -83,7 +61,72 @@ let leaves reg (arch : Arch.t) ty =
   go 0 [] ty;
   List.rev !out
 
-let pointer_leaves reg arch ty =
+let pointers_of leaves =
   List.filter_map
     (fun l -> match l.kind with Ptr t -> Some (l.leaf_offset, t) | Scalar _ -> None)
-    (leaves reg arch ty)
+    leaves
+
+(* What the per-datum paths read off a registered name, at one word size
+   (the only part of an architecture a layout depends on). The registry
+   never rebinds a name, so a shape is computed once and kept in the
+   registry it was computed against; a layout that raises is not kept.
+   Leaves are expanded on first use: a type may be sized without ever
+   being encoded. *)
+type shape = {
+  layout : t;
+  leaves : leaf list Lazy.t;
+  pointer_leaves : (int * string) list Lazy.t;
+}
+
+type Registry.derived += Shape of shape
+
+let shape reg (arch : Arch.t) name =
+  let memo = Registry.derived reg in
+  let key = (arch.word_size, name) in
+  match Hashtbl.find_opt memo key with
+  | Some (Shape s) -> s
+  | Some _ | None ->
+    let ty = Type_desc.Named name in
+    let leaves = lazy (leaves_of reg arch ty) in
+    let s =
+      {
+        layout = layout_rec reg arch [] ty;
+        leaves;
+        pointer_leaves = lazy (pointers_of (Lazy.force leaves));
+      }
+    in
+    Hashtbl.replace memo key (Shape s);
+    s
+
+let of_type reg arch = function
+  | Type_desc.Named name -> (shape reg arch name).layout
+  | ty -> layout_rec reg arch [] ty
+
+let sizeof reg arch ty = (of_type reg arch ty).size
+let sizeof_name reg arch name = (shape reg arch name).layout.size
+
+let struct_fields reg ty =
+  match Registry.resolve reg ty with
+  | Type_desc.Struct fs -> fs
+  | Type_desc.Prim _ | Pointer _ | Array _ -> raise Not_found
+  | Type_desc.Named _ -> assert false (* resolve returns structural *)
+
+let rec find_field name = function
+  | [] -> raise Not_found
+  | f :: rest -> if String.equal f.name name then f else find_field name rest
+
+let field reg arch ~ty ~field = find_field field (of_type reg arch ty).fields
+let field_offset reg arch ~ty ~field:name = (field reg arch ~ty ~field:name).offset
+
+let field_type reg ~ty ~field =
+  match List.assoc_opt field (struct_fields reg ty) with
+  | Some t -> t
+  | None -> raise Not_found
+
+let leaves reg arch = function
+  | Type_desc.Named name -> Lazy.force (shape reg arch name).leaves
+  | ty -> leaves_of reg arch ty
+
+let pointer_leaves reg arch = function
+  | Type_desc.Named name -> Lazy.force (shape reg arch name).pointer_leaves
+  | ty -> pointers_of (leaves_of reg arch ty)

@@ -6,7 +6,13 @@
     width differs across architectures, the same record legitimately has
     different sizes on different machines — this is the heterogeneity the
     paper's type-directed transfer handles (and that heterogeneous DSM
-    systems cannot, section 5.2). *)
+    systems cannot, section 5.2).
+
+    A registered name's layout and leaves depend only on the registry
+    and the word size, and {!Registry.register} never rebinds a name, so
+    they are computed once per (registry, word size, name) and cached in
+    the registry: every datum that crosses the wire and every field
+    access reads them. *)
 
 open Srpc_memory
 
@@ -35,6 +41,11 @@ val sizeof : Registry.t -> Arch.t -> Type_desc.t -> int
 (** [sizeof_name reg arch name] is the size of the registered type
     [name]. *)
 val sizeof_name : Registry.t -> Arch.t -> string -> int
+
+(** [field reg arch ~ty ~field] is a direct struct field of [ty]: its
+    name, offset and declared type.
+    @raise Not_found if [ty] is not a struct with that field. *)
+val field : Registry.t -> Arch.t -> ty:Type_desc.t -> field:string -> field
 
 (** [field_offset reg arch ~ty ~field] is the offset of a direct struct
     field.

@@ -1,8 +1,11 @@
+type derived = ..
+
 type t = {
   types : (string, Type_desc.t) Hashtbl.t;
   ids : (string, int) Hashtbl.t;
   names : (int, string) Hashtbl.t;
   mutable next_id : int;
+  derived : (int * string, derived) Hashtbl.t;
 }
 
 exception Unknown_type of string
@@ -10,7 +13,9 @@ exception Duplicate_type of string
 
 let create () =
   { types = Hashtbl.create 32; ids = Hashtbl.create 32; names = Hashtbl.create 32;
-    next_id = 0 }
+    next_id = 0; derived = Hashtbl.create 32 }
+
+let derived t = t.derived
 
 let register t name desc =
   match Hashtbl.find_opt t.types name with
@@ -45,12 +50,15 @@ let name_of_id t id =
   | None -> raise (Unknown_type (Printf.sprintf "#%d" id))
 
 let resolve t desc =
-  (* A Named chain longer than the registry is necessarily cyclic. *)
-  let max_depth = Hashtbl.length t.types + 1 in
-  let rec go depth = function
-    | Type_desc.Named name ->
-      if depth > max_depth then raise (Unknown_type (name ^ " (cyclic alias)"));
-      go (depth + 1) (find t name)
-    | (Type_desc.Prim _ | Pointer _ | Array _ | Struct _) as d -> d
-  in
-  go 0 desc
+  match desc with
+  | Type_desc.Prim _ | Pointer _ | Array _ | Struct _ -> desc
+  | Type_desc.Named _ ->
+    (* A Named chain longer than the registry is necessarily cyclic. *)
+    let max_depth = Hashtbl.length t.types + 1 in
+    let rec go depth = function
+      | Type_desc.Named name ->
+        if depth > max_depth then raise (Unknown_type (name ^ " (cyclic alias)"));
+        go (depth + 1) (find t name)
+      | (Type_desc.Prim _ | Pointer _ | Array _ | Struct _) as d -> d
+    in
+    go 0 desc

@@ -38,3 +38,12 @@ val name_of_id : t -> int -> string
     descriptor remains.
     @raise Unknown_type on a dangling name. *)
 val resolve : t -> Type_desc.t -> Type_desc.t
+
+(** Values derived from a registered name, such as its layout at one
+    word size ({!Layout}), cached with the registry under
+    [(word size, name)]. {!register} never rebinds a name, so a derived
+    value stays valid for the registry's lifetime. A module that derives
+    one adds its own constructor. *)
+type derived = ..
+
+val derived : t -> (int * string, derived) Hashtbl.t

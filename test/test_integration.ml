@@ -961,6 +961,86 @@ let test_access_null_deref_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Field offsets belong to the registry that laid the type out: another
+   cluster may bind the same name to a different struct. *)
+let test_access_field_offsets_per_registry () =
+  let cell_in fields =
+    let cluster = Cluster.create ~cost:Cost_model.zero () in
+    let a = Cluster.add_node cluster ~site:1 () in
+    Cluster.register_type cluster "cell" (Type_desc.Struct fields);
+    (a, Access.ptr ~ty:"cell" (Node.malloc a ~ty:"cell"))
+  in
+  let a1, p1 = cell_in [ ("a", Type_desc.i32); ("b", Type_desc.i32) ] in
+  Access.set_int a1 p1 ~field:"b" 5;
+  let a2, p2 = cell_in [ ("pad", Type_desc.i64); ("b", Type_desc.i32) ] in
+  Access.set_int a2 p2 ~field:"b" 7;
+  Alcotest.(check int64) "pad untouched" 0L (Access.get_i64 a2 p2 ~field:"pad");
+  Alcotest.(check int) "b" 7 (Access.get_int a2 p2 ~field:"b");
+  Alcotest.(check int) "first cluster's b" 5 (Access.get_int a1 p1 ~field:"b")
+
+(* --- host cost of the untraced path --- *)
+
+(* Fully eager sessions over a depth-8 tree (255 nodes): the call ships
+   the whole tree and the callee reads every node. *)
+let eager_tree_sessions () =
+  let cluster = Cluster.create () in
+  let strategy = Strategy.fully_eager in
+  let a = Cluster.add_node cluster ~site:1 ~strategy () in
+  let b = Cluster.add_node cluster ~site:2 ~strategy () in
+  Srpc_workloads.Tree.register_types cluster;
+  let root = Srpc_workloads.Tree.build a ~depth:8 in
+  Node.register b "visit" (fun node args ->
+      let visited, _ =
+        Srpc_workloads.Tree.visit node (Access.of_value (List.hd args)) ~limit:max_int
+      in
+      [ Value.int visited ]);
+  let session () =
+    Node.with_session a (fun () ->
+        match Node.call a ~dst:(Node.id b) "visit" [ Access.to_value root ] with
+        | [ v ] -> Value.to_int v = 255
+        | _ -> false)
+  in
+  (cluster, session)
+
+(* Minor words of one untraced session, with a 25% margin over what the
+   runtime allocated when this guard was set (OCaml 5.1, no flambda).
+   Formatting race-witness names and re-deriving layouts per datum once
+   cost over three times this. *)
+let untraced_minor_words_bound = 138_951. *. 1.25
+
+let test_untraced_allocation () =
+  let _, session = eager_tree_sessions () in
+  Alcotest.(check bool) "warm-up visits every node" true (session ());
+  let sessions = 4 in
+  let ok = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to sessions do
+    ok := session () && !ok
+  done;
+  let per_session = (Gc.minor_words () -. w0) /. float_of_int sessions in
+  Alcotest.(check bool) "every session visits every node" true !ok;
+  if per_session > untraced_minor_words_bound then
+    Alcotest.failf "%.0f minor words per untraced session, bound %.0f" per_session
+      untraced_minor_words_bound
+
+(* Tracing still witnesses every access: the race checker is fed as many
+   [Trace.Access] marks for these sessions as before the untraced path
+   stopped naming data. *)
+let test_traced_access_marks () =
+  let cluster, session = eager_tree_sessions () in
+  let trace = Trace.create () in
+  Transport.set_trace (Cluster.transport cluster) (Some trace);
+  for _ = 1 to 5 do
+    Alcotest.(check bool) "visits every node" true (session ())
+  done;
+  let marks =
+    List.length
+      (List.filter
+         (fun e -> match e.Trace.kind with Trace.Access _ -> true | _ -> false)
+         (Trace.events trace))
+  in
+  Alcotest.(check int) "access marks" 6385 marks
+
 (* --- misc --- *)
 
 let test_alloc_table_rendering_after_swizzle () =
@@ -1106,6 +1186,14 @@ let () =
           tc "remote scalar array" `Quick test_access_remote_scalar_array;
           tc "float fields" `Quick test_access_float_fields;
           tc "null dereference rejected" `Quick test_access_null_deref_rejected;
+          tc "field offsets are per registry" `Quick
+            test_access_field_offsets_per_registry;
+        ] );
+      ( "host-cost",
+        [
+          tc "untraced sessions stay within their allocation" `Quick
+            test_untraced_allocation;
+          tc "traced sessions witness every access" `Quick test_traced_access_marks;
         ] );
       ( "misc",
         [
