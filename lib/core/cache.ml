@@ -31,8 +31,8 @@ type t = {
   space : Address_space.t;
   base : int;
   limit : int;
-  mutable grouping : Strategy.alloc_grouping;
-  mutable grain : Strategy.writeback_grain;
+  grouping : Strategy.alloc_grouping;
+  grain : Strategy.writeback_grain;
   by_lp : entry Long_pointer.Table.t;
   by_addr : (int, entry) Hashtbl.t;
   by_page : (int, page_entries) Hashtbl.t;
@@ -84,11 +84,6 @@ let set_scope t scope = t.scope <- scope
 
 let in_region t addr = addr >= t.base && addr < t.limit
 
-let set_policy t ~grouping ~grain =
-  if Hashtbl.length t.by_addr <> 0 then
-    invalid_arg "Cache.set_policy: cache is not empty";
-  t.grouping <- grouping;
-  t.grain <- grain
 let psz t = Address_space.page_size t.space
 
 let fresh_pages t n =

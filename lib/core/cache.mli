@@ -62,12 +62,6 @@ val create :
 
 val in_region : t -> int -> bool
 
-(** [set_policy t ~grouping ~grain] reconfigures placement and write-back
-    granularity. Only safe while the cache holds no entries.
-    @raise Invalid_argument otherwise. *)
-val set_policy :
-  t -> grouping:Strategy.alloc_grouping -> grain:Strategy.writeback_grain -> unit
-
 (** [set_scope t scope] partitions placement by session (concurrent
     admission): while [scope] is [Some sid], new entries are placed on
     pages that no other session's entries share, because fault handling

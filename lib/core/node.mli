@@ -91,19 +91,6 @@ val mmu : t -> Mmu.t
 val registry : t -> Registry.t
 val transport : t -> Transport.t
 val strategy : t -> Strategy.t
-
-(** The closure-shape hint table this node consults when computing
-    transitive closures (shared cluster-wide when built through
-    {!Cluster}). *)
-val hints : t -> Hints.t
-
-(** The adaptive policy engine, when the node was created with one. *)
-val policy : t -> Srpc_policy.Engine.t option
-
-(** [set_strategy t s] reconfigures the transfer strategy (between
-    sessions; changing it mid-session is undefined). *)
-val set_strategy : t -> Strategy.t -> unit
-
 val cache : t -> Cache.t
 val heap : t -> Allocator.t
 
@@ -123,7 +110,10 @@ val begin_session : t -> unit
 
 (** [end_session t] writes the modified data set back to the origin
     spaces and multicasts the invalidation; every participant drops its
-    cached data (paper, section 3.4). Must be called by the ground
+    cached data (paper, section 3.4). With
+    {!Strategy.t.delta_coherency} the write-backs travel as byte-range
+    deltas and only the spaces that received copies are invalidated.
+    Must be called by the ground
     node. With a fault plan installed the write-back is all-or-nothing:
     items are staged at every origin and applied only once the full set
     is delivered; a participant dying before that commit point aborts
@@ -175,12 +165,6 @@ val request_admission :
 (** [start_admitted t ~id] begins a session the controller has already
     admitted (from {!Admission.close}'s drain). *)
 val start_admitted : t -> id:int -> unit
-
-(** [focus_session t ~id] re-points this node at open session [id] —
-    the harness resuming a parked logical thread. Frames refocus
-    automatically; ground-side operations refocus to this node's own
-    open session. *)
-val focus_session : t -> id:int -> unit
 
 (** [end_session_validated t adm] closes the focused session with
     optimistic validation: if some datum root it touched was committed
@@ -275,15 +259,6 @@ val cached_entries : t -> int
 (** Number of sources currently held by the at-most-once reply cache
     (bounded by [reply_cache_cap]; exposed for the eviction tests). *)
 val reply_cache_size : t -> int
-
-(** The copy directory: for each datum homed here that was shipped out
-    and not yet written back or invalidated, the spaces holding a copy.
-    Entries are [(home address, caching spaces)]; both lists are in
-    unspecified order. Maintained regardless of
-    {!Strategy.t.delta_coherency} (senders need base images even when
-    only the peer runs delta write-backs); cleared by session close,
-    invalidation and the session-abort reset. *)
-val copy_directory : t -> (int * Space_id.t list) list
 
 (** Test-only defect switch used by the srpc-check mutation test: while
     set, every write-back flush silently drops its first dirty cache
