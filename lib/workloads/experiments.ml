@@ -1695,6 +1695,7 @@ let offload_sweep ?(depth = 10) ?(repeat_points = default_offload_repeats) () =
 
 type offload_adaptive_point = {
   oa_repeats : int;
+  oa_sessions : int;  (** sessions the learner observed *)
   oa_run : offload_run;  (** whole sweep: all sessions, learner in charge *)
   oa_choice : string;  (** {!Srpc_policy.Engine.offload_choice} at the end *)
 }
@@ -1775,6 +1776,7 @@ let offload_adaptive ?(depth = 10) ?(sessions = 24) ?(link_cost = offload_link)
   let d = Stats.diff (Cluster.snapshot cluster) s0 in
   {
     oa_repeats = repeats;
+    oa_sessions = sessions;
     oa_run =
       {
         of_seconds = t1 -. t0;
@@ -1806,7 +1808,7 @@ let pp_offload ppf (rows, adaptive) =
     rows;
   Format.fprintf ppf
     "@,adaptive (session-granular two-arm learner, %d sessions each):@,"
-    (match adaptive with [] -> 0 | _ -> List.length adaptive);
+    (match adaptive with [] -> 0 | p :: _ -> p.oa_sessions);
   Format.fprintf ppf "%8s %12s %10s %12s@," "repeats" "bytes" "off-calls"
     "choice";
   List.iter

@@ -396,6 +396,7 @@ val offload_sweep :
 
 type offload_adaptive_point = {
   oa_repeats : int;
+  oa_sessions : int;  (** sessions the learner observed *)
   oa_run : offload_run;  (** whole sweep: all sessions, learner in charge *)
   oa_choice : string;  (** {!Srpc_policy.Engine.offload_choice} at the end *)
 }

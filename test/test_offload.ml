@@ -247,6 +247,18 @@ let test_wire_reduction () =
       (o.Experiments.of_bytes * 10 <= e.Experiments.of_bytes)
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* The adaptive table's header names the sessions each repeat point
+   ran, not the number of repeat points. *)
+let test_adaptive_label () =
+  let points = Experiments.offload_adaptive_sweep ~depth:5 ~sessions:3 () in
+  let text = Format.asprintf "%a" Experiments.pp_offload ([], points) in
+  let want = "3 sessions each" in
+  let n = String.length want in
+  let rec found i =
+    i + n <= String.length text && (String.sub text i n = want || found (i + 1))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%S in %S" want text) true (found 0)
+
 (* The check harness's offload mix at test scale: generated scripts
    over the full strategy table, judged by all three oracles. *)
 let test_offload_check_loop () =
@@ -277,6 +289,7 @@ let () =
         [
           tc "learner flips with the reuse count" `Quick test_adaptive_flip;
           tc "one-shot wire reduction" `Quick test_wire_reduction;
+          tc "table names the sessions per point" `Quick test_adaptive_label;
         ] );
       ( "harness", [ tc "offload check loop" `Quick test_offload_check_loop ] );
     ]
