@@ -1,10 +1,10 @@
 (* srpc-soak: sustained chaos traffic with liveness detection, session
    recovery and overload protection.
 
-   The open-loop generator from [Traffic], run over a long VIRTUAL-time
-   horizon while a deterministic chaos scheduler crashes and revives
-   servers and the fault plan drops frames. Three robustness layers are
-   under test:
+   [Traffic.open_loop] run over a long VIRTUAL-time horizon while a
+   deterministic chaos schedule crashes and revives servers and the
+   fault plan drops frames. This module arms the engine with three
+   robustness layers:
 
    - a [Health] failure detector probes with heartbeat frames and folds
      the simulator's crash/revive marks in, so suspicion is immediate
@@ -13,26 +13,17 @@
      retry budgets and the per-peer circuit breaker, so sessions that
      would touch a dead server are shed with a typed [Overloaded]
      instead of timing out one by one;
-   - each client JOURNALS its session's resolved op stream (the check
-     harness's [Script.rop] vocabulary). A session aborted by a crash
-     is not lost: once health confirms the revival the client re-admits
-     under a fresh id and replays the journal from scratch. Aborts are
-     all-or-nothing (nothing was committed), so replay-once is
-     exactly-once — the per-root version validation at close would
-     catch any doubled commit.
+   - the engine's journal replay recovers each session a crash aborts,
+     under a fresh id, until the client-side [give_up] bound.
 
-   Everything is metered on the simulated clock through seeded
-   randomness, so one (config) names one exact execution: the same
-   crashes at the same virtual instants, the same sheds, the same
-   recoveries. With [drop = dup = 0] and [crash_period = 0] no fault
-   plan and no detector are installed and the run is byte-identical to
-   a health-free cluster ([baseline] — the fault-free yardstick the
-   p99 gate divides by). *)
+   With [drop = dup = 0] and [crash_period = 0] no fault plan and no
+   detector are installed and the run is byte-identical to a
+   health-free cluster ([baseline] — the fault-free yardstick the p99
+   gate divides by). *)
 
 open Srpc_core
 open Srpc_memory
 open Srpc_simnet
-open Srpc_analysis
 open Srpc_check
 
 type config = {
@@ -104,10 +95,8 @@ let chaotic cfg = cfg.drop > 0.0 || cfg.dup > 0.0 || cfg.crash_period > 0.0
 
 (* The deterministic chaos schedule: at every multiple of
    [crash_period] inside the horizon one server (rotating) crashes,
-   reviving [outage] later. A sorted flat event list the driver applies
+   reviving [outage] later. A sorted flat event list the engine applies
    as client timelines pass each instant. *)
-type chaos = Crash_ev of int | Revive_ev of int
-
 let chaos_schedule cfg =
   if cfg.crash_period <= 0.0 then []
   else begin
@@ -118,406 +107,87 @@ let chaos_schedule cfg =
       if t >= cfg.horizon then List.rev acc
       else
         go (k + 1)
-          ((t +. cfg.outage, Revive_ev (k mod cfg.servers))
-          :: (t, Crash_ev (k mod cfg.servers))
+          ((t +. cfg.outage, Traffic.Revive (k mod cfg.servers))
+          :: (t, Traffic.Crash (k mod cfg.servers))
           :: acc)
     in
     List.stable_sort (fun (a, _) (b, _) -> compare a b) (go 0 [])
   end
 
-(* Poisson arrivals across the whole horizon (open loop: the offered
-   load never reacts to outages — sessions keep arriving during them). *)
-let gen_jobs cfg ~client =
-  let arr_rng = Rng.create (cfg.seed lxor ((client + 1) * 0x9e3779b9)) in
-  let mixn = max 1 (List.length cfg.mix) in
-  let jobs = ref [] in
-  let t = ref 0.0 in
-  let s = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let u = min 0.999_999 (Rng.float arr_rng) in
-    t := !t +. (-.log (1.0 -. u) /. cfg.rate);
-    if !t >= cfg.horizon then continue := false
-    else begin
-      let kind =
-        if cfg.mix = [] then Script.KList
-        else List.nth cfg.mix ((client + !s) mod mixn)
-      in
-      let script =
-        Gen.session_script
-          ~seed:((cfg.seed * 7919) + (client * 104729) + !s)
-          ~depth:cfg.depth
-          ~workers:(min 3 cfg.servers)
-          ~kind ~fault:None
-      in
-      jobs := (!t, Script.resolve script) :: !jobs;
-      incr s
-    end
-  done;
-  List.rev !jobs
-
-let job_footprint cfg ~client =
-  let root =
-    match cfg.contention with
-    | Traffic.Disjoint -> Printf.sprintf "client%d" client
-    | Traffic.Hot -> "hot"
-  in
-  Footprint.session
-    ~label:(Printf.sprintf "soak[c%d]" client)
-    [ { Footprint.root; path = "*"; mode = Footprint.Write } ]
-
-type cstate = Idle | Wait | Running | Parked | Done
-
-(* The journal is the session's whole resolved op stream; recovery is
-   "re-admit under a fresh id, reset the object table, replay from the
-   top". [cur_total] spans recovery cycles — the client-side give-up
-   bound — while [cur_attempt] drives the backoff ladder. *)
-type current = {
-  mutable cur_id : int;
-  cur_env : Interp.env;
-  cur_arrival : float;  (** original arrival: recovery time counts *)
-  cur_journal : Script.rop list;
-  mutable cur_rops : Script.rop list;
-  mutable cur_attempt : int;
-  mutable cur_total : int;
-  mutable cur_recovering : bool;  (** aborted at least once *)
-}
-
-type client = {
-  cl_idx : int;
-  cl_ground : Node.t;
-  cl_fp : Footprint.t;
-  mutable cl_peers : string list;  (** this session's server endpoints *)
-  mutable cl_time : float;
-  mutable cl_state : cstate;
-  mutable cl_jobs : (float * Script.plan) list;
-  mutable cl_current : current option;
-}
-
-exception Stuck
-
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
+(* The fault plan and the detector, installed only when the config
+   asks for chaos. *)
+let arm_faults cfg cluster servers =
+  if not (chaotic cfg) then None
+  else begin
+    let fp = Fault_plan.create ~seed:cfg.seed () in
+    if cfg.drop > 0.0 || cfg.dup > 0.0 then
+      Fault_plan.set_global fp
+        (Fault_plan.profile ~drop:cfg.drop ~duplicate:cfg.dup ());
+    Cluster.install_faults cluster fp;
+    (* the detector probes from its own (unregistered) endpoint: a
+       monitor, not a node — Transport.rpc needs no src dispatcher *)
+    let h =
+      Health.create ~src:"monitor" ~registry:(Cluster.registry cluster)
+        ~stats:(Cluster.stats cluster)
+        (Cluster.transport cluster)
+    in
+    List.iter
+      (fun s -> Health.watch h (Space_id.to_string (Node.id s)))
+      servers;
+    Some h
+  end
 
 let run cfg =
-  if cfg.clients < 1 then invalid_arg "Soak: clients must be >= 1";
-  if cfg.servers < 2 || cfg.servers > 8 then
-    invalid_arg "Soak: servers must be in 2..8";
-  let cluster = Cluster.create () in
-  Session.set_concurrent (Cluster.session cluster) true;
-  let strategy =
-    Interp.strategy_table.(Gen.concurrent_strategies.(abs cfg.seed
-                                                      mod Array.length
-                                                           Gen
-                                                           .concurrent_strategies))
-  in
-  let grounds =
-    Array.init cfg.clients (fun c ->
-        Cluster.add_node cluster ~site:(c + 1) ~strategy ())
-  in
-  let servers =
-    List.init cfg.servers (fun s ->
-        Cluster.add_node cluster
-          ~site:(cfg.clients + 1 + s)
-          ~arch:Interp.arch_table.(s mod Array.length Interp.arch_table)
-          ~strategy ())
-  in
-  Srpc_workloads.Linked_list.register_types cluster;
-  Srpc_workloads.Tree.register_types cluster;
-  Srpc_workloads.Graph.register_types cluster;
-  Srpc_workloads.Matrix.register_types cluster;
-  Array.iter (fun g -> Interp.register_procs ~ground:g servers) grounds;
-  let trace = Trace.create () in
-  Transport.set_trace (Cluster.transport cluster) (Some trace);
-  let ep node = Space_id.to_string (Node.id node) in
-  let health =
-    if not (chaotic cfg) then None
-    else begin
-      let fp = Fault_plan.create ~seed:cfg.seed () in
-      if cfg.drop > 0.0 || cfg.dup > 0.0 then
-        Fault_plan.set_global fp
-          (Fault_plan.profile ~drop:cfg.drop ~duplicate:cfg.dup ());
-      Cluster.install_faults cluster fp;
-      (* the detector probes from its own (unregistered) endpoint: a
-         monitor, not a node — Transport.rpc needs no src dispatcher *)
-      let h =
-        Health.create ~src:"monitor" ~registry:(Cluster.registry cluster)
-          ~stats:(Cluster.stats cluster)
-          (Cluster.transport cluster)
-      in
-      List.iter (fun s -> Health.watch h (ep s)) servers;
-      Some h
-    end
-  in
-  let adm =
-    Admission.create ~policy:cfg.policy ~queue_cap:cfg.queue_cap
-      ~retry_budget:cfg.retry_budget ?health (Cluster.stats cluster)
-  in
-  let health_cursor = ref 0 in
-  let observe_health () =
-    match health with
-    | None -> ()
-    | Some h -> health_cursor := Health.observe h trace ~from:!health_cursor
-  in
-  (* Each client sees the server pool rotated by its own index. *)
-  let rotated ~client ~count =
-    let n = List.length servers in
-    let rec take k = function
-      | _ when k = 0 -> []
-      | [] -> []
-      | x :: tl -> x :: take (k - 1) tl
-    in
-    let rot = List.init n (fun i -> List.nth servers ((i + client) mod n)) in
-    take (min count n) rot
-  in
-  let committed = ref 0
-  and failed = ref 0
-  and aborts = ref 0
-  and recovered = ref 0
-  and crashes = ref 0
-  and revives = ref 0
-  and latencies = ref [] in
-  let clients =
-    Array.mapi
-      (fun c ground ->
+  let o =
+    Traffic.open_loop ~name:"soak" ~horizon:cfg.horizon
+      ~arming:
         {
-          cl_idx = c;
-          cl_ground = ground;
-          cl_fp = job_footprint cfg ~client:c;
-          cl_peers = [];
-          cl_time = 0.0;
-          cl_state = Idle;
-          cl_jobs = gen_jobs cfg ~client:c;
-          cl_current = None;
-        })
-      grounds
+          Traffic.a_faults = arm_faults cfg;
+          a_queue_cap = cfg.queue_cap;
+          a_retry_budget = cfg.retry_budget;
+          a_give_up = Some cfg.give_up;
+          a_outages = chaos_schedule cfg;
+        }
+      {
+        Traffic.clients = cfg.clients;
+        servers = cfg.servers;
+        rate = cfg.rate;
+        mix = cfg.mix;
+        sessions_per_client = max_int;
+        depth = cfg.depth;
+        seed = cfg.seed;
+        policy = cfg.policy;
+        contention = cfg.contention;
+      }
   in
-  let find_by_sid sid =
-    let hit = ref None in
-    Array.iter
-      (fun cl ->
-        match cl.cl_current with
-        | Some cur when cur.cur_id = sid -> hit := Some cl
-        | _ -> ())
-      clients;
-    match !hit with
-    | Some cl -> cl
-    | None -> invalid_arg "Soak: drain admitted an unknown session"
-  in
-  let start_waiters ~closer waiters =
-    List.iter
-      (fun (sid, _fp) ->
-        let cl = find_by_sid sid in
-        Node.start_admitted cl.cl_ground ~id:sid;
-        cl.cl_time <- Float.max cl.cl_time closer.cl_time;
-        cl.cl_state <- Running)
-      waiters
-  in
-  let finish_session cl =
-    cl.cl_current <- None;
-    cl.cl_jobs <- List.tl cl.cl_jobs;
-    cl.cl_state <- Idle
-  in
-  (* Re-probe this session's unavailable peers before asking again:
-     heartbeats keep flowing while the breaker holds, and the first
-     answered probe after the revival releases it. *)
-  let probe_dead cl =
-    match health with
-    | None -> ()
-    | Some h ->
-      List.iter
-        (fun e -> if not (Health.available h e) then ignore (Health.probe h e))
-        cl.cl_peers
-  in
-  let request cl cur =
-    observe_health ();
-    cur.cur_total <- cur.cur_total + 1;
-    if cur.cur_total > cfg.give_up then begin
-      incr failed;
-      finish_session cl
-    end
-    else begin
-      probe_dead cl;
-      match
-        Node.request_admission ~peers:cl.cl_peers cl.cl_ground adm
-          ~id:cur.cur_id ~footprint:cl.cl_fp
-      with
-      | Admission.Admitted -> cl.cl_state <- Running
-      | Admission.Queued -> cl.cl_state <- Parked
-      | Admission.Denied ->
-        cur.cur_attempt <- cur.cur_attempt + 1;
-        cl.cl_time <-
-          cl.cl_time
-          +. Admission.backoff_delay ~session:cur.cur_id
-               ~attempt:cur.cur_attempt ~base:1e-4;
-        cl.cl_state <- Wait
-      | Admission.Overloaded _ ->
-        (* typed shed: terminal for this request. The retry keeps the
-           reserved id (a later success emits its own fresh admit mark,
-           per SP009) but backs off harder than a plain denial. *)
-        cur.cur_attempt <- cur.cur_attempt + 1;
-        cl.cl_time <-
-          cl.cl_time
-          +. Admission.backoff_delay ~session:cur.cur_id
-               ~attempt:cur.cur_attempt ~base:2e-3;
-        cl.cl_state <- Wait
-    end
-  in
-  (* A crash abort surrenders the admission slot and retries under a
-     fresh id, replaying the journal from scratch: the abort committed
-     nothing, so replay-once is exactly-once. *)
-  let abort_and_recover cl cur =
-    incr aborts;
-    start_waiters ~closer:cl
-      (Admission.close ~committed:false adm ~session:cur.cur_id);
-    cur.cur_recovering <- true;
-    cur.cur_id <- Node.reserve_session cl.cl_ground;
-    cur.cur_rops <- cur.cur_journal;
-    Hashtbl.reset cur.cur_env.Interp.e_objs;
-    request cl cur
-  in
-  let timed cl f =
-    let t0 = Cluster.now cluster in
-    let r = f () in
-    cl.cl_time <- cl.cl_time +. (Cluster.now cluster -. t0);
-    r
-  in
-  let step cl =
-    match cl.cl_state with
-    | Done | Parked -> ()
-    | Idle -> (
-      match cl.cl_jobs with
-      | [] -> cl.cl_state <- Done
-      | (arrival, plan) :: _ ->
-        cl.cl_time <- Float.max cl.cl_time arrival;
-        let ws = rotated ~client:cl.cl_idx ~count:plan.Script.p_workers in
-        cl.cl_peers <- List.map ep ws;
-        let cur =
-          {
-            cur_id = Node.reserve_session cl.cl_ground;
-            cur_env = Interp.make_env ~cluster ~ground:cl.cl_ground ~workers:ws;
-            cur_arrival = cl.cl_time;
-            cur_journal = plan.Script.p_rops;
-            cur_rops = plan.Script.p_rops;
-            cur_attempt = 0;
-            cur_total = 0;
-            cur_recovering = false;
-          }
-        in
-        cl.cl_current <- Some cur;
-        request cl cur)
-    | Wait ->
-      let cur = Option.get cl.cl_current in
-      request cl cur
-    | Running -> (
-      let cur = Option.get cl.cl_current in
-      match cur.cur_rops with
-      | rop :: rest -> (
-        cur.cur_rops <- rest;
-        try timed cl (fun () -> ignore (Interp.exec_rop cur.cur_env rop))
-        with Session.Session_aborted _ -> abort_and_recover cl cur)
-      | [] -> (
-        match timed cl (fun () -> Node.end_session_validated cl.cl_ground adm) with
-        | `Committed, waiters ->
-          incr committed;
-          if cur.cur_recovering then begin
-            incr recovered;
-            Stats.incr_recoveries (Cluster.stats cluster)
-          end;
-          latencies := (cl.cl_time -. cur.cur_arrival) :: !latencies;
-          start_waiters ~closer:cl waiters;
-          finish_session cl
-        | `Validation_failed, waiters ->
-          start_waiters ~closer:cl waiters;
-          cur.cur_id <- Node.reserve_session cl.cl_ground;
-          cur.cur_rops <- cur.cur_journal;
-          Hashtbl.reset cur.cur_env.Interp.e_objs;
-          request cl cur
-        | exception Session.Session_aborted _ -> abort_and_recover cl cur))
-  in
-  let events = ref (chaos_schedule cfg) in
-  let apply_chaos upto =
-    let rec go () =
-      match !events with
-      | (t, ev) :: rest when t <= upto ->
-        events := rest;
-        (match ev with
-        | Crash_ev s ->
-          incr crashes;
-          Transport.crash (Cluster.transport cluster) (ep (List.nth servers s))
-        | Revive_ev s ->
-          incr revives;
-          Transport.revive (Cluster.transport cluster) (ep (List.nth servers s)));
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let total_jobs =
-    Array.fold_left (fun acc cl -> acc + List.length cl.cl_jobs) 0 clients
-  in
-  let fuel = ref ((total_jobs * (cfg.depth + 16) * (cfg.give_up + 8)) + 1024) in
-  let runnable () =
-    let best = ref None in
-    Array.iter
-      (fun cl ->
-        match cl.cl_state with
-        | Done | Parked -> ()
-        | _ -> (
-          match !best with
-          | Some b when b.cl_time <= cl.cl_time -> ()
-          | _ -> best := Some cl))
-      clients;
-    !best
-  in
-  let all_done () = Array.for_all (fun cl -> cl.cl_state = Done) clients in
-  while not (all_done ()) do
-    decr fuel;
-    if !fuel < 0 then raise Stuck;
-    match runnable () with
-    | Some cl ->
-      (* planned chaos fires as the earliest live timeline crosses it *)
-      apply_chaos cl.cl_time;
-      step cl
-    | None -> raise Stuck (* every live client parked: admission deadlock *)
-  done;
-  observe_health ();
-  let makespan =
-    Array.fold_left (fun acc cl -> Float.max acc cl.cl_time) 0.0 clients
-  in
-  let snap = Cluster.snapshot cluster in
-  let lat = Array.of_list !latencies in
-  Array.sort compare lat;
-  let errors ds = List.length (List.filter Diagnostic.is_error ds) in
+  let r = o.Traffic.o_result and st = o.Traffic.o_stats in
   {
-    s_sessions = total_jobs;
-    s_committed = !committed;
-    s_failed = !failed;
-    s_aborts = !aborts;
-    s_recovered = !recovered;
+    s_sessions = r.Traffic.r_sessions;
+    s_committed = r.Traffic.r_committed;
+    s_failed = o.Traffic.o_failed;
+    s_aborts = o.Traffic.o_aborts;
+    s_recovered = o.Traffic.o_recovered;
     s_completion =
-      (if total_jobs > 0 then float_of_int !committed /. float_of_int total_jobs
+      (if r.Traffic.r_sessions > 0 then
+         float_of_int r.Traffic.r_committed /. float_of_int r.Traffic.r_sessions
        else 1.0);
-    s_makespan = makespan;
-    s_throughput =
-      (if makespan > 0.0 then float_of_int !committed /. makespan else 0.0);
-    s_p50 = percentile lat 0.50;
-    s_p95 = percentile lat 0.95;
-    s_p99 = percentile lat 0.99;
-    s_crashes = !crashes;
-    s_revives = !revives;
-    s_heartbeats = snap.Stats.heartbeats_sent;
-    s_suspicions = snap.Stats.suspicions;
-    s_sheds = snap.Stats.sheds;
-    s_breaker_trips = snap.Stats.breaker_trips;
-    s_recoveries = snap.Stats.recoveries;
-    s_queued = snap.Stats.sessions_queued;
-    s_retried = snap.Stats.sessions_retried;
-    s_validation_failed = snap.Stats.validations_failed;
-    s_race_errors = errors (Race_lint.check trace);
-    s_proto_errors = errors (Proto_lint.check trace);
+    s_makespan = r.Traffic.r_makespan;
+    s_throughput = r.Traffic.r_throughput;
+    s_p50 = r.Traffic.r_p50;
+    s_p95 = r.Traffic.r_p95;
+    s_p99 = r.Traffic.r_p99;
+    s_crashes = o.Traffic.o_crashes;
+    s_revives = o.Traffic.o_revives;
+    s_heartbeats = st.Stats.heartbeats_sent;
+    s_suspicions = st.Stats.suspicions;
+    s_sheds = st.Stats.sheds;
+    s_breaker_trips = st.Stats.breaker_trips;
+    s_recoveries = st.Stats.recoveries;
+    s_queued = r.Traffic.r_queued;
+    s_retried = r.Traffic.r_retried;
+    s_validation_failed = r.Traffic.r_validation_failed;
+    s_race_errors = r.Traffic.r_race_errors;
+    s_proto_errors = r.Traffic.r_proto_errors;
   }
 
 (* The fault-free yardstick: the same offered load with no fault plan,

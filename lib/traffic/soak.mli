@@ -65,17 +65,11 @@ type result = {
   s_proto_errors : int;
 }
 
-(** True when the config installs any fault machinery (drops,
-    duplicates or a crash schedule) — exactly the runs that construct a
-    fault plan and a health detector. *)
-val chaotic : config -> bool
-
-exception Stuck
-
-(** [run cfg] executes the soak. When [chaotic cfg] is false no fault
-    plan and no detector are constructed, so the wire path is
-    byte-identical to a health-free cluster.
-    @raise Stuck on scheduler deadlock or fuel exhaustion. *)
+(** [run cfg] executes the soak on {!Traffic.open_loop}. With no drops,
+    no duplicates and no crash schedule, no fault plan and no detector
+    are constructed, so the wire path is byte-identical to a
+    health-free cluster.
+    @raise Traffic.Stuck on scheduler deadlock or fuel exhaustion. *)
 val run : config -> result
 
 (** [baseline cfg] is [run] with drops, duplicates and the crash
