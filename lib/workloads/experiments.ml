@@ -26,8 +26,60 @@ let strategy_of_method = function
 
 let search_proc = "search_tree"
 
-(* Build the paper's two-site setup and run [calls] RPC invocations of a
-   tree search inside one session, measuring the calls only. *)
+(* The paper's tree search as a callee procedure: visit (or visit and
+   update) up to [limit] nodes in preorder, returning the count. *)
+let register_search callee =
+  Node.register callee search_proc (fun node args ->
+      match args with
+      | [ rootv; limitv; updatev ] ->
+        let root = Access.of_value rootv in
+        let limit = Value.to_int limitv in
+        let upd = Value.to_bool updatev in
+        let visit = if upd then Tree.visit_update else Tree.visit in
+        let visited, _sum = visit node root ~limit in
+        [ Value.int visited ]
+      | _ -> invalid_arg (search_proc ^ ": expected (root, limit, update)"))
+
+let search_limit ~depth ~ratio =
+  int_of_float (Float.round (ratio *. float_of_int (Tree.nodes_of_depth depth)))
+
+let call_search caller ~callee ~root ~limit ~update =
+  match
+    Node.call caller ~dst:(Node.id callee) search_proc
+      [ Access.to_value root; Value.int limit; Value.bool update ]
+  with
+  | [ v ] -> Value.to_int v
+  | _ -> failwith (search_proc ^ ": bad result arity")
+
+(* Measure [f] inside an open session: the simulated time and the
+   [Stats] deltas between two snapshots around it, then [callee]'s
+   cache pages. [f] returns the run's visited count. *)
+let measure cluster ~callee f =
+  let s0 = Cluster.snapshot cluster in
+  let t0 = Cluster.now cluster in
+  let visited = f () in
+  let t1 = Cluster.now cluster in
+  let d = Stats.diff (Cluster.snapshot cluster) s0 in
+  {
+    seconds = t1 -. t0;
+    callbacks = d.Stats.callbacks;
+    messages = d.Stats.messages;
+    bytes = d.Stats.bytes;
+    faults = d.Stats.faults;
+    visited;
+    cache_pages = Cache.used_pages (Node.cache callee);
+  }
+
+(* [measure] inside one session that [ground] opens and closes; the
+   close falls outside the timed region. *)
+let measure_session cluster ~ground ~callee f =
+  Node.begin_session ground;
+  let r = measure cluster ~callee f in
+  Node.end_session ground;
+  r
+
+(* Build the paper's two-site setup and run [repeats] RPC invocations of
+   a tree search inside one session, measuring the calls only. *)
 let run_tree_search ?(update = false) ?(repeats = 1)
     ?(arches = (Arch.sparc32, Arch.sparc32)) ?link_cost ?page_size ?fault_plan
     ~strategy ~depth ~ratio () =
@@ -52,44 +104,17 @@ let run_tree_search ?(update = false) ?(repeats = 1)
     Transport.set_link_cost tr ~src:b ~dst:a cost);
   Tree.register_types cluster;
   let root = Tree.build caller ~depth in
-  Node.register callee search_proc (fun node args ->
-      match args with
-      | [ rootv; limitv; updatev ] ->
-        let root = Access.of_value rootv in
-        let limit = Value.to_int limitv in
-        let upd = Value.to_bool updatev in
-        let visit = if upd then Tree.visit_update else Tree.visit in
-        let visited, _sum = visit node root ~limit in
-        [ Value.int visited ]
-      | _ -> invalid_arg (search_proc ^ ": expected (root, limit, update)"));
-  let total = Tree.nodes_of_depth depth in
-  let limit = int_of_float (Float.round (ratio *. float_of_int total)) in
-  let visited = ref 0 in
-  Node.begin_session caller;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  for _ = 1 to repeats do
-    match
-      Node.call caller ~dst:(Node.id callee) search_proc
-        [ Access.to_value root; Value.int limit; Value.bool update ]
-    with
-    | [ v ] -> visited := Value.to_int v
-    | _ -> failwith (search_proc ^ ": bad result arity")
-  done;
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache callee) in
-  Node.end_session caller;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = (t1 -. t0) /. float_of_int repeats;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited = !visited;
-    cache_pages;
-  }
+  register_search callee;
+  let limit = search_limit ~depth ~ratio in
+  let r =
+    measure_session cluster ~ground:caller ~callee (fun () ->
+        let visited = ref 0 in
+        for _ = 1 to repeats do
+          visited := call_search caller ~callee ~root ~limit ~update
+        done;
+        !visited)
+  in
+  { r with seconds = r.seconds /. float_of_int repeats }
 
 (* --- Fig. 4 / Fig. 5 --- *)
 
@@ -152,31 +177,13 @@ let run_tree_descents ~strategy ~depth ~paths =
         done;
         [ Value.int !seen ]
       | _ -> invalid_arg (descend_proc ^ ": expected (root, paths)"));
-  Node.begin_session caller;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited =
-    match
-      Node.call caller ~dst:(Node.id callee) descend_proc
-        [ Access.to_value root; Value.int paths ]
-    with
-    | [ v ] -> Value.to_int v
-    | _ -> failwith (descend_proc ^ ": bad arity")
-  in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache callee) in
-  Node.end_session caller;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages;
-  }
+  measure_session cluster ~ground:caller ~callee (fun () ->
+      match
+        Node.call caller ~dst:(Node.id callee) descend_proc
+          [ Access.to_value root; Value.int paths ]
+      with
+      | [ v ] -> Value.to_int v
+      | _ -> failwith (descend_proc ^ ": bad arity"))
 
 let fig6_descents ?(depths = [ 14; 15; 16 ]) ?(closures = default_closures)
     ?(paths = 10) () =
@@ -264,34 +271,21 @@ let run_merge_walk ~grouping ~depth =
     | [ v ] -> v
     | _ -> failwith "give_root: bad arity"
   in
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited =
-    match
-      Node.call owner_a ~dst:(Node.id walker) merge_proc
-        [
-          Access.to_value root_a;
-          root_b_at_a;
-          Value.int (Tree.nodes_of_depth depth * 2 / 5);
-        ]
-    with
-    | [ v ] -> Value.to_int v
-    | _ -> failwith (merge_proc ^ ": bad arity")
+  let r =
+    measure cluster ~callee:walker (fun () ->
+        match
+          Node.call owner_a ~dst:(Node.id walker) merge_proc
+            [
+              Access.to_value root_a;
+              root_b_at_a;
+              Value.int (Tree.nodes_of_depth depth * 2 / 5);
+            ]
+        with
+        | [ v ] -> Value.to_int v
+        | _ -> failwith (merge_proc ^ ": bad arity"))
   in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache walker) in
   Node.end_session owner_a;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages;
-  }
+  r
 
 let ablation_alloc_strategy ?(depth = 11) () =
   List.map
@@ -362,29 +356,17 @@ let run_remote_growth ~batched ~cells =
         thin 1 head;
         [ Access.to_value head ]
       | _ -> invalid_arg (grow_proc ^ ": expected cell count"));
-  Node.begin_session owner;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let head =
-    match Node.call owner ~dst:(Node.id worker) grow_proc [ Value.int cells ] with
-    | [ v ] -> v
-    | _ -> failwith (grow_proc ^ ": bad arity")
+  let head = ref Value.Unit in
+  let r =
+    measure_session cluster ~ground:owner ~callee:worker (fun () ->
+        match Node.call owner ~dst:(Node.id worker) grow_proc [ Value.int cells ] with
+        | [ v ] ->
+          head := v;
+          0
+        | _ -> failwith (grow_proc ^ ": bad arity"))
   in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let surviving = Linked_list.length owner (Access.of_value head) in
-  let cache_pages = Cache.used_pages (Node.cache worker) in
-  Node.end_session owner;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited = surviving;
-    cache_pages;
-  }
+  (* the survivors are counted outside the timed region *)
+  { r with visited = Linked_list.length owner (Access.of_value !head) }
 
 let ablation_alloc_batching ?(cells = 400) () =
   List.map
@@ -425,31 +407,13 @@ let run_sparse_update ~grain ~depth ~stride =
         go (Access.of_value rootv);
         [ Value.int !touched ]
       | _ -> invalid_arg (sparse_proc ^ ": expected (root, stride)"));
-  Node.begin_session owner;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let touched =
-    match
-      Node.call owner ~dst:(Node.id worker) sparse_proc
-        [ Access.to_value root; Value.int stride ]
-    with
-    | [ v ] -> Value.to_int v
-    | _ -> failwith (sparse_proc ^ ": bad arity")
-  in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache worker) in
-  Node.end_session owner;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited = touched;
-    cache_pages;
-  }
+  measure_session cluster ~ground:owner ~callee:worker (fun () ->
+      match
+        Node.call owner ~dst:(Node.id worker) sparse_proc
+          [ Access.to_value root; Value.int stride ]
+      with
+      | [ v ] -> Value.to_int v
+      | _ -> failwith (sparse_proc ^ ": bad arity"))
 
 let ablation_writeback_grain ?(depth = 12) ?(stride = 16) () =
   List.map
@@ -464,16 +428,10 @@ let rcell_ty = "rcell"
 let blob_ty = "blob"
 let chain_proc = "walk_chain"
 
-let run_chain_walk ~hinted ~cells ~closure =
-  (* By-type placement keeps payload blobs on their own cache pages;
-     otherwise page-grain fetching would drag them over regardless of
-     what the closure engine skips. *)
-  let strategy =
-    { (Strategy.smart ~closure_size:closure ()) with Strategy.grouping = Strategy.By_type }
-  in
-  let cluster = Cluster.create () in
-  let owner = Cluster.add_node cluster ~site:1 ~strategy () in
-  let walker = Cluster.add_node cluster ~site:2 ~strategy () in
+(* A [cells]-long chain of [rcell]s homed at [owner], each pointing at
+   a 512-byte [blob], and [walker]'s procedure summing the chain's tags.
+   Returns the chain's head. *)
+let chain_fixture cluster ~owner ~walker ~cells =
   Cluster.register_type cluster blob_ty
     (Srpc_types.Type_desc.Struct
        [ ("payload", Srpc_types.Type_desc.Array (Srpc_types.Type_desc.f64, 64)) ]);
@@ -484,10 +442,6 @@ let run_chain_walk ~hinted ~cells ~closure =
          ("blob", Srpc_types.Type_desc.ptr blob_ty);
          ("tag", Srpc_types.Type_desc.i64);
        ]);
-  if hinted then
-    Cluster.set_closure_hint cluster ~ty:rcell_ty
-      { Hints.follow = [ "next" ]; prune_others = true };
-  (* build the chain, each cell pointing at a 512-byte blob *)
   let head = ref (Access.null ~ty:rcell_ty) in
   for i = cells - 1 downto 0 do
     let cell = Access.ptr ~ty:rcell_ty (Node.malloc owner ~ty:rcell_ty) in
@@ -505,30 +459,32 @@ let run_chain_walk ~hinted ~cells ~closure =
             (acc + Access.get_int node p ~field:"tag")
       in
       [ Value.int (go (Access.of_value (List.hd args)) 0) ]);
-  Node.begin_session owner;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let sum =
-    match Node.call owner ~dst:(Node.id walker) chain_proc [ Access.to_value !head ]
-    with
-    | [ v ] -> Value.to_int v
-    | _ -> failwith (chain_proc ^ ": bad arity")
+  !head
+
+(* One walk of the chain, checked; the cells walked. *)
+let walk_chain ~owner ~walker ~cells head =
+  match Node.call owner ~dst:(Node.id walker) chain_proc [ Access.to_value head ] with
+  | [ v ] ->
+    assert (Value.to_int v = cells * (cells - 1) / 2);
+    cells
+  | _ -> failwith (chain_proc ^ ": bad arity")
+
+let run_chain_walk ~hinted ~cells ~closure =
+  (* By-type placement keeps payload blobs on their own cache pages;
+     otherwise page-grain fetching would drag them over regardless of
+     what the closure engine skips. *)
+  let strategy =
+    { (Strategy.smart ~closure_size:closure ()) with Strategy.grouping = Strategy.By_type }
   in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache walker) in
-  Node.end_session owner;
-  assert (sum = cells * (cells - 1) / 2);
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited = cells;
-    cache_pages;
-  }
+  let cluster = Cluster.create () in
+  let owner = Cluster.add_node cluster ~site:1 ~strategy () in
+  let walker = Cluster.add_node cluster ~site:2 ~strategy () in
+  let head = chain_fixture cluster ~owner ~walker ~cells in
+  if hinted then
+    Cluster.set_closure_hint cluster ~ty:rcell_ty
+      { Hints.follow = [ "next" ]; prune_others = true };
+  measure_session cluster ~ground:owner ~callee:walker (fun () ->
+      walk_chain ~owner ~walker ~cells head)
 
 let ablation_closure_hints ?(cells = 400) ?(closure = 4096) () =
   List.map
@@ -711,48 +667,30 @@ let kv_run ~strategy ~keys ~points ~phase =
       | _ -> assert false);
   Node.register client "scan" (fun node args ->
       [ Value.int (Btree.cardinal node (Access.of_value (List.hd args))) ]);
-  Node.begin_session owner;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited =
-    match phase with
-    | `Point -> (
-      match
-        Node.call owner ~dst:(Node.id client) "points"
-          [ Access.to_value t; Value.int points ]
-      with
-      | [ v ] ->
-        let hits = Value.to_int v in
-        assert (hits = points);
-        hits
-      | _ -> failwith "points: bad arity")
-    | `Range -> (
-      let lo = keys / 4 and hi = keys / 2 in
-      match
-        Node.call owner ~dst:(Node.id client) "range"
-          [ Access.to_value t; Value.int lo; Value.int hi ]
-      with
-      | [ v ] -> Value.to_int v
-      | _ -> failwith "range: bad arity")
-    | `Scan -> (
-      match Node.call owner ~dst:(Node.id client) "scan" [ Access.to_value t ] with
-      | [ v ] -> Value.to_int v
-      | _ -> failwith "scan: bad arity")
-  in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache client) in
-  Node.end_session owner;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages;
-  }
+  measure_session cluster ~ground:owner ~callee:client (fun () ->
+      match phase with
+      | `Point -> (
+        match
+          Node.call owner ~dst:(Node.id client) "points"
+            [ Access.to_value t; Value.int points ]
+        with
+        | [ v ] ->
+          let hits = Value.to_int v in
+          assert (hits = points);
+          hits
+        | _ -> failwith "points: bad arity")
+      | `Range -> (
+        let lo = keys / 4 and hi = keys / 2 in
+        match
+          Node.call owner ~dst:(Node.id client) "range"
+            [ Access.to_value t; Value.int lo; Value.int hi ]
+        with
+        | [ v ] -> Value.to_int v
+        | _ -> failwith "range: bad arity")
+      | `Scan -> (
+        match Node.call owner ~dst:(Node.id client) "scan" [ Access.to_value t ] with
+        | [ v ] -> Value.to_int v
+        | _ -> failwith "scan: bad arity"))
 
 let kv_store ?(keys = 4000) ?(points = 20) ?(closure = 1024) () =
   let row m =
@@ -808,33 +746,15 @@ let scaling_run ~depth ~sites =
       let _, _ = Tree.visit_update node root ~limit:(total / 10) in
       let visited, _ = Tree.visit node root ~limit:(3 * total / 10) in
       [ Value.int visited ]);
-  Node.begin_session ground;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited =
-    if sites = 1 then 0
-    else
-      match
-        Node.call ground ~dst:(Node.id (List.nth nodes 1)) "relay"
-          [ Access.to_value root ]
-      with
-      | [ v ] -> Value.to_int v
-      | _ -> failwith "relay: bad arity"
-  in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache last) in
-  Node.end_session ground;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages;
-  }
+  measure_session cluster ~ground ~callee:last (fun () ->
+      if sites = 1 then 0
+      else
+        match
+          Node.call ground ~dst:(Node.id (List.nth nodes 1)) "relay"
+            [ Access.to_value root ]
+        with
+        | [ v ] -> Value.to_int v
+        | _ -> failwith "relay: bad arity")
 
 let scaling ?(depth = 12) ?(max_sites = 8) () =
   List.init (max_sites - 1) (fun i ->
@@ -901,8 +821,7 @@ let run_manual ~variant ~depth ~ratio ~batch =
   let callee = Cluster.add_node cluster ~site:2 ~strategy () in
   Tree.register_types cluster;
   let root = Tree.build caller ~depth in
-  let total = Tree.nodes_of_depth depth in
-  let limit = int_of_float (Float.round (ratio *. float_of_int total)) in
+  let limit = search_limit ~depth ~ratio in
   (* caller-side accessors working on its own raw memory *)
   let read_node node addr =
     let p = Access.ptr ~ty:Tree.type_name addr in
@@ -989,34 +908,21 @@ let run_manual ~variant ~depth ~ratio ~batch =
         go (Value.to_int rootv);
         [ Value.int !visited ]
       | _ -> assert false);
-  Node.begin_session caller;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited =
-    let proc, args =
-      match variant with
-      | `Naive -> ("search_naive", [ Value.int root.Access.addr; Value.int limit ])
-      | `Subtree ->
-        ( "search_subtree",
-          [ Value.int root.Access.addr; Value.int limit; Value.int batch ] )
-    in
-    match Node.call caller ~dst:(Node.id callee) proc args with
-    | [ v ] -> Value.to_int v
-    | _ -> failwith "manual search: bad arity"
+  let proc, args =
+    match variant with
+    | `Naive -> ("search_naive", [ Value.int root.Access.addr; Value.int limit ])
+    | `Subtree ->
+      ( "search_subtree",
+        [ Value.int root.Access.addr; Value.int limit; Value.int batch ] )
   in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  Node.end_session caller;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages = 0;
-  }
+  let r =
+    measure_session cluster ~ground:caller ~callee (fun () ->
+        match Node.call caller ~dst:(Node.id callee) proc args with
+        | [ v ] -> Value.to_int v
+        | _ -> failwith "manual search: bad arity")
+  in
+  (* the hand-written protocols bypass the cache: report none *)
+  { r with cache_pages = 0 }
 
 let manual_comparison ?(depth = 15) ?(ratios = [ 0.1; 0.3; 0.6; 1.0 ])
     ?(closure = 8192) () =
@@ -1131,28 +1037,13 @@ let faults_cell ?(depth = 9) ?(ratio = 0.6) ?(sessions = 6) ~seed ~drop
   let callee = Cluster.add_node cluster ~site:2 ~strategy () in
   Tree.register_types cluster;
   let root = Tree.build caller ~depth in
-  Node.register callee search_proc (fun node args ->
-      match args with
-      | [ rootv; limitv; updatev ] ->
-        let root = Access.of_value rootv in
-        let limit = Value.to_int limitv in
-        let upd = Value.to_bool updatev in
-        let visit = if upd then Tree.visit_update else Tree.visit in
-        let visited, _sum = visit node root ~limit in
-        [ Value.int visited ]
-      | _ -> invalid_arg (search_proc ^ ": expected (root, limit, update)"));
-  let total = Tree.nodes_of_depth depth in
-  let limit = int_of_float (Float.round (ratio *. float_of_int total)) in
+  register_search callee;
+  let limit = search_limit ~depth ~ratio in
   let run_one () =
     let t0 = Cluster.now cluster in
     match
       Node.with_session caller (fun () ->
-          match
-            Node.call caller ~dst:(Node.id callee) search_proc
-              [ Access.to_value root; Value.int limit; Value.bool false ]
-          with
-          | [ v ] -> Value.to_int v
-          | _ -> failwith (search_proc ^ ": bad result arity"))
+          call_search caller ~callee ~root ~limit ~update:false)
     with
     | r -> `Done (r, Cluster.now cluster -. t0)
     | exception Session.Session_aborted _ -> `Aborted
@@ -1242,26 +1133,6 @@ type adaptive_curve = {
   a_budgets : (string * int) list;  (** per-type budgets after the last session *)
 }
 
-let measure_session cluster ~ground ~callee f =
-  Node.begin_session ground;
-  let s0 = Cluster.snapshot cluster in
-  let t0 = Cluster.now cluster in
-  let visited = f () in
-  let t1 = Cluster.now cluster in
-  let s1 = Cluster.snapshot cluster in
-  let cache_pages = Cache.used_pages (Node.cache callee) in
-  Node.end_session ground;
-  let d = Stats.diff s1 s0 in
-  {
-    seconds = t1 -. t0;
-    callbacks = d.Stats.callbacks;
-    messages = d.Stats.messages;
-    bytes = d.Stats.bytes;
-    faults = d.Stats.faults;
-    visited;
-    cache_pages;
-  }
-
 let run_adaptive_tree_search ?(depth = 15) ?(sessions = 12) ?config ~ratio () =
   let policy = Srpc_policy.Engine.create ?config () in
   let cluster = Cluster.create ~policy () in
@@ -1270,26 +1141,11 @@ let run_adaptive_tree_search ?(depth = 15) ?(sessions = 12) ?config ~ratio () =
   let callee = Cluster.add_node cluster ~site:2 ~strategy () in
   Tree.register_types cluster;
   let root = Tree.build caller ~depth in
-  Node.register callee search_proc (fun node args ->
-      match args with
-      | [ rootv; limitv; updatev ] ->
-        let root = Access.of_value rootv in
-        let limit = Value.to_int limitv in
-        let upd = Value.to_bool updatev in
-        let visit = if upd then Tree.visit_update else Tree.visit in
-        let visited, _sum = visit node root ~limit in
-        [ Value.int visited ]
-      | _ -> invalid_arg (search_proc ^ ": expected (root, limit, update)"));
-  let total = Tree.nodes_of_depth depth in
-  let limit = int_of_float (Float.round (ratio *. float_of_int total)) in
+  register_search callee;
+  let limit = search_limit ~depth ~ratio in
   let one () =
     measure_session cluster ~ground:caller ~callee (fun () ->
-        match
-          Node.call caller ~dst:(Node.id callee) search_proc
-            [ Access.to_value root; Value.int limit; Value.bool false ]
-        with
-        | [ v ] -> Value.to_int v
-        | _ -> failwith (search_proc ^ ": bad result arity"))
+        call_search caller ~callee ~root ~limit ~update:false)
   in
   let runs = List.init sessions (fun _ -> one ()) in
   { a_ratio = ratio; a_sessions = runs; a_budgets = Srpc_policy.Engine.budgets policy }
@@ -1330,44 +1186,10 @@ let run_adaptive_chain_walk ?(cells = 400) ?(sessions = 10) ?config () =
   let cluster = Cluster.create ~policy () in
   let owner = Cluster.add_node cluster ~site:1 ~strategy () in
   let walker = Cluster.add_node cluster ~site:2 ~strategy () in
-  Cluster.register_type cluster blob_ty
-    (Srpc_types.Type_desc.Struct
-       [ ("payload", Srpc_types.Type_desc.Array (Srpc_types.Type_desc.f64, 64)) ]);
-  Cluster.register_type cluster rcell_ty
-    (Srpc_types.Type_desc.Struct
-       [
-         ("next", Srpc_types.Type_desc.ptr rcell_ty);
-         ("blob", Srpc_types.Type_desc.ptr blob_ty);
-         ("tag", Srpc_types.Type_desc.i64);
-       ]);
-  let head = ref (Access.null ~ty:rcell_ty) in
-  for i = cells - 1 downto 0 do
-    let cell = Access.ptr ~ty:rcell_ty (Node.malloc owner ~ty:rcell_ty) in
-    let blob = Access.ptr ~ty:blob_ty (Node.malloc owner ~ty:blob_ty) in
-    Access.set_ptr owner cell ~field:"next" !head;
-    Access.set_ptr owner cell ~field:"blob" blob;
-    Access.set_int owner cell ~field:"tag" i;
-    head := cell
-  done;
-  Node.register walker chain_proc (fun node args ->
-      let rec go p acc =
-        if Access.is_null p then acc
-        else
-          go (Access.get_ptr node p ~field:"next")
-            (acc + Access.get_int node p ~field:"tag")
-      in
-      [ Value.int (go (Access.of_value (List.hd args)) 0) ]);
+  let head = chain_fixture cluster ~owner ~walker ~cells in
   let one () =
     measure_session cluster ~ground:owner ~callee:walker (fun () ->
-        match
-          Node.call owner ~dst:(Node.id walker) chain_proc
-            [ Access.to_value !head ]
-        with
-        | [ v ] ->
-          let sum = Value.to_int v in
-          assert (sum = cells * (cells - 1) / 2);
-          cells
-        | _ -> failwith (chain_proc ^ ": bad arity"))
+        walk_chain ~owner ~walker ~cells head)
   in
   let runs = List.init sessions (fun _ -> one ()) in
   {
