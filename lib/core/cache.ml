@@ -27,29 +27,38 @@ type page_entries = { mutable on_page : entry list; mutable absent : int }
    grouping. *)
 type group = Origin of Space_id.t | All | Of_type of string
 
+(* One scope's placement state, probed on every allocation. *)
+type pool = {
+  mutable cursors : (group * cursor) list;
+      (** where each group's next entry goes: a handful, one per
+          origin or type *)
+  free_slots : (int * int list) list ref Int_table.t;
+      (** rounded size -> freed (addr, pages) slots available for
+          reuse *)
+}
+
 type t = {
   space : Address_space.t;
   base : int;
   limit : int;
   grouping : Strategy.alloc_grouping;
   grain : Strategy.writeback_grain;
-  by_lp : entry Long_pointer.Table.t;
-  by_addr : (int, entry) Hashtbl.t;
-  by_page : (int, page_entries) Hashtbl.t;
-  dirty_pages : (int, unit) Hashtbl.t;
-  twins : (int, bytes) Hashtbl.t;
-  cursors : (group * int option, cursor) Hashtbl.t;
-      (** (group, scope) -> where the group's next entry goes *)
-  free_slots : (int * int option, (int * int list) list ref) Hashtbl.t;
-      (** (rounded size, scope) -> freed (addr, pages) slots available
-          for reuse *)
+  by_lp : entry Long_pointer.Lookup.t;
+  by_addr : entry Int_table.t;
+      (** its fold order is [iter_entries]' order, which reaches the
+          write-back frames and the slot free lists *)
+  by_page : page_entries Int_table.t;
+  dirty_pages : unit Int_table.t;
+  twins : bytes Int_table.t;
+  unscoped : pool;  (** scope [None] *)
+  scoped : pool Int_table.t;  (** by session, for scope [Some session] *)
   mutable next_page : int;
   mutable allocated_bytes : int;
   mutable scope : int option;
       (** concurrent admission: the session new entries are placed for.
           Fault handling is page-grained, so two sessions' entries must
           never share a page — the scope partitions the fill cursors and
-          the free-slot pools. [None] (single-session mode) keeps the
+          the free slots into pools. [None] (single-session mode) keeps the
           legacy placement byte-for-byte. *)
 }
 
@@ -68,13 +77,13 @@ let create ~space ~base ~limit ~grouping ~grain =
     limit;
     grouping;
     grain;
-    by_lp = Long_pointer.Table.create 256;
-    by_addr = Hashtbl.create 256;
-    by_page = Hashtbl.create 64;
-    dirty_pages = Hashtbl.create 16;
-    twins = Hashtbl.create 16;
-    cursors = Hashtbl.create 8;
-    free_slots = Hashtbl.create 8;
+    by_lp = Long_pointer.Lookup.create 256;
+    by_addr = Int_table.create 256;
+    by_page = Int_table.create 64;
+    dirty_pages = Int_table.create 16;
+    twins = Int_table.create 16;
+    unscoped = { cursors = []; free_slots = Int_table.create 8 };
+    scoped = Int_table.create 8;
     next_page = base / psz;
     allocated_bytes = 0;
     scope = None;
@@ -99,18 +108,40 @@ let group_of t (lp : Long_pointer.t) =
   | Strategy.By_type -> Of_type lp.ty
   | Strategy.Entry_per_page -> assert false (* handled separately *)
 
+let pool t =
+  match t.scope with
+  | None -> t.unscoped
+  | Some session -> (
+    match Int_table.find t.scoped session with
+    | p -> p
+    | exception Not_found ->
+      let p = { cursors = []; free_slots = Int_table.create 8 } in
+      Int_table.add t.scoped session p;
+      p)
+
+let same_group a b =
+  match (a, b) with
+  | Origin x, Origin y -> Space_id.equal x y
+  | All, All -> true
+  | Of_type x, Of_type y -> String.equal x y
+  | (Origin _ | All | Of_type _), _ -> false
+
+let rec cursor_of g = function
+  | [] -> raise Not_found
+  | (g', c) :: rest -> if same_group g g' then c else cursor_of g rest
+
 let take_free_slot t ~size =
-  match Hashtbl.find_opt t.free_slots (round_up size, t.scope) with
+  match Int_table.find_opt (pool t).free_slots (round_up size) with
   | Some ({ contents = slot :: rest } as r) ->
     r := rest;
     Some slot
   | Some { contents = [] } | None -> None
 
 let release_slot t ~addr ~size ~pages =
-  let key = (round_up size, t.scope) in
-  match Hashtbl.find_opt t.free_slots key with
+  let slots = (pool t).free_slots and key = round_up size in
+  match Int_table.find_opt slots key with
   | Some r -> r := (addr, pages) :: !r
-  | None -> Hashtbl.add t.free_slots key (ref [ (addr, pages) ])
+  | None -> Int_table.add slots key (ref [ (addr, pages) ])
 
 (* Pick the slot address for a new entry and return (addr, pages). *)
 let place t lp ~size =
@@ -122,13 +153,13 @@ let place t lp ~size =
     let first = fresh_pages t (max n 1) in
     (first * psz, pages_for first (max n 1))
   | Strategy.By_origin | Strategy.Sequential | Strategy.By_type ->
-    let key = (group_of t lp, t.scope) in
+    let pool = pool t and g = group_of t lp in
     let cursor =
-      match Hashtbl.find_opt t.cursors key with
-      | Some c -> c
-      | None ->
+      match cursor_of g pool.cursors with
+      | c -> c
+      | exception Not_found ->
         let c = { page = -1; off = 0 } in
-        Hashtbl.add t.cursors key c;
+        pool.cursors <- (g, c) :: pool.cursors;
         c
     in
     if size > psz then begin
@@ -155,16 +186,17 @@ let place t lp ~size =
         cursor.page <- -1;
         cursor.off <- 0
       end;
-      (addr, [ addr / psz; (addr + size - 1) / psz ] |> List.sort_uniq compare)
+      let first = addr / psz and last = (addr + size - 1) / psz in
+      (addr, if first = last then [ first ] else [ first; last ])
     end
 
 let entries_on_page t page =
-  match Hashtbl.find_opt t.by_page page with Some p -> p.on_page | None -> []
+  match Int_table.find_opt t.by_page page with Some p -> p.on_page | None -> []
 
 let absent_on_page t page =
-  match Hashtbl.find_opt t.by_page page with Some p -> p.absent | None -> 0
+  match Int_table.find_opt t.by_page page with Some p -> p.absent | None -> 0
 
-let is_page_dirty t ~page = Hashtbl.mem t.dirty_pages page
+let is_page_dirty t ~page = Int_table.mem t.dirty_pages page
 
 let refresh_protection t ~page =
   if Address_space.is_mapped t.space ~page then begin
@@ -178,7 +210,7 @@ let refresh_protection t ~page =
 
 let allocate t lp ~size =
   if size <= 0 then invalid_arg "Cache.allocate: non-positive size";
-  if Long_pointer.Table.mem t.by_lp lp then
+  if Long_pointer.Lookup.mem t.by_lp lp then
     invalid_arg
       (Format.asprintf "Cache.allocate: %a already allocated" Long_pointer.pp lp);
   let local_addr, pages =
@@ -200,27 +232,27 @@ let allocate t lp ~size =
       pins = [];
     }
   in
-  Long_pointer.Table.add t.by_lp lp entry;
-  Hashtbl.replace t.by_addr local_addr entry;
+  Long_pointer.Lookup.add t.by_lp lp entry;
+  Int_table.replace t.by_addr local_addr entry;
   List.iter
     (fun page ->
-      (match Hashtbl.find_opt t.by_page page with
+      (match Int_table.find_opt t.by_page page with
       | Some p ->
         p.on_page <- entry :: p.on_page;
         p.absent <- p.absent + 1
-      | None -> Hashtbl.add t.by_page page { on_page = [ entry ]; absent = 1 });
-      if not (Address_space.is_mapped t.space ~page) then
-        Address_space.map t.space ~page ~prot:Prot.No_access;
-      refresh_protection t ~page)
+      | None -> Int_table.add t.by_page page { on_page = [ entry ]; absent = 1 });
+      (* the page now holds an absent entry: inaccessible, mapped on
+         first use *)
+      Address_space.map t.space ~page ~prot:Prot.No_access)
     pages;
   t.allocated_bytes <- t.allocated_bytes + round_up size;
   entry
 
-let find_by_lp t lp = Long_pointer.Table.find_opt t.by_lp lp
-let find_by_addr t addr = Hashtbl.find_opt t.by_addr addr
+let find_by_lp t lp = Long_pointer.Lookup.find_opt t.by_lp lp
+let find_by_addr t addr = Int_table.find_opt t.by_addr addr
 
 let find_containing t addr =
-  match Hashtbl.find_opt t.by_addr addr with
+  match Int_table.find_opt t.by_addr addr with
   | Some _ as hit -> hit
   | None ->
     entries_on_page t (addr / psz t)
@@ -229,16 +261,16 @@ let find_containing t addr =
 
 let iter_entries t f =
   (* by_addr has exactly one binding per live entry *)
-  Hashtbl.iter (fun _ e -> f e) t.by_addr
+  Int_table.iter (fun _ e -> f e) t.by_addr
 
-let entry_count t = Hashtbl.length t.by_addr
+let entry_count t = Int_table.length t.by_addr
 
 let mark_present t e =
   if not e.present then begin
     e.present <- true;
     List.iter
       (fun page ->
-        match Hashtbl.find_opt t.by_page page with
+        match Int_table.find_opt t.by_page page with
         | Some p -> p.absent <- p.absent - 1
         | None -> ())
       e.pages
@@ -247,20 +279,20 @@ let mark_present t e =
 
 let mark_page_dirty t ~page =
   if not (is_page_dirty t ~page) then begin
-    if t.grain = Strategy.Twin_diff && not (Hashtbl.mem t.twins page) then begin
+    if t.grain = Strategy.Twin_diff && not (Int_table.mem t.twins page) then begin
       let data =
         Address_space.read_unchecked t.space
           ~addr:(Address_space.page_base t.space page)
           ~len:(psz t)
       in
-      Hashtbl.add t.twins page data
+      Int_table.add t.twins page data
     end;
-    Hashtbl.replace t.dirty_pages page ();
+    Int_table.replace t.dirty_pages page ();
     refresh_protection t ~page
   end
 
 let dirty_pages t =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.dirty_pages [] |> List.sort compare
+  Int_table.fold (fun p () acc -> p :: acc) t.dirty_pages [] |> List.sort Int.compare
 
 (* Byte range of [e] that lies on [page], as (addr, len). *)
 let entry_range_on_page t e page =
@@ -272,7 +304,7 @@ let entry_range_on_page t e page =
 let entry_changed_vs_twin t e =
   List.exists
     (fun page ->
-      match Hashtbl.find_opt t.twins page with
+      match Int_table.find_opt t.twins page with
       | None -> false
       | Some twin ->
         let addr, len = entry_range_on_page t e page in
@@ -292,14 +324,14 @@ let dirty_entries ?pinned_by:filter t =
   let keep e =
     match filter with None -> true | Some s -> List.mem s e.pins
   in
-  let seen = Hashtbl.create 16 in
+  let seen = Int_table.create 16 in
   let out = ref [] in
   List.iter
     (fun page ->
       List.iter
         (fun e ->
-          if e.present && keep e && not (Hashtbl.mem seen e.local_addr) then begin
-            Hashtbl.add seen e.local_addr ();
+          if e.present && keep e && not (Int_table.mem seen e.local_addr) then begin
+            Int_table.add seen e.local_addr ();
             let ship =
               match t.grain with
               | Strategy.Page_grain -> true
@@ -315,9 +347,9 @@ let dirty_entries ?pinned_by:filter t =
   (* Entries dirtied without a page fault (installed writebacks, fresh
      remote allocations) may sit on pages never marked dirty. *)
   iter_entries t (fun e ->
-      if e.dirty && e.present && keep e && not (Hashtbl.mem seen e.local_addr)
+      if e.dirty && e.present && keep e && not (Int_table.mem seen e.local_addr)
       then begin
-        Hashtbl.add seen e.local_addr ();
+        Int_table.add seen e.local_addr ();
         out := e :: !out
       end);
   !out
@@ -326,9 +358,9 @@ let clean_after_flush ?pinned_by:filter t =
   match filter with
   | None ->
     iter_entries t (fun e -> e.dirty <- false);
-    Hashtbl.reset t.twins;
+    Int_table.reset t.twins;
     let pages = dirty_pages t in
-    Hashtbl.reset t.dirty_pages;
+    Int_table.reset t.dirty_pages;
     List.iter (fun page -> refresh_protection t ~page) pages
   | Some s ->
     (* Session-scoped flush: only the session's entries are marked
@@ -384,16 +416,16 @@ let diff_ranges ~base ~now =
     !out
 
 let rebind t e lp =
-  Long_pointer.Table.remove t.by_lp e.lp;
+  Long_pointer.Lookup.remove t.by_lp e.lp;
   e.lp <- lp;
-  Long_pointer.Table.replace t.by_lp lp e
+  Long_pointer.Lookup.replace t.by_lp lp e
 
 let remove t e =
-  Long_pointer.Table.remove t.by_lp e.lp;
-  Hashtbl.remove t.by_addr e.local_addr;
+  Long_pointer.Lookup.remove t.by_lp e.lp;
+  Int_table.remove t.by_addr e.local_addr;
   List.iter
     (fun page ->
-      match Hashtbl.find_opt t.by_page page with
+      match Int_table.find_opt t.by_page page with
       | None -> ()
       | Some p ->
         p.on_page <- List.filter (fun e' -> e'.local_addr <> e.local_addr) p.on_page;
@@ -417,24 +449,18 @@ let invalidate_session t ~session =
   (* The session's fill cursors and recycled slots die with it: its
      pages must not be refilled by a later session (page-grain fault
      handling would sweep across the sessions sharing the page). *)
-  let doomed tbl =
-    Hashtbl.fold
-      (fun ((_, scope) as key) _ acc ->
-        if scope = Some session then key :: acc else acc)
-      tbl []
-  in
-  List.iter (Hashtbl.remove t.cursors) (doomed t.cursors);
-  List.iter (Hashtbl.remove t.free_slots) (doomed t.free_slots)
+  Int_table.remove t.scoped session
 
 let invalidate t =
-  Hashtbl.iter (fun page _ -> Address_space.unmap t.space ~page) t.by_page;
-  Long_pointer.Table.reset t.by_lp;
-  Hashtbl.reset t.by_addr;
-  Hashtbl.reset t.by_page;
-  Hashtbl.reset t.dirty_pages;
-  Hashtbl.reset t.twins;
-  Hashtbl.reset t.cursors;
-  Hashtbl.reset t.free_slots;
+  Int_table.iter (fun page _ -> Address_space.unmap t.space ~page) t.by_page;
+  Long_pointer.Lookup.reset t.by_lp;
+  Int_table.reset t.by_addr;
+  Int_table.reset t.by_page;
+  Int_table.reset t.dirty_pages;
+  Int_table.reset t.twins;
+  t.unscoped.cursors <- [];
+  Int_table.reset t.unscoped.free_slots;
+  Int_table.reset t.scoped;
   t.next_page <- t.base / psz t;
   t.allocated_bytes <- 0
 
@@ -444,12 +470,12 @@ let used_pages t = t.next_page - (t.base / psz t)
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_addr [] in
+  let entries = Int_table.fold (fun _ e acc -> e :: acc) t.by_addr [] in
   (* by_lp <-> by_addr bijection *)
   let* () =
-    if Long_pointer.Table.length t.by_lp <> List.length entries then
+    if Long_pointer.Lookup.length t.by_lp <> List.length entries then
       err "by_lp has %d entries, by_addr %d"
-        (Long_pointer.Table.length t.by_lp)
+        (Long_pointer.Lookup.length t.by_lp)
         (List.length entries)
     else Ok ()
   in
@@ -457,7 +483,7 @@ let check_invariants t =
     | [] -> Ok ()
     | e :: rest ->
       let* () =
-        match Long_pointer.Table.find_opt t.by_lp e.lp with
+        match Long_pointer.Lookup.find_opt t.by_lp e.lp with
         | Some e' when e' == e -> Ok ()
         | _ -> err "entry 0x%x not reachable through its lp" e.local_addr
       in
@@ -486,7 +512,7 @@ let check_invariants t =
   let* () = each entries in
   (* no overlaps *)
   let sorted =
-    List.sort (fun a b -> compare a.local_addr b.local_addr) entries
+    List.sort (fun a b -> Int.compare a.local_addr b.local_addr) entries
   in
   let rec disjoint = function
     | a :: (b :: _ as rest) ->
@@ -497,7 +523,7 @@ let check_invariants t =
   in
   let* () = disjoint sorted in
   (* protection consistent with state *)
-  let pages = Hashtbl.fold (fun p _ acc -> p :: acc) t.by_page [] in
+  let pages = Int_table.fold (fun p _ acc -> p :: acc) t.by_page [] in
   let rec prot_ok = function
     | [] -> Ok ()
     | page :: rest -> (
@@ -526,14 +552,14 @@ let check_invariants t =
 
 let pp_table ppf t =
   let pages =
-    Hashtbl.fold (fun p _ acc -> p :: acc) t.by_page [] |> List.sort compare
+    Int_table.fold (fun p _ acc -> p :: acc) t.by_page [] |> List.sort Int.compare
   in
   Format.fprintf ppf "@[<v>page # | offset | long pointer@,";
   List.iter
     (fun page ->
       let entries =
         entries_on_page t page
-        |> List.sort (fun a b -> compare a.local_addr b.local_addr)
+        |> List.sort (fun a b -> Int.compare a.local_addr b.local_addr)
       in
       List.iter
         (fun e ->

@@ -114,20 +114,21 @@ let probe_all t =
   |> List.iter (fun ep -> ignore (probe t ep))
 
 (* Fold the simulator's ground-truth crash/revive marks recorded since
-   [from] (an event index; returns the new cursor). *)
+   [from] (an event index; returns the new cursor). Only the events
+   after the cursor are read, so an armed soak that observes on every
+   admission stays linear in its horizon. The cursor is taken before
+   the fold: frames a revival probe records are the next call's. *)
 let observe t trace ~from =
-  let events = Srpc_simnet.Trace.events trace in
-  let n = List.length events in
-  List.iteri
-    (fun i (e : Srpc_simnet.Trace.event) ->
-      if i >= from then
-        match e.Srpc_simnet.Trace.kind with
-        | Srpc_simnet.Trace.Crash ep ->
-          if Hashtbl.mem t.peers ep then mark_dead t (watched t ep)
-        | Srpc_simnet.Trace.Revive ep ->
-          (* the orchestrator restarted it; let a probe confirm before
-             sessions flow again *)
-          if Hashtbl.mem t.peers ep then ignore (probe t ep)
-        | _ -> ())
-    events;
+  let n = Srpc_simnet.Trace.length trace in
+  List.iter
+    (fun (e : Srpc_simnet.Trace.event) ->
+      match e.Srpc_simnet.Trace.kind with
+      | Srpc_simnet.Trace.Crash ep ->
+        if Hashtbl.mem t.peers ep then mark_dead t (watched t ep)
+      | Srpc_simnet.Trace.Revive ep ->
+        (* the orchestrator restarted it; let a probe confirm before
+           sessions flow again *)
+        if Hashtbl.mem t.peers ep then ignore (probe t ep)
+      | _ -> ())
+    (Srpc_simnet.Trace.since trace from);
   n

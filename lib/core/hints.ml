@@ -1,7 +1,7 @@
 open Srpc_types
 
 type rule = { follow : string list; prune_others : bool }
-type t = (string, rule) Hashtbl.t
+type t = rule Registry.Names.t
 
 exception Unknown_field of { ty : string; field : string }
 
@@ -15,11 +15,11 @@ let () =
            ty field)
     | _ -> None)
 
-let create () = Hashtbl.create 8
-let set t ~ty rule = Hashtbl.replace t ty rule
-let clear t ~ty = Hashtbl.remove t ty
-let find t ~ty = Hashtbl.find_opt t ty
-let to_list t = Hashtbl.fold (fun ty rule acc -> (ty, rule) :: acc) t []
+let create () = Registry.Names.create 8
+let set t ~ty rule = Registry.Names.replace t ty rule
+let clear t ~ty = Registry.Names.remove t ty
+let find t ~ty = Registry.Names.find_opt t ty
+let to_list t = Registry.Names.fold (fun ty rule acc -> (ty, rule) :: acc) t []
 
 (* Pointer leaves contributed by one direct field, at its offset. *)
 let field_pointer_leaves reg arch ~ty ~field =

@@ -7,7 +7,7 @@ let make ~origin ~addr ~ty = { origin; addr; ty }
 let is_provisional t = t.addr < 0
 
 let equal a b =
-  Space_id.equal a.origin b.origin && a.addr = b.addr && String.equal a.ty b.ty
+  a.addr = b.addr && Space_id.equal a.origin b.origin && String.equal a.ty b.ty
 
 let compare a b =
   match Space_id.compare a.origin b.origin with
@@ -52,4 +52,18 @@ module Table = Hashtbl.Make (struct
 
   let equal = equal
   let hash = hash
+end)
+
+(* [hash]'s low 3 bits are the same for every 8-aligned address, so a
+   table indexed by it uses one bucket in 8. A multiply moves every
+   address bit into the high half and the fold brings them back down. *)
+let spread t =
+  let h = (t.addr + (Space_id.hash t.origin lsl 32)) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
+
+module Lookup = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = spread
 end)

@@ -30,4 +30,10 @@ val pp : Format.formatter -> t -> unit
 val encode : reg:Srpc_types.Registry.t -> Srpc_xdr.Xdr.Enc.t -> t option -> unit
 val decode : reg:Srpc_types.Registry.t -> Srpc_xdr.Xdr.Dec.t -> t option
 
+(** Keyed by {!hash}. Its fold order is the traveler order of every
+    transfer frame, so that hash must not change. *)
 module Table : Hashtbl.S with type key = t
+
+(** For tables that are only looked up, never folded or iterated: a
+    hash that spreads 8-aligned addresses over all buckets. *)
+module Lookup : Hashtbl.S with type key = t

@@ -28,7 +28,7 @@ type t = {
   policy : Srpc_policy.Engine.t option;
   strategy : Strategy.t;
   procs : (string, proc) Hashtbl.t;
-  mutable shipped : (int, unit) Hashtbl.t Space_id.Table.t;
+  mutable shipped : unit Int_table.t Space_id.Table.t;
       (** per peer, addresses of own data already sent in this session *)
   mutable traveling : unit Long_pointer.Table.t;
       (** own data modified elsewhere this session: the paper's modified
@@ -53,7 +53,7 @@ type t = {
       (** per session, write-backs delivered by [Wb_stage] /
           [Wb_stage_delta] (with their sender) and not yet applied;
           [Wb_commit] applies and drops them, in delivery order *)
-  directory : (int, (Space_id.t * string) list) Hashtbl.t;
+  directory : (Space_id.t * string) list Int_table.t;
       (** copy directory (delta coherency): own-heap datum address →
           per-peer encoding that peer's cached copy agrees with. It is
           both the base image a peer's byte-range delta patches against
@@ -74,14 +74,14 @@ type t = {
   mutable focused : int option;
       (** the session whose state currently occupies the swappable
           fields; [None] outside concurrent mode *)
-  dir_owner : (int, int) Hashtbl.t;
+  dir_owner : int Int_table.t;
       (** concurrent admission: datum address -> session that recorded
           its copy-directory rows, so a session-scoped purge can drop
           exactly its rows. Unused in single-open mode. *)
   peer_eps : string Space_id.Table.t;
       (** other spaces' endpoint names, formatted once each: every
           request and trace note names one *)
-  closure_seen : (int, unit) Hashtbl.t;
+  closure_seen : unit Int_table.t;
       (** addresses one [ship_closure] has visited; cleared per call *)
 }
 
@@ -98,7 +98,7 @@ and batch = {
 }
 
 and saved_sstate = {
-  sv_shipped : (int, unit) Hashtbl.t Space_id.Table.t;
+  sv_shipped : unit Int_table.t Space_id.Table.t;
   sv_traveling : unit Long_pointer.Table.t;
   sv_allocs : pending_alloc list;
   sv_frees : Long_pointer.t list;
@@ -225,18 +225,26 @@ let delta_on t = t.strategy.Strategy.delta_coherency
 
 (* A datum's directory rows, one per peer holding a copy: a short list,
    since few peers ever hold one datum. *)
-let dir_rows t addr = Option.value ~default:[] (Hashtbl.find_opt t.directory addr)
+let dir_rows t addr = Option.value ~default:[] (Int_table.find_opt t.directory addr)
+
+let rec remove_row peer = function
+  | [] -> []
+  | ((p, _) as row) :: rest ->
+    if Space_id.equal p peer then rest else row :: remove_row peer rest
 
 (* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. *)
 let dir_record t ~peer ~addr image =
   (if Session.concurrent_enabled t.session then
      match Session.current t.session with
-     | Some info -> Hashtbl.replace t.dir_owner addr info.Session.id
+     | Some info -> Int_table.replace t.dir_owner addr info.Session.id
      | None -> ());
-  Hashtbl.replace t.directory addr
-    ((peer, image) :: List.remove_assoc peer (dir_rows t addr))
+  Int_table.replace t.directory addr
+    ((peer, image) :: remove_row peer (dir_rows t addr))
 
-let dir_base t ~peer ~addr = List.assoc_opt peer (dir_rows t addr)
+let dir_base t ~peer ~addr =
+  List.find_map
+    (fun (p, image) -> if Space_id.equal p peer then Some image else None)
+    (dir_rows t addr)
 
 (* [dst] received data copies this session (items installed, or deltas
    patched — either can swizzle foreign pointers into fresh cache
@@ -402,7 +410,7 @@ let shipped_set t peer =
   match Space_id.Table.find_opt t.shipped peer with
   | Some s -> s
   | None ->
-    let s = Hashtbl.create 64 in
+    let s = Int_table.create 64 in
     Space_id.Table.add t.shipped peer s;
     s
 
@@ -421,7 +429,7 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
   let strategy = t.strategy in
   let shipped = shipped_set t peer in
   let visited = t.closure_seen in
-  Hashtbl.clear visited;
+  Int_table.clear visited;
   let out = ref [] in
   let total = ref 0 in
   let budget_exceeded = ref false in
@@ -429,10 +437,10 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
   let per_type_budget =
     match t.policy with
     | Some pol when strategy.Strategy.budget <> Strategy.Unbounded ->
-      Some (Hashtbl.create 8, fun ty -> Srpc_policy.Engine.budget_for pol ~ty)
+      Some (Registry.Names.create 8, fun ty -> Srpc_policy.Engine.budget_for pol ~ty)
     | Some _ | None -> None
   in
-  let used_by_ty used ty = Option.value ~default:0 (Hashtbl.find_opt used ty) in
+  let used_by_ty used ty = Option.value ~default:0 (Registry.Names.find_opt used ty) in
   let budget_allows ~ty ~extra =
     match per_type_budget with
     | None -> Strategy.budget_allows strategy ~total:!total ~extra
@@ -462,22 +470,23 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
            if w = 0 then None else unswizzle t ~ty:target w)
   in
   let visit ~forced (lp : Long_pointer.t) =
-    if Space_id.equal lp.origin t.id && not (Hashtbl.mem visited lp.addr) then begin
-      Hashtbl.add visited lp.addr ();
+    if Space_id.equal lp.origin t.id && not (Int_table.mem visited lp.addr) then begin
+      Int_table.add visited lp.addr ();
       let size = sizeof t lp.ty in
       let raw () = Address_space.read_unchecked t.space ~addr:lp.addr ~len:size in
-      if Hashtbl.mem shipped lp.addr && not forced then
+      if Int_table.mem shipped lp.addr && not forced then
         (* peer caches it already; traverse through without re-sending *)
         List.iter push (children (raw ()) lp.ty)
       else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
         total := !total + size;
         (match per_type_budget with
-        | Some (used, _) -> Hashtbl.replace used lp.ty (used_by_ty used lp.ty + size)
+        | Some (used, _) ->
+          Registry.Names.replace used lp.ty (used_by_ty used lp.ty + size)
         | None -> ());
         let raw = raw () in
         let data = Object_codec.encode (encode_ctx t) ~ty:lp.ty raw in
         out := { Wire.lp; data } :: !out;
-        Hashtbl.replace shipped lp.addr ();
+        Int_table.replace shipped lp.addr ();
         note_datum t lp Trace.Acc_serve;
         (* closure provenance feeds the copy directory: [peer] will hold
            exactly this encoding *)
@@ -622,14 +631,14 @@ let purge_session ?(closed = false) t sid =
   t.pending_frees <- [];
   Hashtbl.remove t.staged sid;
   let owned =
-    Hashtbl.fold
+    Int_table.fold
       (fun addr owner acc -> if owner = sid then addr :: acc else acc)
       t.dir_owner []
   in
   List.iter
     (fun addr ->
-      Hashtbl.remove t.directory addr;
-      Hashtbl.remove t.dir_owner addr)
+      Int_table.remove t.directory addr;
+      Int_table.remove t.dir_owner addr)
     owned;
   Hashtbl.remove t.sstash sid;
   t.focused <- None
@@ -707,7 +716,7 @@ let drop_session ?(outcomes = false) t sid =
     Space_id.Table.reset t.shipped;
     Long_pointer.Table.reset t.traveling;
     Hashtbl.reset t.staged;
-    Hashtbl.reset t.directory;
+    Int_table.reset t.directory;
     t.pending_allocs <- [];
     t.pending_frees <- [];
     t.state_session <- None
@@ -1021,7 +1030,7 @@ let apply_frees t lps =
          otherwise invite a refresh delta to a space that dropped it *)
       note_datum t lp Trace.Acc_free;
       Long_pointer.Table.remove t.traveling lp;
-      Hashtbl.remove t.directory lp.addr;
+      Int_table.remove t.directory lp.addr;
       Allocator.free t.heap lp.addr)
     lps
 
@@ -1163,12 +1172,12 @@ let fetch_missing t missing =
       | Wire.Fetched { items } ->
         (* Items we asked for are demand fetches; anything extra in the
            same reply is the server's speculative closure around them. *)
-        let asked = Long_pointer.Table.create (List.length wanted) in
-        List.iter (fun lp -> Long_pointer.Table.replace asked lp ()) wanted;
+        let asked = Long_pointer.Lookup.create (List.length wanted) in
+        List.iter (fun lp -> Long_pointer.Lookup.replace asked lp ()) wanted;
         List.iter
           (fun (item : Wire.item) ->
             let kind =
-              if Long_pointer.Table.mem asked item.Wire.lp then `Demand else `Eager
+              if Long_pointer.Lookup.mem asked item.Wire.lp then `Demand else `Eager
             in
             install_item t ~src:origin ~kind item)
           items;
@@ -1923,7 +1932,7 @@ let extended_free t addr =
         else acc)
       t.traveling []
     |> List.iter (Long_pointer.Table.remove t.traveling);
-    Hashtbl.remove t.directory addr;
+    Int_table.remove t.directory addr;
     note_own t addr Trace.Acc_free;
     Allocator.free t.heap addr
   end
@@ -1980,13 +1989,13 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       reply_cap = reply_cache_cap;
       reply_tick = 0;
       staged = Hashtbl.create 4;
-      directory = Hashtbl.create 32;
+      directory = Int_table.create 32;
       state_session = None;
       sstash = Hashtbl.create 4;
       focused = None;
-      dir_owner = Hashtbl.create 32;
+      dir_owner = Int_table.create 32;
       peer_eps = Space_id.Table.create 4;
-      closure_seen = Hashtbl.create 64;
+      closure_seen = Int_table.create 64;
     }
   in
   Mmu.set_handler mmu (handle_fault t);

@@ -15,8 +15,8 @@ type decode_ctx = {
 }
 
 let encode ctx ~ty raw =
-  let desc = Type_desc.Named ty in
-  let size = Layout.sizeof ctx.enc_reg ctx.enc_arch desc in
+  let shape = Layout.shape ctx.enc_reg ctx.enc_arch ty in
+  let size = shape.Layout.layout.Layout.size in
   if Bytes.length raw <> size then
     invalid_arg
       (Printf.sprintf "Object_codec.encode: %s is %d bytes, got %d" ty size
@@ -38,13 +38,12 @@ let encode ctx ~ty raw =
         let word = Mem.Codec.get_word ctx.enc_arch raw off in
         let lp = if word = 0 then None else ctx.unswizzle ~ty:target word in
         Long_pointer.encode ~reg:ctx.enc_reg enc lp)
-    (Layout.leaves ctx.enc_reg ctx.enc_arch desc);
+    (Lazy.force shape.Layout.leaves);
   Xdr.Enc.to_string enc
 
 let decode ctx ~ty data =
-  let desc = Type_desc.Named ty in
-  let size = Layout.sizeof ctx.dec_reg ctx.dec_arch desc in
-  let raw = Bytes.make size '\000' in
+  let shape = Layout.shape ctx.dec_reg ctx.dec_arch ty in
+  let raw = Bytes.make shape.Layout.layout.Layout.size '\000' in
   let dec = Xdr.Dec.of_string data in
   let endian = ctx.dec_arch.Arch.endian in
   List.iter
@@ -61,7 +60,7 @@ let decode ctx ~ty data =
       | Layout.Ptr _ ->
         let lp = Long_pointer.decode ~reg:ctx.dec_reg dec in
         Mem.Codec.set_word ctx.dec_arch raw off (ctx.swizzle lp))
-    (Layout.leaves ctx.dec_reg ctx.dec_arch desc);
+    (Lazy.force shape.Layout.leaves);
   Xdr.Dec.check_end dec;
   raw
 

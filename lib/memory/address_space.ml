@@ -12,7 +12,7 @@ type t = {
   arch : Arch.t;
   page_size : int;
   page_shift : int;
-  pages : (int, page) Hashtbl.t;
+  pages : page Int_table.t;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -24,7 +24,7 @@ let log2 n =
 let create ?(page_size = 4096) ~id ~arch () =
   if not (is_power_of_two page_size) then
     invalid_arg "Address_space.create: page_size must be a power of two";
-  { id; arch; page_size; page_shift = log2 page_size; pages = Hashtbl.create 64 }
+  { id; arch; page_size; page_shift = log2 page_size; pages = Int_table.create 64 }
 
 let id t = t.id
 let arch t = t.arch
@@ -33,23 +33,23 @@ let page_of_addr t addr = addr lsr t.page_shift
 let page_base t page = page lsl t.page_shift
 
 let map t ~page ~prot =
-  match Hashtbl.find_opt t.pages page with
+  match Int_table.find_opt t.pages page with
   | Some p -> p.prot <- prot
-  | None -> Hashtbl.add t.pages page { data = Bytes.make t.page_size '\000'; prot }
+  | None -> Int_table.add t.pages page { data = Bytes.make t.page_size '\000'; prot }
 
-let unmap t ~page = Hashtbl.remove t.pages page
-let is_mapped t ~page = Hashtbl.mem t.pages page
+let unmap t ~page = Int_table.remove t.pages page
+let is_mapped t ~page = Int_table.mem t.pages page
 
 let protection t ~page =
-  Option.map (fun p -> p.prot) (Hashtbl.find_opt t.pages page)
+  Option.map (fun p -> p.prot) (Int_table.find_opt t.pages page)
 
 let set_protection t ~page prot =
-  match Hashtbl.find_opt t.pages page with
+  match Int_table.find_opt t.pages page with
   | Some p -> p.prot <- prot
   | None -> invalid_arg "Address_space.set_protection: page not mapped"
 
 let mapped_pages t =
-  Hashtbl.fold (fun page _ acc -> page :: acc) t.pages [] |> List.sort compare
+  Int_table.fold (fun page _ acc -> page :: acc) t.pages [] |> List.sort Int.compare
 
 let ensure_mapped t ~addr ~len ~prot =
   if len > 0 then begin
@@ -58,6 +58,10 @@ let ensure_mapped t ~addr ~len ~prot =
       if not (is_mapped t ~page) then map t ~page ~prot
     done
   end
+
+let allows prot = function
+  | Read -> Prot.allows_read prot
+  | Write -> Prot.allows_write prot
 
 (* Walk the pages of [addr, addr+len), calling [f page_record
    offset_in_page offset_in_range chunk_len] per intersected page.
@@ -71,15 +75,12 @@ let iter_range t ~addr ~len ~access ~check f =
     (* Validation pass: find the first unmapped or protection-violating
        page before touching anything. *)
     for page = first to last do
-      match Hashtbl.find_opt t.pages page with
+      match Int_table.find_opt t.pages page with
       | None ->
         let fault_addr = max addr (page_base t page) in
         raise (Segv { space = t.id; addr = fault_addr; access })
       | Some p ->
-        if check && not (match access with
-                         | Read -> Prot.allows_read p.prot
-                         | Write -> Prot.allows_write p.prot)
-        then
+        if check && not (allows p.prot access) then
           let fault_addr = max addr (page_base t page) in
           raise (Page_fault { space = t.id; addr = fault_addr; page; access })
     done;
@@ -87,7 +88,7 @@ let iter_range t ~addr ~len ~access ~check f =
     let done_ = ref 0 in
     while !done_ < len do
       let page = page_of_addr t !pos in
-      let p = Hashtbl.find t.pages page in
+      let p = Int_table.find t.pages page in
       let off = !pos - page_base t page in
       let chunk = min (t.page_size - off) (len - !done_) in
       f p off !done_ chunk;
@@ -96,15 +97,44 @@ let iter_range t ~addr ~len ~access ~check f =
     done
   end
 
+(* The fast branch is one page lookup and [f] on the page's own bytes;
+   it allocates nothing. A range straddling pages (or an invalid one)
+   takes the slow branch: validated and copied out by [iter_range],
+   then copied back when [f] may have written it. *)
+let access t ~addr ~len acc ~check f x =
+  let off = addr land (t.page_size - 1) in
+  if addr >= 0 && len > 0 && off + len <= t.page_size then begin
+    let page = addr lsr t.page_shift in
+    match Int_table.find t.pages page with
+    | p ->
+      if check && not (allows p.prot acc) then
+        raise (Page_fault { space = t.id; addr; page; access = acc });
+      f t.arch p.data off x
+    | exception Not_found -> raise (Segv { space = t.id; addr; access = acc })
+  end
+  else begin
+    if len < 0 then invalid_arg "Address_space: negative length";
+    let buf = Bytes.create len in
+    iter_range t ~addr ~len ~access:acc ~check (fun p off dst chunk ->
+        Bytes.blit p.data off buf dst chunk);
+    let v = f t.arch buf 0 x in
+    (match acc with
+    | Read -> ()
+    | Write ->
+      iter_range t ~addr ~len ~access:Write ~check:false (fun p off src chunk ->
+          Bytes.blit buf src p.data off chunk));
+    v
+  end
+
+(* Bulk copies are accesses too: one page lookup and one blit when the
+   range lies on one page. *)
 let read_gen t ~check ~addr ~len =
-  let out = Bytes.create len in
-  iter_range t ~addr ~len ~access:Read ~check (fun p off dst chunk ->
-      Bytes.blit p.data off out dst chunk);
-  out
+  access t ~addr ~len Read ~check (fun _ b off len -> Bytes.sub b off len) len
 
 let write_gen t ~check ~addr data =
-  iter_range t ~addr ~len:(Bytes.length data) ~access:Write ~check
-    (fun p off src chunk -> Bytes.blit data src p.data off chunk)
+  access t ~addr ~len:(Bytes.length data) Write ~check
+    (fun _ b off data -> Bytes.blit data 0 b off (Bytes.length data))
+    data
 
 let read t ~addr ~len = read_gen t ~check:true ~addr ~len
 let write t ~addr data = write_gen t ~check:true ~addr data
@@ -112,8 +142,9 @@ let read_unchecked t ~addr ~len = read_gen t ~check:false ~addr ~len
 let write_unchecked t ~addr data = write_gen t ~check:false ~addr data
 
 let fill_zero_unchecked t ~addr ~len =
-  iter_range t ~addr ~len ~access:Write ~check:false (fun p off _ chunk ->
-      Bytes.fill p.data off chunk '\000')
+  access t ~addr ~len Write ~check:false
+    (fun _ b off len -> Bytes.fill b off len '\000')
+    len
 
 let pp_fault ppf f =
   Format.fprintf ppf "fault[%a] %s at 0x%x (page %d)" Space_id.pp f.space

@@ -71,6 +71,24 @@ val write : t -> addr:int -> bytes -> unit
 val read_unchecked : t -> addr:int -> len:int -> bytes
 val write_unchecked : t -> addr:int -> bytes -> unit
 
+(** [access t ~addr ~len acc ~check f x] is one load ([Read]) or store
+    ([Write]), the access every path above is built on: it faults
+    exactly as {!read}/{!write} would (or, with [check = false], as
+    their unchecked forms), then returns [f (arch t) buf off x] where
+    [buf] holds [addr, addr+len) at offset [off]. A range on one page
+    is the page's own bytes, read or written in place without
+    allocating; a range straddling pages is a copy, which a [Write]
+    copies back after [f] returns. *)
+val access :
+  t ->
+  addr:int ->
+  len:int ->
+  access ->
+  check:bool ->
+  (Arch.t -> bytes -> int -> 'a -> 'b) ->
+  'a ->
+  'b
+
 (** [fill_zero_unchecked t ~addr ~len] zeroes a range on the system
     path. *)
 val fill_zero_unchecked : t -> addr:int -> len:int -> unit

@@ -6,7 +6,7 @@ type t = {
   base : int;
   limit : int;
   mutable free_list : (int * int) list;  (* (addr, size), sorted by addr *)
-  live : (int, int) Hashtbl.t;  (* addr -> size *)
+  live : int Int_table.t;  (* addr -> size *)
   mutable allocated_bytes : int;
 }
 
@@ -22,7 +22,7 @@ let create ~space ~base ~limit =
     base;
     limit;
     free_list = [ (base, limit - base) ];
-    live = Hashtbl.create 64;
+    live = Int_table.create 64;
     allocated_bytes = 0;
   }
 
@@ -47,7 +47,7 @@ let alloc t ~size =
   in
   let addr, free_list = take t.free_list in
   t.free_list <- free_list;
-  Hashtbl.replace t.live addr size;
+  Int_table.replace t.live addr size;
   t.allocated_bytes <- t.allocated_bytes + size;
   Address_space.ensure_mapped t.space ~addr ~len:size ~prot:Prot.Read_write;
   Address_space.fill_zero_unchecked t.space ~addr ~len:size;
@@ -62,21 +62,21 @@ let rec insert addr size = function
   | block :: rest -> block :: insert addr size rest
 
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
+  match Int_table.find_opt t.live addr with
   | None -> raise (Invalid_free addr)
   | Some size ->
-    Hashtbl.remove t.live addr;
+    Int_table.remove t.live addr;
     t.allocated_bytes <- t.allocated_bytes - size;
     t.free_list <- insert addr size t.free_list
 
-let block_size t addr = Hashtbl.find_opt t.live addr
-let is_allocated t addr = Hashtbl.mem t.live addr
+let block_size t addr = Int_table.find_opt t.live addr
+let is_allocated t addr = Int_table.mem t.live addr
 
 let find_containing t addr =
-  match Hashtbl.find_opt t.live addr with
+  match Int_table.find_opt t.live addr with
   | Some size -> Some (addr, size)
   | None ->
-    Hashtbl.fold
+    Int_table.fold
       (fun base size acc ->
         match acc with
         | Some _ -> acc
@@ -85,8 +85,8 @@ let find_containing t addr =
       t.live None
 let allocated_bytes t = t.allocated_bytes
 let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
-let live_blocks t = Hashtbl.length t.live
-let iter_live t f = Hashtbl.iter f t.live
+let live_blocks t = Int_table.length t.live
+let iter_live t f = Int_table.iter f t.live
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
@@ -104,7 +104,7 @@ let check_invariants t =
     else Error "free block outside region"
   in
   let overlap_live =
-    Hashtbl.fold
+    Int_table.fold
       (fun addr size acc ->
         acc
         || List.exists

@@ -43,70 +43,90 @@ module Codec = struct
     | 8 -> Int64.to_int (get_i64 arch.endian b off)
     | n -> invalid_arg (Printf.sprintf "Codec.get_word: word size %d" n)
 
-  let set_word (arch : Arch.t) b off v =
+  let check_word (arch : Arch.t) v =
     match arch.word_size with
     | 4 ->
       if v < 0 || v > 0xffffffff then
-        invalid_arg (Printf.sprintf "Codec.set_word: 0x%x out of 32-bit range" v);
-      set_i32 arch.endian b off (Int32.of_int v)
-    | 8 -> set_i64 arch.endian b off (Int64.of_int v)
+        invalid_arg (Printf.sprintf "Codec.set_word: 0x%x out of 32-bit range" v)
+    | 8 -> ()
     | n -> invalid_arg (Printf.sprintf "Codec.set_word: word size %d" n)
+
+  let set_word (arch : Arch.t) b off v =
+    check_word arch v;
+    if arch.word_size = 4 then set_i32 arch.endian b off (Int32.of_int v)
+    else set_i64 arch.endian b off (Int64.of_int v)
 end
 
-let endian m = (Address_space.arch (Mmu.space m)).Arch.endian
 let arch m = Address_space.arch (Mmu.space m)
 
-let load_via m ~addr ~len get =
-  let b = Mmu.read m ~addr ~len in
-  get b 0
+(* Every scalar access hands [Mmu.access] a closed function of the
+   space's arch, the bytes holding the value and its offset there. So a
+   load or store within one page allocates no closure and no buffer,
+   only a boxed result where the type has one. *)
+let load m ~addr ~len get = Mmu.access m ~addr ~len Address_space.Read get ()
+let store m ~addr ~len set v = Mmu.access m ~addr ~len Address_space.Write set v
+let load_i8 m ~addr = load m ~addr ~len:1 (fun _ b off () -> Codec.get_i8 b off)
+let store_i8 m ~addr v = store m ~addr ~len:1 (fun _ b off v -> Codec.set_i8 b off v) v
 
-let store_via m ~addr ~len set v =
-  let b = Bytes.create len in
-  set b 0 v;
-  Mmu.write m ~addr b
+let load_i16 m ~addr =
+  load m ~addr ~len:2 (fun a b off () -> Codec.get_i16 a.Arch.endian b off)
 
-let load_i8 m ~addr = load_via m ~addr ~len:1 Codec.get_i8
-let store_i8 m ~addr v = store_via m ~addr ~len:1 Codec.set_i8 v
-let load_i16 m ~addr = load_via m ~addr ~len:2 (Codec.get_i16 (endian m))
-let store_i16 m ~addr v = store_via m ~addr ~len:2 (Codec.set_i16 (endian m)) v
-let load_i32 m ~addr = load_via m ~addr ~len:4 (Codec.get_i32 (endian m))
-let store_i32 m ~addr v = store_via m ~addr ~len:4 (Codec.set_i32 (endian m)) v
-let load_i64 m ~addr = load_via m ~addr ~len:8 (Codec.get_i64 (endian m))
-let store_i64 m ~addr v = store_via m ~addr ~len:8 (Codec.set_i64 (endian m)) v
-let load_f64 m ~addr = load_via m ~addr ~len:8 (Codec.get_f64 (endian m))
-let store_f64 m ~addr v = store_via m ~addr ~len:8 (Codec.set_f64 (endian m)) v
-let load_f32 m ~addr = load_via m ~addr ~len:4 (Codec.get_f32 (endian m))
-let store_f32 m ~addr v = store_via m ~addr ~len:4 (Codec.set_f32 (endian m)) v
+let store_i16 m ~addr v =
+  store m ~addr ~len:2 (fun a b off v -> Codec.set_i16 a.Arch.endian b off v) v
 
-let load_word m ~addr =
-  let a = arch m in
-  load_via m ~addr ~len:a.Arch.word_size (Codec.get_word a)
+let load_i32 m ~addr =
+  load m ~addr ~len:4 (fun a b off () -> Codec.get_i32 a.Arch.endian b off)
 
+let store_i32 m ~addr v =
+  store m ~addr ~len:4 (fun a b off v -> Codec.set_i32 a.Arch.endian b off v) v
+
+let load_i64 m ~addr =
+  load m ~addr ~len:8 (fun a b off () -> Codec.get_i64 a.Arch.endian b off)
+
+let store_i64 m ~addr v =
+  store m ~addr ~len:8 (fun a b off v -> Codec.set_i64 a.Arch.endian b off v) v
+
+let load_f64 m ~addr =
+  load m ~addr ~len:8 (fun a b off () -> Codec.get_f64 a.Arch.endian b off)
+
+let store_f64 m ~addr v =
+  store m ~addr ~len:8 (fun a b off v -> Codec.set_f64 a.Arch.endian b off v) v
+
+let load_f32 m ~addr =
+  load m ~addr ~len:4 (fun a b off () -> Codec.get_f32 a.Arch.endian b off)
+
+let store_f32 m ~addr v =
+  store m ~addr ~len:4 (fun a b off v -> Codec.set_f32 a.Arch.endian b off v) v
+
+let get_word a b off () = Codec.get_word a b off
+let load_word m ~addr = load m ~addr ~len:(arch m).Arch.word_size get_word
+
+(* The value is range-checked first, so a bad store fails before any
+   fault is serviced. *)
 let store_word m ~addr v =
   let a = arch m in
-  store_via m ~addr ~len:a.Arch.word_size (Codec.set_word a) v
+  Codec.check_word a v;
+  store m ~addr ~len:a.Arch.word_size Codec.set_word v
 
 let load_bytes m ~addr ~len = Mmu.read m ~addr ~len
 let store_bytes m ~addr b = Mmu.write m ~addr b
 
 let raw_load_word space ~addr =
-  let a = Address_space.arch space in
-  let b = Address_space.read_unchecked space ~addr ~len:a.Arch.word_size in
-  Codec.get_word a b 0
+  Address_space.access space ~addr ~len:(Address_space.arch space).Arch.word_size
+    Address_space.Read ~check:false get_word ()
 
 let raw_store_word space ~addr v =
   let a = Address_space.arch space in
-  let b = Bytes.create a.Arch.word_size in
-  Codec.set_word a b 0 v;
-  Address_space.write_unchecked space ~addr b
+  Codec.check_word a v;
+  Address_space.access space ~addr ~len:a.Arch.word_size Address_space.Write
+    ~check:false Codec.set_word v
 
 let raw_load_i64 space ~addr =
-  let a = Address_space.arch space in
-  let b = Address_space.read_unchecked space ~addr ~len:8 in
-  Codec.get_i64 a.Arch.endian b 0
+  Address_space.access space ~addr ~len:8 Address_space.Read ~check:false
+    (fun a b off () -> Codec.get_i64 a.Arch.endian b off)
+    ()
 
 let raw_store_i64 space ~addr v =
-  let a = Address_space.arch space in
-  let b = Bytes.create 8 in
-  Codec.set_i64 a.Arch.endian b 0 v;
-  Address_space.write_unchecked space ~addr b
+  Address_space.access space ~addr ~len:8 Address_space.Write ~check:false
+    (fun a b off v -> Codec.set_i64 a.Arch.endian b off v)
+    v

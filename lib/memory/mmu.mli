@@ -32,3 +32,15 @@ val clear_handler : t -> unit
 
 val read : t -> addr:int -> len:int -> bytes
 val write : t -> addr:int -> bytes -> unit
+
+(** [access t ~addr ~len acc f x] is {!Address_space.access} on the
+    program path, with the same fault handling and restart: the typed
+    loads and stores of {!Mem}. *)
+val access :
+  t ->
+  addr:int ->
+  len:int ->
+  Address_space.access ->
+  (Arch.t -> bytes -> int -> 'a -> 'b) ->
+  'a ->
+  'b

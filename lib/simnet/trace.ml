@@ -56,6 +56,13 @@ let mark t ~at ~src kind = add t { at; src; dst = src; kind; bytes = 0; label = 
 let events t = List.rev t.rev_events
 let length t = t.count
 
+let since t n =
+  let rec take k acc = function
+    | e :: rest when k > 0 -> take (k - 1) (e :: acc) rest
+    | _ -> acc
+  in
+  take (t.count - n) [] t.rev_events
+
 let clear t =
   t.rev_events <- [];
   t.count <- 0

@@ -113,6 +113,12 @@ val mark : t -> at:float -> src:string -> kind -> unit
 val events : t -> event list
 
 val length : t -> int
+
+(** [since t n] is the events after the first [n], in chronological
+    order: [events t] without its first [n]. It walks only those
+    events, so a consumer that keeps a cursor pays for what is new. *)
+val since : t -> int -> event list
+
 val clear : t -> unit
 
 (** [between t ~src ~dst] counts request frames from [src] to [dst]. *)

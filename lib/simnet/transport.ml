@@ -9,7 +9,8 @@ type t = {
   stats : Stats.t;
   cost : Cost_model.t;
   dispatchers : (endpoint, endpoint -> string -> string) Hashtbl.t;
-  link_costs : (endpoint * endpoint, Cost_model.t) Hashtbl.t;
+  mutable link_costs : (endpoint * endpoint * Cost_model.t) list;
+      (** per-direction overrides of [cost]; a few at most *)
   mutable trace : Trace.t option;
   mutable faults : Fault_plan.t option;
   mutable labeler : (dir:Trace.direction -> string -> string) option;
@@ -25,7 +26,7 @@ let create ~clock ~stats ~cost =
     stats;
     cost;
     dispatchers = Hashtbl.create 16;
-    link_costs = Hashtbl.create 4;
+    link_costs = [];
     trace = None;
     faults = None;
     labeler = None;
@@ -34,13 +35,23 @@ let create ~clock ~stats ~cost =
 let clock t = t.clock
 let stats t = t.stats
 let cost t = t.cost
-let set_link_cost t ~src ~dst cost = Hashtbl.replace t.link_costs (src, dst) cost
-let clear_link_cost t ~src ~dst = Hashtbl.remove t.link_costs (src, dst)
+let is_link ~src ~dst (s, d, _) = String.equal s src && String.equal d dst
 
-let link_cost t ~src ~dst =
-  match Hashtbl.find_opt t.link_costs (src, dst) with
-  | Some c -> c
-  | None -> t.cost
+let clear_link_cost t ~src ~dst =
+  t.link_costs <- List.filter (fun l -> not (is_link ~src ~dst l)) t.link_costs
+
+let set_link_cost t ~src ~dst cost =
+  clear_link_cost t ~src ~dst;
+  t.link_costs <- (src, dst, cost) :: t.link_costs
+
+(* Every frame asks, so the walk compares strings and allocates
+   nothing. *)
+let rec cost_in ~src ~dst default = function
+  | [] -> default
+  | ((_, _, c) as l) :: rest ->
+    if is_link ~src ~dst l then c else cost_in ~src ~dst default rest
+
+let link_cost t ~src ~dst = cost_in ~src ~dst t.cost t.link_costs
 
 let set_trace t trace = t.trace <- trace
 let traced t = Option.is_some t.trace

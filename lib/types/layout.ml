@@ -81,11 +81,10 @@ type shape = {
 type Registry.derived += Shape of shape
 
 let shape reg (arch : Arch.t) name =
-  let memo = Registry.derived reg in
-  let key = (arch.word_size, name) in
-  match Hashtbl.find_opt memo key with
-  | Some (Shape s) -> s
-  | Some _ | None ->
+  let memo = Registry.derived reg ~word_size:arch.word_size in
+  match Registry.Names.find memo name with
+  | Shape s -> s
+  | _ | (exception Not_found) ->
     let ty = Type_desc.Named name in
     let leaves = lazy (leaves_of reg arch ty) in
     let s =
@@ -95,7 +94,7 @@ let shape reg (arch : Arch.t) name =
         pointer_leaves = lazy (pointers_of (Lazy.force leaves));
       }
     in
-    Hashtbl.replace memo key (Shape s);
+    Registry.Names.replace memo name (Shape s);
     s
 
 let of_type reg arch = function

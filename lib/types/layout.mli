@@ -42,6 +42,20 @@ val sizeof : Registry.t -> Arch.t -> Type_desc.t -> int
     [name]. *)
 val sizeof_name : Registry.t -> Arch.t -> string -> int
 
+(** What the per-datum paths read off a registered name at one word
+    size, computed once per registry: its layout, its leaves and its
+    pointer leaves (both expanded on first use). *)
+type shape = {
+  layout : t;
+  leaves : leaf list Lazy.t;
+  pointer_leaves : (int * string) list Lazy.t;
+}
+
+(** [shape reg arch name] is [name]'s shape at [arch]'s word size, for a
+    path that reads more than one part of it.
+    @raise Registry.Unknown_type on an unregistered name. *)
+val shape : Registry.t -> Arch.t -> string -> shape
+
 (** [field reg arch ~ty ~field] is a direct struct field of [ty]: its
     name, offset and declared type.
     @raise Not_found if [ty] is not a struct with that field. *)

@@ -39,11 +39,15 @@ val name_of_id : t -> int -> string
     @raise Unknown_type on a dangling name. *)
 val resolve : t -> Type_desc.t -> Type_desc.t
 
+(** A string-keyed table. *)
+module Names : Hashtbl.S with type key = string
+
 (** Values derived from a registered name, such as its layout at one
-    word size ({!Layout}), cached with the registry under
-    [(word size, name)]. {!register} never rebinds a name, so a derived
-    value stays valid for the registry's lifetime. A module that derives
-    one adds its own constructor. *)
+    word size ({!Layout}), cached with the registry: [derived t
+    ~word_size] holds them by name for that word size. {!register}
+    never rebinds a name, so a derived value stays valid for the
+    registry's lifetime. A module that derives one adds its own
+    constructor. *)
 type derived = ..
 
-val derived : t -> (int * string, derived) Hashtbl.t
+val derived : t -> word_size:int -> derived Names.t

@@ -9,18 +9,22 @@ module Enc = struct
   let length = Buffer.length
   let int32 t v = Buffer.add_int32_be t v
 
+  (* The int-valued forms convert inside the [Buffer] primitive's
+     argument, so no [Int32] or [Int64] is boxed. *)
+  let put32 t v = Buffer.add_int32_be t (Int32.of_int v)
+
   let int t v =
     if v < Int32.(to_int min_int) || v > Int32.(to_int max_int) then
       invalid_arg (Printf.sprintf "Xdr.Enc.int: %d out of 32-bit range" v);
-    int32 t (Int32.of_int v)
+    put32 t v
 
   let uint32 t v =
     if v < 0 || v > 0xffffffff then
       invalid_arg (Printf.sprintf "Xdr.Enc.uint32: %d out of range" v);
-    int32 t (Int32.of_int v)
+    put32 t v
 
   let int64 t v = Buffer.add_int64_be t v
-  let hyper t v = int64 t (Int64.of_int v)
+  let hyper t v = Buffer.add_int64_be t (Int64.of_int v)
   let bool t v = int t (if v then 1 else 0)
   let float64 t v = int64 t (Int64.bits_of_float v)
   let float32 t v = int32 t (Int32.bits_of_float v)
@@ -73,25 +77,28 @@ module Dec = struct
            (Printf.sprintf "truncated input: need %d bytes at offset %d, have %d"
               n t.pos (remaining t)))
 
-  let int32 t =
+  (* As in [Enc], the int-valued forms never box an [Int32] or
+     [Int64]. *)
+  let int t =
     need t 4;
-    let v = String.get_int32_be t.input t.pos in
+    let v = Int32.to_int (String.get_int32_be t.input t.pos) in
     t.pos <- t.pos + 4;
     v
 
-  let int t = Int32.to_int (int32 t)
+  let int32 t = Int32.of_int (int t)
+  let uint32 t = int t land 0xffffffff
 
-  let uint32 t =
-    let v = Int32.to_int (int32 t) in
-    v land 0xffffffff
+  let hyper t =
+    need t 8;
+    let v = Int64.to_int (String.get_int64_be t.input t.pos) in
+    t.pos <- t.pos + 8;
+    v
 
   let int64 t =
     need t 8;
     let v = String.get_int64_be t.input t.pos in
     t.pos <- t.pos + 8;
     v
-
-  let hyper t = Int64.to_int (int64 t)
 
   let bool t =
     match int t with

@@ -385,6 +385,83 @@ let test_mem_raw_word () =
   Alcotest.(check int) "raw word through protection" 0xabcd
     (Mem.raw_load_word s ~addr:0)
 
+(* A store straddling two pages takes the copying branch: it faults on
+   each protected page in turn before any byte lands, then reads back
+   whole across the boundary. *)
+let test_mem_straddling_scalar () =
+  let s = mk_space ~arch:Arch.lp64_le () in
+  Address_space.map s ~page:0 ~prot:Prot.Read_only;
+  Address_space.map s ~page:1 ~prot:Prot.Read_only;
+  let m = Mmu.create s in
+  let faults = ref [] in
+  Mmu.set_handler m (fun f ->
+      faults := f.Address_space.page :: !faults;
+      Address_space.set_protection s ~page:f.Address_space.page Prot.Read_write);
+  Mem.store_i64 m ~addr:252 0x0102030405060708L;
+  Alcotest.(check (list int)) "one fault per page, in order" [ 0; 1 ]
+    (List.rev !faults);
+  Alcotest.(check int64) "value across the boundary" 0x0102030405060708L
+    (Mem.load_i64 m ~addr:252);
+  Alcotest.(check int) "low half on page 0" 0x05060708
+    (Int32.to_int (Mem.load_i32 m ~addr:252))
+
+(* Within one page, word loads and stores read and write the page's
+   bytes in place: no buffer, closure or boxed integer per access. *)
+let test_mem_one_page_access_allocates_nothing () =
+  let s = mk_space ~arch:Arch.lp64_le () in
+  Address_space.map s ~page:0 ~prot:Prot.Read_write;
+  let m = Mmu.create s in
+  Mem.store_word m ~addr:8 1;
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Mem.store_word m ~addr:8 i;
+    Mem.store_i16 m ~addr:16 i;
+    acc := !acc + Mem.load_word m ~addr:8 + Mem.load_i16 m ~addr:16
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "values" (1000 * 1001) !acc;
+  if words > 100. then
+    Alcotest.failf "%.0f minor words for 4,000 one-page accesses" words
+
+(* [Int_table] must fold exactly like the generic [Hashtbl]: the fold
+   orders of some per-datum tables decide frame order and the cache
+   layout. A seeded mix of adds, replaces, removes, resets and clears
+   on 8-aligned keys, compared every few hundred steps and after every
+   reset or clear. *)
+let test_int_table_fold_order () =
+  let g = Hashtbl.create 16 and t = Int_table.create 16 in
+  let rng = Random.State.make [| 16 |] in
+  let same what =
+    Alcotest.(check (list (pair int int)))
+      what
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) g [])
+      (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+  in
+  for step = 1 to 60_000 do
+    let key = 8 * (Random.State.int rng 8192 - 64) in
+    match Random.State.int rng 10_000 with
+    | n when n < 5_000 ->
+      Hashtbl.add g key step;
+      Int_table.add t key step
+    | n when n < 7_500 ->
+      Hashtbl.replace g key step;
+      Int_table.replace t key step
+    | n when n < 9_994 ->
+      Hashtbl.remove g key;
+      Int_table.remove t key;
+      if step mod 300 = 0 then same (Printf.sprintf "step %d" step)
+    | n when n < 9_997 ->
+      Hashtbl.reset g;
+      Int_table.reset t;
+      same (Printf.sprintf "reset at step %d" step)
+    | _ ->
+      Hashtbl.clear g;
+      Int_table.clear t;
+      same (Printf.sprintf "clear at step %d" step)
+  done;
+  same "end"
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "memory"
@@ -396,6 +473,8 @@ let () =
           tc "ordering" `Quick test_space_id_compare_order;
         ] );
       ("prot", [ tc "permission table" `Quick test_prot_permissions ]);
+      ( "int-table",
+        [ tc "folds like the generic Hashtbl" `Quick test_int_table_fold_order ] );
       ( "address-space",
         [
           tc "page arithmetic" `Quick test_space_page_arithmetic;
@@ -445,5 +524,8 @@ let () =
           tc "codec word range check" `Quick test_mem_codec_word_range_check;
           tc "typed loads/stores via MMU" `Quick test_mem_load_store_via_mmu;
           tc "raw word access" `Quick test_mem_raw_word;
+          tc "scalar straddling pages" `Quick test_mem_straddling_scalar;
+          tc "one-page access allocates nothing" `Quick
+            test_mem_one_page_access_allocates_nothing;
         ] );
     ]

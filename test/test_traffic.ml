@@ -227,6 +227,33 @@ let test_health_observe () =
   | _ -> Alcotest.fail "revive mark's confirming probe did not restore");
   Alcotest.(check int) "revival recorded" 1 (Health.revivals h ep)
 
+(* [observe] reads only what follows its cursor: over a 100,000-event
+   trace with nothing new it allocates next to nothing (reading the
+   whole trace costs about 300,000 minor words), and a crash mark
+   recorded after the cursor still marks the watched peer dead. *)
+let test_health_observe_reads_only_new () =
+  let cluster, h, ep = health_fixture () in
+  Health.watch h ep;
+  let trace = Trace.create () in
+  Transport.set_trace (Cluster.transport cluster) (Some trace);
+  for i = 1 to 100_000 do
+    Trace.mark trace ~at:(float_of_int i) ~src:"other" (Trace.Session_begin i)
+  done;
+  let cursor = Health.observe h trace ~from:0 in
+  Alcotest.(check int) "cursor at the end" 100_000 cursor;
+  let w0 = Gc.minor_words () in
+  let again = Health.observe h trace ~from:cursor in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "nothing new" cursor again;
+  if words >= 1000. then
+    Alcotest.failf "%.0f minor words to observe nothing new" words;
+  Transport.crash (Cluster.transport cluster) ep;
+  Alcotest.(check int) "cursor past the crash mark" (cursor + 1)
+    (Health.observe h trace ~from:cursor);
+  match Health.state h ep with
+  | Health.Dead -> ()
+  | _ -> Alcotest.fail "crash mark after the cursor did not mark the peer dead"
+
 let test_admission_breaker () =
   let cluster, h, ep = health_fixture () in
   Health.watch h ep;
@@ -542,6 +569,8 @@ let () =
           tc "retry budget sheds" `Quick test_admission_retry_budget;
           tc "health probe ladder" `Quick test_health_ladder;
           tc "health folds trace marks" `Quick test_health_observe;
+          tc "health observe reads only new events" `Quick
+            test_health_observe_reads_only_new;
           tc "circuit breaker holds until revival" `Quick
             test_admission_breaker;
         ] );

@@ -60,6 +60,25 @@ let test_registry_ids_roundtrip () =
   Alcotest.check_raises "unknown id" (Registry.Unknown_type "#999") (fun () ->
       ignore (Registry.name_of_id reg 999))
 
+(* Ids index a dense array: outside the assigned range is unknown, on
+   either side, including past the array's first growth. *)
+let test_registry_name_of_id_bounds () =
+  let reg = mk_reg () in
+  let assigned = List.length (Registry.names reg) in
+  Alcotest.check_raises "negative id" (Registry.Unknown_type "#-1") (fun () ->
+      ignore (Registry.name_of_id reg (-1)));
+  Alcotest.check_raises "first unassigned id"
+    (Registry.Unknown_type (Printf.sprintf "#%d" assigned))
+    (fun () -> ignore (Registry.name_of_id reg assigned));
+  for i = 1 to 100 do
+    Registry.register reg (Printf.sprintf "extra%d" i) (Prim I32)
+  done;
+  Alcotest.(check string) "last id" "extra100"
+    (Registry.name_of_id reg (assigned + 99));
+  Alcotest.check_raises "first unassigned id after growth"
+    (Registry.Unknown_type (Printf.sprintf "#%d" (assigned + 100)))
+    (fun () -> ignore (Registry.name_of_id reg (assigned + 100)))
+
 let test_registry_ids_distinct () =
   let reg = mk_reg () in
   let ids = List.map (Registry.id_of_name reg) (Registry.names reg) in
@@ -250,6 +269,7 @@ let () =
           tc "find" `Quick test_registry_find;
           tc "idempotent register" `Quick test_registry_idempotent_register;
           tc "numeric ids roundtrip" `Quick test_registry_ids_roundtrip;
+          tc "unassigned ids are unknown" `Quick test_registry_name_of_id_bounds;
           tc "numeric ids distinct" `Quick test_registry_ids_distinct;
           tc "resolve aliases" `Quick test_registry_resolve_alias;
           tc "cyclic alias detected" `Quick test_registry_cyclic_alias_detected;
