@@ -84,7 +84,7 @@ let rules =
     { id = "SP008"; default_severity = Error;
       title = "concurrently open sessions wrote the same datum root without a queue/abort between them" };
     { id = "SP009"; default_severity = Error;
-      title = "breaker/shed discipline: no session may begin against a crashed peer or after a typed shed without re-admission" };
+      title = "breaker/shed discipline: no admitted session may target a peer crashed since before it began, and none may begin after a typed shed without re-admission" };
     { id = "SP010"; default_severity = Error;
       title = "offload-call must target a space in the session's touched footprint, never a peer crashed since before the session began" };
     { id = "CC001"; default_severity = Error;

@@ -4,29 +4,55 @@ open Srpc_simnet
    (section 3.1): one ground thread opens a session; the single thread
    of control moves with each request and returns with each reply, so
    outstanding requests form a stack; the session close performs the
-   ground space's write-back before the invalidation multicast. *)
+   ground space's write-back before the invalidation multicast.
 
-type state = {
-  mutable session : int option;  (* open session id *)
+   One machine checks every trace, keeping that state per open session.
+   A session that begins under a [Session_admit] mark was opened by the
+   admission controller and may overlap other admitted sessions; any
+   other session may not begin while one is open. Frames do not carry
+   session ids in the trace, so a request is attributed to the unique
+   open session whose thread of control rests at the sender — sound
+   because the simulated interleaving is op-atomic (frames of different
+   sessions never interleave inside one nested call chain). With one
+   session open this is exactly the single-session model.
+
+   SP008 is the overlap safety rule: two sessions that are open at the
+   same time must never both write the same datum root. A correct
+   admission controller prevents this by queueing or aborting-for-retry
+   the conflicting session ([Session_queued]) until the holder closes,
+   so a violation witnesses a mis-admission. *)
+
+type sess = {
+  id : int;
+  ground : string;
+  admitted : bool;  (* began under a Session_admit mark *)
   mutable holder : string;  (* endpoint currently holding the thread *)
   mutable stack : (string * string * string) list;
       (* outstanding (src, dst, request label) *)
-  mutable wb_seen : bool;  (* write-back phase started this session *)
+  mutable wb_seen : bool;  (* write-back phase started *)
   mutable inv_seen : bool;  (* invalidation multicast started *)
-  mutable aborted : bool;  (* the open session carries an abort mark *)
-  crashed : (string, unit) Hashtbl.t;  (* endpoints past their crash mark *)
-  mutable ground : string;  (* the open session's ground endpoint *)
+  mutable aborted : bool;  (* the session carries an abort mark *)
   copy_dsts : (string, unit) Hashtbl.t;
-      (* endpoints that received a data copy this session (Copy notes) *)
+      (* endpoints that received a data copy (Copy notes) *)
   inval_dsts : (string, unit) Hashtbl.t;
       (* endpoints the ground sent (or attempted) an invalidation to *)
+  writes : (string, unit) Hashtbl.t;  (* datum roots written so far *)
   touched : (string, unit) Hashtbl.t;
       (* spaces whose data the session's footprint covers, harvested
-         from the space prefix of Access datums ("space/addr") — the
-         set an offload-call may legitimately target (SP010) *)
+         from the space prefix of its Access datums ("space/addr") —
+         the set an offload-call may legitimately target (SP010) *)
   dead_at_begin : (string, unit) Hashtbl.t;
-      (* endpoints already past their crash mark when the open session
+      (* endpoints already past their crash mark when the session
          began *)
+}
+
+type state = {
+  opened : (int, sess) Hashtbl.t;
+  admit_marks : (int, unit) Hashtbl.t;  (* ids carrying a Session_admit mark *)
+  shed : (int, unit) Hashtbl.t;
+      (* ids whose latest admission outcome was a typed shed: terminal
+         until a fresh Session_admit (SP009) *)
+  crashed : (string, unit) Hashtbl.t;  (* endpoints past their crash mark *)
   mutable out : Diagnostic.t list;
 }
 
@@ -61,10 +87,11 @@ let expected_reply = function
 let check_pairing st idx ~rq_lbl ~rep_lbl =
   if not (String.equal rep_lbl "error") then
     match expected_reply rq_lbl with
-    | Some want when not (String.equal rep_lbl "") && not (String.equal rep_lbl want) ->
+    | Some want
+      when not (String.equal rep_lbl "") && not (String.equal rep_lbl want) ->
       emit st idx "SP002"
-        (Printf.sprintf "%s request answered by %s, expected %s" rq_lbl
-           rep_lbl want)
+        (Printf.sprintf "%s request answered by %s, expected %s" rq_lbl rep_lbl
+           want)
     | Some _ | None -> ()
 
 (* Frame-level close ordering (the delta-era SP004): a [Wb_delta] frame
@@ -72,33 +99,27 @@ let check_pairing st idx ~rq_lbl ~rep_lbl =
    and must not precede the write-back mark; staged frames belong to
    phase one and must precede the commit point; a commit frame must
    follow it. *)
-let check_close_order st idx ~space lbl =
+let check_close_order st idx ~space s lbl =
   match lbl with
-  | "wb-delta+inv" when not st.wb_seen ->
+  | "wb-delta+inv" when not s.wb_seen ->
     emit ~space st idx "SP004"
       "invalidate-carrying delta frame before the write-back phase started"
-  | ("wb-stage" | "wb-stage-delta") when st.wb_seen ->
+  | ("wb-stage" | "wb-stage-delta") when s.wb_seen ->
     emit ~space st idx "SP004"
       (lbl ^ " frame after the commit point: staged data can no longer be atomic")
-  | "wb-commit" when not st.wb_seen ->
-    emit ~space st idx "SP004" "commit frame before the commit-point write-back mark"
+  | "wb-commit" when not s.wb_seen ->
+    emit ~space st idx "SP004"
+      "commit frame before the commit-point write-back mark"
   | _ -> ()
 
 let pp_ev e = Format.asprintf "%a" Trace.pp_event e
 
 (* Heartbeat exchanges belong to the failure detector, not to any
    session: they are exempt from session attribution, thread-of-control
-   and pairing checks in both machines. A live trace only ever carries
-   them between live endpoints (the transport raises before recording a
-   frame that names a crashed peer). *)
+   and pairing checks. A live trace only ever carries them between live
+   endpoints (the transport raises before recording a frame that names a
+   crashed peer). *)
 let is_hb_label lbl = String.equal lbl "hb" || String.equal lbl "hb-ack"
-
-let check_open st idx (e : Trace.event) =
-  match st.session with
-  | Some id -> Some id
-  | None ->
-    emit ~space:e.Trace.src st idx "SP003" ("traffic outside an open session: " ^ pp_ev e);
-    None
 
 (* SP006: a crashed endpoint neither sends nor receives — any frame
    naming it between its crash and revive marks is a violation. *)
@@ -111,391 +132,192 @@ let check_crashed st idx (e : Trace.event) =
   bad e.Trace.src;
   if not (String.equal e.Trace.dst e.Trace.src) then bad e.Trace.dst
 
-let check_mark_session st idx id what =
-  match st.session with
-  | Some open_id when open_id <> id ->
+(* SP003: a frame — delivered, dropped or duplicated — while no session
+   is open. *)
+let check_some_open st idx (e : Trace.event) =
+  if Hashtbl.length st.opened = 0 then
+    emit ~space:e.Trace.src st idx "SP003"
+      ("traffic outside an open session: " ^ pp_ev e)
+
+(* The open session whose thread of control rests at [ep], if unique. *)
+let holder_session st ep =
+  Hashtbl.fold
+    (fun _ s acc -> if String.equal s.holder ep then s :: acc else acc)
+    st.opened []
+  |> function
+  | [ s ] -> Some s
+  | _ -> None
+
+let find_sess st idx id what =
+  match Hashtbl.find_opt st.opened id with
+  | Some s -> Some s
+  | None ->
     emit st idx "SP003"
-      (Printf.sprintf "%s names session #%d but #%d is open" what id open_id)
-  | Some _ | None -> ()
+      (Printf.sprintf "%s names session #%d, which is not open" what id);
+    None
+
+let close_sess st idx s =
+  List.iter
+    (fun (src, dst, _) ->
+      emit ~space:src st idx "SP002"
+        (Printf.sprintf "request %s -> %s never replied before session end" src
+           dst))
+    s.stack;
+  if s.aborted then begin
+    if s.wb_seen then
+      emit ~space:s.ground st idx "SP005"
+        (Printf.sprintf "aborted session #%d has a write-back mark" s.id);
+    if not s.inv_seen then
+      emit ~space:s.ground st idx "SP005"
+        (Printf.sprintf "aborted session #%d ended without invalidation" s.id)
+  end;
+  (* SP007 applies only to sessions that recorded copy provenance
+     (delta-coherency senders emit Copy notes); an aborted session
+     invalidates by other means (the Abort frame) and is exempt. *)
+  if (not s.aborted) && Hashtbl.length s.copy_dsts > 0 then begin
+    let missed =
+      Hashtbl.fold
+        (fun dst () acc ->
+          if Hashtbl.mem s.inval_dsts dst then acc else dst :: acc)
+        s.copy_dsts []
+    in
+    List.iter
+      (fun dst ->
+        emit ~space:s.ground st idx "SP007"
+          (Printf.sprintf
+             "session #%d ends without invalidating %s, which received a data \
+              copy"
+             s.id dst))
+      (List.sort String.compare missed)
+  end;
+  Hashtbl.remove st.opened s.id
+
+let begin_sess st idx (e : Trace.event) id =
+  if Hashtbl.mem st.opened id then
+    emit st idx "SP003"
+      (Printf.sprintf "session #%d begins but is already open" id)
+  else begin
+    if Hashtbl.mem st.shed id then
+      emit st idx "SP009"
+        (Printf.sprintf
+           "session #%d begins after being shed: a typed rejection is \
+            terminal until a fresh admission"
+           id);
+    let admitted = Hashtbl.mem st.admit_marks id in
+    (if not admitted then
+       match Hashtbl.fold (fun k _ _ -> Some k) st.opened None with
+       | Some open_id ->
+         emit st idx "SP003"
+           (Printf.sprintf
+              "session #%d begins while #%d is still open (no admission mark)"
+              id open_id)
+       | None -> ());
+    let dead = Hashtbl.create 4 in
+    Hashtbl.iter (fun ep () -> Hashtbl.replace dead ep ()) st.crashed;
+    let touched = Hashtbl.create 8 in
+    (* the ground space's own heap is always in the footprint *)
+    Hashtbl.replace touched e.Trace.src ();
+    Hashtbl.replace st.opened id
+      {
+        id;
+        ground = e.Trace.src;
+        admitted;
+        holder = e.Trace.src;
+        stack = [];
+        wb_seen = false;
+        inv_seen = false;
+        aborted = false;
+        copy_dsts = Hashtbl.create 4;
+        inval_dsts = Hashtbl.create 4;
+        writes = Hashtbl.create 8;
+        touched;
+        dead_at_begin = dead;
+      }
+  end
+
+let request st idx (e : Trace.event) =
+  check_crashed st idx e;
+  match holder_session st e.Trace.src with
+  | None ->
+    check_some_open st idx e;
+    if Hashtbl.length st.opened > 0 then
+      emit ~space:e.Trace.src st idx "SP001"
+        (Printf.sprintf
+           "request from %s, which holds no open session's thread of control"
+           e.Trace.src)
+  | Some s ->
+    let dead_since_begin =
+      Hashtbl.mem s.dead_at_begin e.Trace.dst && Hashtbl.mem st.crashed e.Trace.dst
+    in
+    (* SP009 (breaker): an admitted session targets a peer that was
+       already crashed when it began and has not revived since —
+       admission should have refused it. A mid-session crash is SP006's
+       territory, not a breaker failure. *)
+    if s.admitted && dead_since_begin then
+      emit ~space:e.Trace.dst st idx "SP009"
+        (Printf.sprintf
+           "session #%d targets %s, which was crashed when the session \
+            began: the circuit breaker must hold until revival"
+           s.id e.Trace.dst);
+    (* SP010: a traversal plan may only be shipped to a space whose data
+       the session has already touched (the client marks the root datum
+       before framing the call), and never to a peer that was dead
+       before the session began and has not revived. *)
+    if String.equal e.Trace.label "offload-call" then begin
+      if dead_since_begin then
+        emit ~space:e.Trace.dst st idx "SP010"
+          (Printf.sprintf
+             "session #%d offload-call targets %s, which was crashed when \
+              the session began"
+             s.id e.Trace.dst)
+      else if
+        (not (String.equal e.Trace.dst s.ground))
+        && not (Hashtbl.mem s.touched e.Trace.dst)
+      then
+        emit ~space:e.Trace.dst st idx "SP010"
+          (Printf.sprintf
+             "session #%d offload-call into %s but the session holds no \
+              footprint there (no datum of that space was touched)"
+             s.id e.Trace.dst)
+    end;
+    check_close_order st idx ~space:e.Trace.src s e.Trace.label;
+    s.stack <- (e.Trace.src, e.Trace.dst, e.Trace.label) :: s.stack;
+    s.holder <- e.Trace.dst
+
+let reply st idx (e : Trace.event) =
+  check_crashed st idx e;
+  match holder_session st e.Trace.src with
+  | None ->
+    check_some_open st idx e;
+    if Hashtbl.length st.opened > 0 then
+      emit ~space:e.Trace.src st idx "SP001"
+        ("reply with no outstanding request: " ^ pp_ev e)
+  | Some s -> (
+    match s.stack with
+    | [] ->
+      emit ~space:e.Trace.src st idx "SP001"
+        ("reply with no outstanding request: " ^ pp_ev e)
+    | (rq_src, rq_dst, rq_lbl) :: rest ->
+      if String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src
+      then begin
+        check_pairing st idx ~rq_lbl ~rep_lbl:e.Trace.label;
+        s.stack <- rest;
+        s.holder <- rq_src
+      end
+      else
+        emit ~space:e.Trace.src st idx "SP001"
+          (Printf.sprintf
+             "reply %s -> %s does not match the innermost request %s -> %s"
+             e.Trace.src e.Trace.dst rq_src rq_dst))
 
 let step st idx (e : Trace.event) =
   match e.Trace.kind with
   | (Trace.Message _ | Trace.Dropped _ | Trace.Dup _)
     when is_hb_label e.Trace.label ->
     ()
-  | Trace.Session_begin id -> (
-    match st.session with
-    | Some open_id ->
-      emit st idx "SP003"
-        (Printf.sprintf "session #%d begins while #%d is still open" id open_id)
-    | None ->
-      st.session <- Some id;
-      st.holder <- e.Trace.src;
-      st.ground <- e.Trace.src;
-      st.stack <- [];
-      st.wb_seen <- false;
-      st.inv_seen <- false;
-      st.aborted <- false;
-      Hashtbl.reset st.copy_dsts;
-      Hashtbl.reset st.inval_dsts;
-      Hashtbl.reset st.touched;
-      (* the ground space's own heap is always in the footprint *)
-      Hashtbl.replace st.touched e.Trace.src ();
-      Hashtbl.reset st.dead_at_begin;
-      Hashtbl.iter
-        (fun ep () -> Hashtbl.replace st.dead_at_begin ep ())
-        st.crashed)
-  | Trace.Session_end id -> (
-    check_mark_session st idx id "session end";
-    match st.session with
-    | None ->
-      emit st idx "SP003" (Printf.sprintf "session #%d ends but none is open" id)
-    | Some _ ->
-      List.iter
-        (fun (src, dst, _) ->
-          emit ~space:src st idx "SP002"
-            (Printf.sprintf "request %s -> %s never replied before session end"
-               src dst))
-        st.stack;
-      if st.aborted then begin
-        if st.wb_seen then
-          emit ~space:st.ground st idx "SP005"
-            (Printf.sprintf "aborted session #%d has a write-back mark" id);
-        if not st.inv_seen then
-          emit ~space:st.ground st idx "SP005"
-            (Printf.sprintf "aborted session #%d ended without invalidation" id)
-      end;
-      (* SP007 applies only to sessions that recorded copy provenance
-         (delta-coherency senders emit Copy notes); an aborted session
-         invalidates by other means (the Abort frame) and is exempt. *)
-      if (not st.aborted) && Hashtbl.length st.copy_dsts > 0 then begin
-        let missed =
-          Hashtbl.fold
-            (fun dst () acc ->
-              if Hashtbl.mem st.inval_dsts dst then acc else dst :: acc)
-            st.copy_dsts []
-        in
-        List.iter
-          (fun dst ->
-            emit ~space:st.ground st idx "SP007"
-              (Printf.sprintf
-                 "session #%d ends without invalidating %s, which received a \
-                  data copy"
-                 id dst))
-          (List.sort String.compare missed)
-      end;
-      st.session <- None;
-      st.stack <- [])
-  | Trace.Message Trace.Request -> (
-    check_crashed st idx e;
-    match check_open st idx e with
-    | None -> ()
-    | Some _ ->
-      if not (String.equal e.Trace.src st.holder) then
-        emit ~space:e.Trace.src st idx "SP001"
-          (Printf.sprintf
-             "overlapping threads: request from %s while the thread of \
-              control is at %s"
-             e.Trace.src st.holder);
-      check_close_order st idx ~space:e.Trace.src e.Trace.label;
-      (* SP010: a traversal plan may only be shipped to a space whose
-         data the session has already touched (the client marks the
-         root datum before framing the call), and never to a peer that
-         was dead before the session began and has not revived. *)
-      if String.equal e.Trace.label "offload-call" then begin
-        if
-          Hashtbl.mem st.dead_at_begin e.Trace.dst
-          && Hashtbl.mem st.crashed e.Trace.dst
-        then
-          emit ~space:e.Trace.dst st idx "SP010"
-            (Printf.sprintf
-               "offload-call targets %s, which was crashed when the session \
-                began"
-               e.Trace.dst)
-        else if
-          (not (String.equal e.Trace.dst st.ground))
-          && not (Hashtbl.mem st.touched e.Trace.dst)
-        then
-          emit ~space:e.Trace.dst st idx "SP010"
-            (Printf.sprintf
-               "offload-call into %s but the session holds no footprint \
-                there (no datum of that space was touched)"
-               e.Trace.dst)
-      end;
-      st.stack <- (e.Trace.src, e.Trace.dst, e.Trace.label) :: st.stack;
-      st.holder <- e.Trace.dst)
-  | Trace.Message Trace.Reply -> (
-    check_crashed st idx e;
-    match check_open st idx e with
-    | None -> ()
-    | Some _ -> (
-      match st.stack with
-      | [] ->
-        emit ~space:e.Trace.src st idx "SP001" ("reply with no outstanding request: " ^ pp_ev e)
-      | (rq_src, rq_dst, rq_lbl) :: rest ->
-        if String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src
-        then begin
-          check_pairing st idx ~rq_lbl ~rep_lbl:e.Trace.label;
-          st.stack <- rest;
-          st.holder <- rq_src
-        end
-        else
-          emit ~space:e.Trace.src st idx "SP001"
-            (Printf.sprintf
-               "reply %s -> %s does not match the innermost request %s -> %s"
-               e.Trace.src e.Trace.dst rq_src rq_dst)))
-  | Trace.Write_back id -> (
-    check_mark_session st idx id "write-back mark";
-    match check_open st idx e with
-    | None -> ()
-    | Some _ ->
-      if st.inv_seen then
-        emit ~space:st.ground st idx "SP004"
-          "write-back phase after the invalidation multicast already started";
-      if st.aborted then
-        emit ~space:st.ground st idx "SP005"
-          "write-back phase after the session was aborted";
-      st.wb_seen <- true)
-  | Trace.Invalidate id -> (
-    check_mark_session st idx id "invalidation mark";
-    match check_open st idx e with
-    | None -> ()
-    | Some _ ->
-      if not st.wb_seen && not st.aborted then
-        emit ~space:st.ground st idx "SP004"
-          "invalidation multicast not preceded by the ground space's write-back";
-      st.inv_seen <- true)
-  | Trace.Session_abort id -> (
-    check_mark_session st idx id "abort mark";
-    match check_open st idx e with
-    | None -> ()
-    | Some _ ->
-      if st.wb_seen then
-        emit ~space:st.ground st idx "SP005"
-          (Printf.sprintf "session #%d aborted after its write-back began" id);
-      st.aborted <- true)
-  | Trace.Dropped Trace.Request ->
-    (* a lost request never moved the thread of control *)
-    check_crashed st idx e;
-    ignore (check_open st idx e)
-  | Trace.Dropped Trace.Reply -> (
-    (* the callee finished but the sender never learned: the thread of
-       control is back at the requester, who will retry or give up *)
-    check_crashed st idx e;
-    match (check_open st idx e, st.stack) with
-    | Some _, (rq_src, rq_dst, _) :: rest
-      when String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src ->
-      st.stack <- rest;
-      st.holder <- rq_src
-    | _ -> ())
-  | Trace.Dup _ ->
-    (* the duplicate copy of an already-counted exchange; the receiver's
-       reply cache absorbs it *)
-    check_crashed st idx e;
-    ignore (check_open st idx e)
-  | Trace.Copy id ->
-    (* provenance note: [dst] received a copy of some datum. The ground
-       endpoint invalidates itself locally at close, so it is never owed
-       a message. No crash check: the note witnesses bookkeeping at the
-       sender, not a frame on the wire. *)
-    check_mark_session st idx id "copy note";
-    (match check_open st idx e with
-    | None -> ()
-    | Some _ ->
-      if not (String.equal e.Trace.dst st.ground) then
-        Hashtbl.replace st.copy_dsts e.Trace.dst ())
-  | Trace.Inval_sent id ->
-    (* send-attempt semantics: the ground addressed an invalidation at
-       [dst]; under faults the frame itself may still be lost, which is
-       the retry envelope's problem, not a directory omission. *)
-    check_mark_session st idx id "invalidation-sent note";
-    (match check_open st idx e with
-    | None -> ()
-    | Some _ -> Hashtbl.replace st.inval_dsts e.Trace.dst ())
-  | Trace.Crash ep ->
-    (* crash marks may appear outside sessions (planned chaos) *)
-    Hashtbl.replace st.crashed ep ()
-  | Trace.Revive ep -> Hashtbl.remove st.crashed ep
-  | Trace.Access { datum; _ } -> (
-    (* datum-granular race analysis belongs to Race_lint; the protocol
-       machine only harvests the footprint — the space prefix of each
-       touched datum — which bounds where offload-calls may go (SP010) *)
-    match datum_space datum with
-    | Some sp -> Hashtbl.replace st.touched sp ()
-    | None -> ())
-  | Trace.Session_admit id | Trace.Session_queued id | Trace.Session_shed id ->
-    (* admission marks only appear in concurrent traces, which are
-       verified by the multiplexed machine below; reaching one here
-       means the trace mixed modes *)
-    emit st idx "SP003"
-      (Printf.sprintf
-         "admission mark for session #%d in a single-session trace" id)
-
-let check_events_single events =
-  let st =
-    { session = None; holder = ""; stack = []; wb_seen = false; inv_seen = false;
-      aborted = false; crashed = Hashtbl.create 4; ground = "";
-      copy_dsts = Hashtbl.create 4; inval_dsts = Hashtbl.create 4;
-      touched = Hashtbl.create 8; dead_at_begin = Hashtbl.create 4; out = [] }
-  in
-  List.iteri (fun idx e -> step st idx e) events;
-  (* a trace may stop mid-session (e.g. a live inspection), but every
-     request must have been replied by the time recording stopped *)
-  (* the locus is one past the last event: the violation is the absence
-     of a reply, not any recorded frame *)
-  let n = List.length events in
-  List.iter
-    (fun (src, dst, _) ->
-      emit ~space:src st n "SP002"
-        (Printf.sprintf "request %s -> %s never replied" src dst))
-    st.stack;
-  Diagnostic.sort (List.rev st.out)
-
-(* --- the multiplexed machine for concurrent-session traces ---
-
-   When the admission controller is active, several sessions may be
-   legitimately open at once; each one is preceded by a [Session_admit]
-   mark. The single-session checks above (SP001/SP002/SP004/SP005/SP007)
-   still hold *per session*, so the machine keyed on session ids runs a
-   private substate for each. Frames do not carry session ids in the
-   trace, so requests are attributed to the unique open session whose
-   thread of control rests at the sender — sound here because the
-   simulated interleaving is op-atomic (frames of different sessions
-   never interleave inside one nested call chain).
-
-   SP008 is the concurrent-era safety rule: two sessions that are open
-   at the same time must never both write the same datum root. A
-   correct admission controller prevents this by queueing or
-   aborting-for-retry the conflicting session ([Session_queued]) until
-   the holder closes, so a violation witnesses a mis-admission. *)
-
-type sess = {
-  x_id : int;
-  mutable x_holder : string;
-  mutable x_stack : (string * string * string) list;
-  mutable x_wb_seen : bool;
-  mutable x_inv_seen : bool;
-  mutable x_aborted : bool;
-  x_ground : string;
-  x_copy_dsts : (string, unit) Hashtbl.t;
-  x_inval_dsts : (string, unit) Hashtbl.t;
-  x_writes : (string, unit) Hashtbl.t;  (* datum roots written so far *)
-  x_touched : (string, unit) Hashtbl.t;
-      (* spaces in this session's footprint (datum space prefixes),
-         bounding offload-call destinations (SP010) *)
-  x_dead_at_begin : (string, unit) Hashtbl.t;
-      (* endpoints already past their crash mark when this session began
-         — frames to one of them witness a breaker failure (SP009) *)
-}
-
-type mstate = {
-  opened : (int, sess) Hashtbl.t;
-  m_admitted : (int, unit) Hashtbl.t;  (* ids carrying a Session_admit mark *)
-  m_shed : (int, unit) Hashtbl.t;
-      (* ids whose latest admission outcome was a typed shed: terminal
-         until a fresh Session_admit (SP009) *)
-  m_crashed : (string, unit) Hashtbl.t;
-  mutable m_out : Diagnostic.t list;
-}
-
-let memit ?(space = "") m idx rule_id message =
-  m.m_out <-
-    Diagnostic.make ~space ~severity:Error ~rule_id
-      ~path:(Printf.sprintf "event[%d]" idx)
-      message
-    :: m.m_out
-
-let mcheck_pairing m idx ~rq_lbl ~rep_lbl =
-  if not (String.equal rep_lbl "error") then
-    match expected_reply rq_lbl with
-    | Some want
-      when not (String.equal rep_lbl "") && not (String.equal rep_lbl want) ->
-      memit m idx "SP002"
-        (Printf.sprintf "%s request answered by %s, expected %s" rq_lbl rep_lbl
-           want)
-    | Some _ | None -> ()
-
-let mcheck_close_order m idx ~space s lbl =
-  match lbl with
-  | "wb-delta+inv" when not s.x_wb_seen ->
-    memit ~space m idx "SP004"
-      "invalidate-carrying delta frame before the write-back phase started"
-  | ("wb-stage" | "wb-stage-delta") when s.x_wb_seen ->
-    memit ~space m idx "SP004"
-      (lbl ^ " frame after the commit point: staged data can no longer be atomic")
-  | "wb-commit" when not s.x_wb_seen ->
-    memit ~space m idx "SP004"
-      "commit frame before the commit-point write-back mark"
-  | _ -> ()
-
-let mcheck_crashed m idx (e : Trace.event) =
-  let bad ep =
-    if Hashtbl.mem m.m_crashed ep then
-      memit ~space:ep m idx "SP006"
-        (Printf.sprintf "frame involves crashed endpoint %s: %s" ep (pp_ev e))
-  in
-  bad e.Trace.src;
-  if not (String.equal e.Trace.dst e.Trace.src) then bad e.Trace.dst
-
-(* The open session whose thread of control rests at [ep], if unique. *)
-let holder_session m ep =
-  Hashtbl.fold
-    (fun _ s acc ->
-      if String.equal s.x_holder ep then s :: acc else acc)
-    m.opened []
-  |> function
-  | [ s ] -> Some s
-  | _ -> None
-
-let find_sess m idx id what =
-  match Hashtbl.find_opt m.opened id with
-  | Some s -> Some s
-  | None ->
-    memit m idx "SP003"
-      (Printf.sprintf "%s names session #%d, which is not open" what id);
-    None
-
-let close_sess m idx id (s : sess) =
-  List.iter
-    (fun (src, dst, _) ->
-      memit ~space:src m idx "SP002"
-        (Printf.sprintf "request %s -> %s never replied before session end" src
-           dst))
-    s.x_stack;
-  if s.x_aborted then begin
-    if s.x_wb_seen then
-      memit ~space:s.x_ground m idx "SP005"
-        (Printf.sprintf "aborted session #%d has a write-back mark" id);
-    if not s.x_inv_seen then
-      memit ~space:s.x_ground m idx "SP005"
-        (Printf.sprintf "aborted session #%d ended without invalidation" id)
-  end;
-  if (not s.x_aborted) && Hashtbl.length s.x_copy_dsts > 0 then begin
-    let missed =
-      Hashtbl.fold
-        (fun dst () acc ->
-          if Hashtbl.mem s.x_inval_dsts dst then acc else dst :: acc)
-        s.x_copy_dsts []
-    in
-    List.iter
-      (fun dst ->
-        memit ~space:s.x_ground m idx "SP007"
-          (Printf.sprintf
-             "session #%d ends without invalidating %s, which received a data \
-              copy"
-             id dst))
-      (List.sort String.compare missed)
-  end;
-  Hashtbl.remove m.opened id
-
-let step_multi m idx (e : Trace.event) =
-  match e.Trace.kind with
-  | (Trace.Message _ | Trace.Dropped _ | Trace.Dup _)
-    when is_hb_label e.Trace.label ->
-    ()
   | Trace.Session_admit id ->
-    Hashtbl.replace m.m_admitted id ();
-    Hashtbl.remove m.m_shed id
+    Hashtbl.replace st.admit_marks id ();
+    Hashtbl.remove st.shed id
   | Trace.Session_queued _ ->
     (* a deferral: the session is not open, nothing to track — its later
        admission carries its own Session_admit mark *)
@@ -504,261 +326,140 @@ let step_multi m idx (e : Trace.event) =
     (* the typed rejection: terminal for this attempt. A shed of an open
        session is nonsense — the controller refused something it had
        already admitted. *)
-    if Hashtbl.mem m.opened id then
-      memit m idx "SP009"
-        (Printf.sprintf "session #%d shed while it is open" id);
-    Hashtbl.replace m.m_shed id ();
-    Hashtbl.remove m.m_admitted id
-  | Trace.Session_begin id ->
-    if Hashtbl.mem m.opened id then
-      memit m idx "SP003"
-        (Printf.sprintf "session #%d begins but is already open" id)
-    else begin
-      if Hashtbl.mem m.m_shed id then
-        memit m idx "SP009"
-          (Printf.sprintf
-             "session #%d begins after being shed: a typed rejection is \
-              terminal until a fresh admission"
-             id);
-      (if (not (Hashtbl.mem m.m_admitted id)) && Hashtbl.length m.opened > 0
-       then
-         let open_id = Hashtbl.fold (fun k _ _ -> Some k) m.opened None in
-         match open_id with
-         | Some open_id ->
-           memit m idx "SP003"
-             (Printf.sprintf
-                "session #%d begins while #%d is still open (no admission \
-                 mark)"
-                id open_id)
-         | None -> ());
-      let dead = Hashtbl.create 4 in
-      Hashtbl.iter (fun ep () -> Hashtbl.replace dead ep ()) m.m_crashed;
-      let touched = Hashtbl.create 8 in
-      (* the ground space's own heap is always in the footprint *)
-      Hashtbl.replace touched e.Trace.src ();
-      Hashtbl.replace m.opened id
-        {
-          x_id = id;
-          x_holder = e.Trace.src;
-          x_stack = [];
-          x_wb_seen = false;
-          x_inv_seen = false;
-          x_aborted = false;
-          x_ground = e.Trace.src;
-          x_copy_dsts = Hashtbl.create 4;
-          x_inval_dsts = Hashtbl.create 4;
-          x_writes = Hashtbl.create 8;
-          x_touched = touched;
-          x_dead_at_begin = dead;
-        }
-    end
-  | Trace.Session_end id -> (
-    match find_sess m idx id "session end" with
-    | None -> ()
-    | Some s -> close_sess m idx id s)
-  | Trace.Message Trace.Request -> (
-    mcheck_crashed m idx e;
-    match holder_session m e.Trace.src with
-    | Some s ->
-      (* SP009 (breaker): the session targets a peer that was already
-         crashed when it began and has not revived since — admission
-         should have refused it. A mid-session crash is SP006's
-         territory, not a breaker failure. *)
-      if
-        Hashtbl.mem s.x_dead_at_begin e.Trace.dst
-        && Hashtbl.mem m.m_crashed e.Trace.dst
-      then
-        memit ~space:e.Trace.dst m idx "SP009"
-          (Printf.sprintf
-             "session #%d targets %s, which was crashed when the session \
-              began: the circuit breaker must hold until revival"
-             s.x_id e.Trace.dst);
-      (* SP010: an offload-call may only target a space whose data this
-         session's footprint covers, and never a peer dead since before
-         the session began (see the single-session machine). *)
-      if String.equal e.Trace.label "offload-call" then begin
-        if
-          Hashtbl.mem s.x_dead_at_begin e.Trace.dst
-          && Hashtbl.mem m.m_crashed e.Trace.dst
-        then
-          memit ~space:e.Trace.dst m idx "SP010"
-            (Printf.sprintf
-               "session #%d offload-call targets %s, which was crashed when \
-                the session began"
-               s.x_id e.Trace.dst)
-        else if
-          (not (String.equal e.Trace.dst s.x_ground))
-          && not (Hashtbl.mem s.x_touched e.Trace.dst)
-        then
-          memit ~space:e.Trace.dst m idx "SP010"
-            (Printf.sprintf
-               "session #%d offload-call into %s but the session holds no \
-                footprint there (no datum of that space was touched)"
-               s.x_id e.Trace.dst)
-      end;
-      mcheck_close_order m idx ~space:e.Trace.src s e.Trace.label;
-      s.x_stack <- (e.Trace.src, e.Trace.dst, e.Trace.label) :: s.x_stack;
-      s.x_holder <- e.Trace.dst
-    | None ->
-      if Hashtbl.length m.opened = 0 then
-        memit ~space:e.Trace.src m idx "SP003"
-          ("traffic outside an open session: " ^ pp_ev e)
-      else
-        memit ~space:e.Trace.src m idx "SP001"
-          (Printf.sprintf
-             "request from %s, which holds no open session's thread of control"
-             e.Trace.src))
-  | Trace.Message Trace.Reply -> (
-    mcheck_crashed m idx e;
-    match holder_session m e.Trace.src with
-    | None ->
-      if Hashtbl.length m.opened = 0 then
-        memit ~space:e.Trace.src m idx "SP003"
-          ("traffic outside an open session: " ^ pp_ev e)
-      else
-        memit ~space:e.Trace.src m idx "SP001"
-          ("reply with no outstanding request: " ^ pp_ev e)
-    | Some s -> (
-      match s.x_stack with
-      | [] ->
-        memit ~space:e.Trace.src m idx "SP001"
-          ("reply with no outstanding request: " ^ pp_ev e)
-      | (rq_src, rq_dst, rq_lbl) :: rest ->
-        if String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src
-        then begin
-          mcheck_pairing m idx ~rq_lbl ~rep_lbl:e.Trace.label;
-          s.x_stack <- rest;
-          s.x_holder <- rq_src
-        end
-        else
-          memit ~space:e.Trace.src m idx "SP001"
-            (Printf.sprintf
-               "reply %s -> %s does not match the innermost request %s -> %s"
-               e.Trace.src e.Trace.dst rq_src rq_dst)))
+    if Hashtbl.mem st.opened id then
+      emit st idx "SP009" (Printf.sprintf "session #%d shed while it is open" id);
+    Hashtbl.replace st.shed id ();
+    Hashtbl.remove st.admit_marks id
+  | Trace.Session_begin id -> begin_sess st idx e id
+  | Trace.Session_end id ->
+    Option.iter (close_sess st idx) (find_sess st idx id "session end")
+  | Trace.Message Trace.Request -> request st idx e
+  | Trace.Message Trace.Reply -> reply st idx e
   | Trace.Write_back id -> (
-    match find_sess m idx id "write-back mark" with
+    match find_sess st idx id "write-back mark" with
     | None -> ()
     | Some s ->
-      if s.x_inv_seen then
-        memit ~space:s.x_ground m idx "SP004"
+      if s.inv_seen then
+        emit ~space:s.ground st idx "SP004"
           "write-back phase after the invalidation multicast already started";
-      if s.x_aborted then
-        memit ~space:s.x_ground m idx "SP005"
+      if s.aborted then
+        emit ~space:s.ground st idx "SP005"
           "write-back phase after the session was aborted";
-      s.x_wb_seen <- true)
+      s.wb_seen <- true)
   | Trace.Invalidate id -> (
-    match find_sess m idx id "invalidation mark" with
+    match find_sess st idx id "invalidation mark" with
     | None -> ()
     | Some s ->
-      if (not s.x_wb_seen) && not s.x_aborted then
-        memit ~space:s.x_ground m idx "SP004"
+      if (not s.wb_seen) && not s.aborted then
+        emit ~space:s.ground st idx "SP004"
           "invalidation multicast not preceded by the ground space's write-back";
-      s.x_inv_seen <- true)
+      s.inv_seen <- true)
   | Trace.Session_abort id -> (
-    match find_sess m idx id "abort mark" with
+    match find_sess st idx id "abort mark" with
     | None -> ()
     | Some s ->
-      if s.x_wb_seen then
-        memit ~space:s.x_ground m idx "SP005"
+      if s.wb_seen then
+        emit ~space:s.ground st idx "SP005"
           (Printf.sprintf "session #%d aborted after its write-back began" id);
-      s.x_aborted <- true)
-  | Trace.Dropped Trace.Request -> mcheck_crashed m idx e
+      s.aborted <- true)
+  | Trace.Dropped Trace.Request ->
+    (* a lost request never moved the thread of control *)
+    check_crashed st idx e;
+    check_some_open st idx e
   | Trace.Dropped Trace.Reply -> (
-    mcheck_crashed m idx e;
-    match holder_session m e.Trace.src with
-    | Some s -> (
-      match s.x_stack with
-      | (rq_src, rq_dst, _) :: rest
-        when String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src
-        ->
-        s.x_stack <- rest;
-        s.x_holder <- rq_src
-      | _ -> ())
-    | None -> ())
-  | Trace.Dup _ -> mcheck_crashed m idx e
+    (* the callee finished but the sender never learned: the thread of
+       control is back at the requester, who will retry or give up *)
+    check_crashed st idx e;
+    check_some_open st idx e;
+    match holder_session st e.Trace.src with
+    | Some ({ stack = (rq_src, rq_dst, _) :: rest; _ } as s)
+      when String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src ->
+      s.stack <- rest;
+      s.holder <- rq_src
+    | Some _ | None -> ())
+  | Trace.Dup _ ->
+    (* the duplicate copy of an already-counted exchange; the receiver's
+       reply cache absorbs it *)
+    check_crashed st idx e;
+    check_some_open st idx e
   | Trace.Copy id -> (
-    match find_sess m idx id "copy note" with
+    (* provenance note: [dst] received a copy of some datum. The ground
+       endpoint invalidates itself locally at close, so it is never owed
+       a message. No crash check: the note witnesses bookkeeping at the
+       sender, not a frame on the wire. *)
+    match find_sess st idx id "copy note" with
     | None -> ()
     | Some s ->
-      if not (String.equal e.Trace.dst s.x_ground) then
-        Hashtbl.replace s.x_copy_dsts e.Trace.dst ())
+      if not (String.equal e.Trace.dst s.ground) then
+        Hashtbl.replace s.copy_dsts e.Trace.dst ())
   | Trace.Inval_sent id -> (
-    match find_sess m idx id "invalidation-sent note" with
+    (* send-attempt semantics: the ground addressed an invalidation at
+       [dst]; under faults the frame itself may still be lost, which is
+       the retry envelope's problem, not a directory omission. *)
+    match find_sess st idx id "invalidation-sent note" with
     | None -> ()
-    | Some s -> Hashtbl.replace s.x_inval_dsts e.Trace.dst ())
-  | Trace.Crash ep -> Hashtbl.replace m.m_crashed ep ()
-  | Trace.Revive ep -> Hashtbl.remove m.m_crashed ep
-  | Trace.Access { session; datum; akind = Trace.Acc_write } -> (
-    (* SP008: a write names its session, so overlap detection is exact.
-       Aborted sessions discard their writes and are exempt. *)
-    match Hashtbl.find_opt m.opened session with
+    | Some s -> Hashtbl.replace s.inval_dsts e.Trace.dst ())
+  | Trace.Crash ep ->
+    (* crash marks may appear outside sessions (planned chaos) *)
+    Hashtbl.replace st.crashed ep ()
+  | Trace.Revive ep -> Hashtbl.remove st.crashed ep
+  | Trace.Access { session; datum; akind } -> (
+    (* datum-granular race analysis belongs to Race_lint; the protocol
+       machine harvests the footprint (SP010) and, since a write names
+       its session, detects overlapping writes exactly (SP008). Aborted
+       sessions discard their writes and are exempt. *)
+    match Hashtbl.find_opt st.opened session with
     | None -> ()
     | Some s ->
       (match datum_space datum with
-      | Some sp -> Hashtbl.replace s.x_touched sp ()
+      | Some sp -> Hashtbl.replace s.touched sp ()
       | None -> ());
-      Hashtbl.replace s.x_writes datum ();
-      if not s.x_aborted then
-        Hashtbl.iter
-          (fun other_id other ->
-            if
-              other_id <> session
-              && (not other.x_aborted)
-              && Hashtbl.mem other.x_writes datum
-            then
-              memit ~space:e.Trace.src m idx "SP008"
-                (Printf.sprintf
-                   "sessions #%d and #%d are concurrently open and both \
-                    wrote %s (conflicting admission: no queue/abort \
-                    separates them)"
-                   other_id session datum))
-          m.opened)
-  | Trace.Access { session; datum; _ } -> (
-    (* non-write accesses still widen the session's footprint (SP010) *)
-    match Hashtbl.find_opt m.opened session with
-    | None -> ()
-    | Some s -> (
-      match datum_space datum with
-      | Some sp -> Hashtbl.replace s.x_touched sp ()
-      | None -> ()))
+      match akind with
+      | Trace.Acc_write ->
+        Hashtbl.replace s.writes datum ();
+        if not s.aborted then
+          Hashtbl.iter
+            (fun other_id other ->
+              if
+                other_id <> session
+                && (not other.aborted)
+                && Hashtbl.mem other.writes datum
+              then
+                emit ~space:e.Trace.src st idx "SP008"
+                  (Printf.sprintf
+                     "sessions #%d and #%d are concurrently open and both \
+                      wrote %s (conflicting admission: no queue/abort \
+                      separates them)"
+                     other_id session datum))
+            st.opened
+      | Trace.Acc_read | Trace.Acc_serve | Trace.Acc_apply | Trace.Acc_install
+      | Trace.Acc_free | Trace.Acc_alloc | Trace.Acc_drop ->
+        ())
 
-let check_events_multi events =
-  let m =
+let check_events events =
+  let st =
     {
       opened = Hashtbl.create 8;
-      m_admitted = Hashtbl.create 8;
-      m_shed = Hashtbl.create 8;
-      m_crashed = Hashtbl.create 4;
-      m_out = [];
+      admit_marks = Hashtbl.create 8;
+      shed = Hashtbl.create 8;
+      crashed = Hashtbl.create 4;
+      out = [];
     }
   in
-  List.iteri (fun idx e -> step_multi m idx e) events;
+  List.iteri (fun idx e -> step st idx e) events;
+  (* a trace may stop mid-session (e.g. a live inspection), but every
+     request must have been replied by the time recording stopped; the
+     locus is one past the last event: the violation is the absence of a
+     reply, not any recorded frame *)
   let n = List.length events in
   Hashtbl.iter
     (fun _ s ->
       List.iter
         (fun (src, dst, _) ->
-          memit ~space:src m n "SP002"
+          emit ~space:src st n "SP002"
             (Printf.sprintf "request %s -> %s never replied" src dst))
-        s.x_stack)
-    m.opened;
-  Diagnostic.sort (List.rev m.m_out)
-
-(* Traces that carry admission marks were produced under the concurrent
-   admission controller and are verified by the multiplexed machine;
-   everything else takes the historical single-session machine, whose
-   diagnostics (messages and order) are unchanged. *)
-let check_events events =
-  let concurrent =
-    List.exists
-      (fun (e : Trace.event) ->
-        match e.Trace.kind with
-        | Trace.Session_admit _ | Trace.Session_queued _ | Trace.Session_shed _
-          ->
-          true
-        | _ -> false)
-      events
-  in
-  if concurrent then check_events_multi events else check_events_single events
+        s.stack)
+    st.opened;
+  Diagnostic.sort (List.rev st.out)
 
 let check trace = check_events (Trace.events trace)

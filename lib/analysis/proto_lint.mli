@@ -22,19 +22,27 @@
       same datum root — the admission controller must have queued or
       abort-retried one of them ([Session_queued]) until the other
       closed
+    - [SP009] a typed shed is terminal until a fresh admission, and an
+      admitted session never sends to a peer that was crashed when it
+      began and has not revived (the circuit breaker should have held
+      it)
+    - [SP010] an offload-call targets a space in the session's touched
+      footprint, never a peer crashed since before the session began
 
     Fault-injected traces stay verifiable: [Dropped] request frames are
     thread-neutral, a [Dropped] reply hands the thread of control back
     to the requester (who retries), and [Dup] frames are the duplicate
     copies the receiver's reply cache absorbs.
 
-    Traces carrying {!Srpc_simnet.Trace.kind.Session_admit} marks were
-    produced under the concurrent admission controller: several sessions
-    may be legitimately open at once, and the verifier multiplexes one
-    protocol state machine per open session id (requests are attributed
-    to the unique session whose thread of control rests at the sender).
-    All other traces take the historical single-session machine
-    unchanged. *)
+    One protocol machine checks every trace, keeping its state per open
+    session id. A session whose begin follows a
+    {!Srpc_simnet.Trace.kind.Session_admit} mark was opened by the
+    admission controller and may be open together with other admitted
+    sessions; any other session may not begin while one is open
+    (SP003). Requests are
+    attributed to the unique open session whose thread of control rests
+    at the sender. With one session open this is the paper's
+    single-session model. *)
 
 open Srpc_simnet
 

@@ -117,8 +117,8 @@ let gen_op_restricted rng =
       { worker = idx (); obj = idx (); idx = Rng.int rng 1024;
         delta = Rng.range rng (-9) 9 }
 
-(* Strategies legal in concurrent mode: no Twin_diff grain (indices 6
-   and 9 of [Interp.strategy_table]), no delta coherency (8 and 9). *)
+(* Strategies admission accepts: no Twin_diff grain (indices 6 and 9
+   of [Interp.strategy_table]), no delta coherency (8 and 9). *)
 let concurrent_strategies = [| 0; 1; 2; 3; 4; 5; 7 |]
 
 let pair ~seed ~depth ~fault =

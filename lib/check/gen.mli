@@ -16,16 +16,15 @@ val script : seed:int -> depth:int -> fault:Script.fault option -> Script.t
 val script_offload :
   seed:int -> depth:int -> fault:Script.fault option -> Script.t
 
-(** Strategy-table indices legal in concurrent-session mode: no
-    [Twin_diff] grain, no delta coherency (see
-    [Node.request_admission]'s mode requirements). *)
+(** Strategy-table indices admission accepts: no [Twin_diff] grain, no
+    delta coherency (see [Node.reserve_session]). *)
 val concurrent_strategies : int array
 
 (** [pair ~seed ~depth ~fault] draws two session scripts that share one
     cluster shape — same worker count, architectures and (restricted)
     strategy — for the two-session weave harness. The op mix excludes
     [New_session], [Crash] and [Callback]: the harness owns session
-    boundaries, concurrent mode runs without crash plans, and the
+    boundaries, the admission harnesses run without crash plans, and the
     callback bonus proc is tied to the single-session checker's
     ground. *)
 val pair :

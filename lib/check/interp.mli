@@ -12,8 +12,8 @@ val arch_table : Srpc_memory.Arch.t array
 
 (** The strategy pool plans index into ([Script.t.strategy] mod its
     length). Indices 6 and 9 use [Twin_diff] grain; 8 and 9 enable
-    delta coherency — both excluded by the concurrent-mode harnesses
-    (see [Node.require_concurrent]'s contract in docs/TRAFFIC.md). *)
+    delta coherency — both refused by admission, so the admission
+    harnesses exclude them (see [Node.reserve_session]). *)
 val strategy_table : Strategy.t array
 
 (** [register_procs ~ground workers] installs the checker's remote

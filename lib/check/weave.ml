@@ -5,7 +5,7 @@
    satisfy the single-session sequential oracle (Model.run): admission
    only ever admits disjoint footprints, so weaving cannot change what
    either session observes. The combined trace additionally passes
-   Race_lint and the multiplexed protocol linter.
+   Race_lint and the protocol linter.
 
    Two footprint variants are swept. [Disjoint] gives each side
    synthetic side-prefixed datum roots, so both sessions are admitted
@@ -101,7 +101,6 @@ let run_pair_full ?(policy = Strategy.Queue_conflicts) ?(variant = Disjoint)
     (sa : Script.t) (sb : Script.t) =
   let pa = Script.resolve sa and pb = Script.resolve sb in
   let cluster = Cluster.create ~cost:Cost_model.zero () in
-  Session.set_concurrent (Cluster.session cluster) true;
   let strategy = Interp.strategy_table.(pa.Script.p_strategy) in
   let ga = Cluster.add_node cluster ~site:1 ~strategy () in
   let gb = Cluster.add_node cluster ~site:2 ~strategy () in

@@ -3,7 +3,7 @@
     interleaved one resolved op at a time through the
     {!Srpc_core.Admission} controller. Each side must still satisfy the
     single-session sequential oracle, the combined trace must pass
-    {!Srpc_analysis.Race_lint} and the multiplexed protocol linter, and
+    {!Srpc_analysis.Race_lint} and {!Srpc_analysis.Proto_lint}, and
     conflicting footprints must serialize (queue or abort-retry) with
     no lost update. See docs/TRAFFIC.md. *)
 

@@ -13,8 +13,8 @@ type entry = {
   mutable shadow : string option;
   mutable shadow_version : int;
   mutable pins : int list;
-      (* sessions that touched this entry (concurrent admission only;
-         [] in single-session runs) *)
+      (* admitted sessions that touched this entry ([] for an unadmitted
+         session's entries) *)
 }
 
 type cursor = { mutable page : int; mutable off : int }
@@ -55,11 +55,12 @@ type t = {
   mutable next_page : int;
   mutable allocated_bytes : int;
   mutable scope : int option;
-      (** concurrent admission: the session new entries are placed for.
-          Fault handling is page-grained, so two sessions' entries must
-          never share a page — the scope partitions the fill cursors and
-          the free slots into pools. [None] (single-session mode) keeps the
-          legacy placement byte-for-byte. *)
+      (** the admitted session new entries are placed for, pinned to,
+          and flushed for. Fault handling is page-grained, so two
+          sessions' entries must never share a page — the scope
+          partitions the fill cursors and the free slots into pools.
+          [None] (an unadmitted session, which owns the cache) keeps the
+          whole-cache placement and flush byte-for-byte. *)
 }
 
 exception Region_full
@@ -90,6 +91,7 @@ let create ~space ~base ~limit ~grouping ~grain =
   }
 
 let set_scope t scope = t.scope <- scope
+let scope t = t.scope
 
 let in_region t addr = addr >= t.base && addr < t.limit
 
@@ -315,22 +317,25 @@ let entry_changed_vs_twin t e =
           not (Bytes.equal current (Bytes.sub twin off len)))
     e.pages
 
-let pin e ~session =
-  if not (List.mem session e.pins) then e.pins <- session :: e.pins
+let pin t e =
+  match t.scope with
+  | Some session when not (List.mem session e.pins) ->
+    e.pins <- session :: e.pins
+  | Some _ | None -> ()
 
-let pinned_by e ~session = List.mem session e.pins
+let in_scope t e =
+  match t.scope with None -> true | Some s -> List.mem s e.pins
 
-let dirty_entries ?pinned_by:filter t =
-  let keep e =
-    match filter with None -> true | Some s -> List.mem s e.pins
-  in
+let iter_scoped t f = iter_entries t (fun e -> if in_scope t e then f e)
+
+let dirty_entries t =
   let seen = Int_table.create 16 in
   let out = ref [] in
   List.iter
     (fun page ->
       List.iter
         (fun e ->
-          if e.present && keep e && not (Int_table.mem seen e.local_addr) then begin
+          if e.present && in_scope t e && not (Int_table.mem seen e.local_addr) then begin
             Int_table.add seen e.local_addr ();
             let ship =
               match t.grain with
@@ -347,22 +352,22 @@ let dirty_entries ?pinned_by:filter t =
   (* Entries dirtied without a page fault (installed writebacks, fresh
      remote allocations) may sit on pages never marked dirty. *)
   iter_entries t (fun e ->
-      if e.dirty && e.present && keep e && not (Int_table.mem seen e.local_addr)
+      if e.dirty && e.present && in_scope t e && not (Int_table.mem seen e.local_addr)
       then begin
         Int_table.add seen e.local_addr ();
         out := e :: !out
       end);
   !out
 
-let clean_after_flush ?pinned_by:filter t =
-  match filter with
+let clean_after_flush t =
+  match t.scope with
   | None ->
     iter_entries t (fun e -> e.dirty <- false);
     Int_table.reset t.twins;
     let pages = dirty_pages t in
     Int_table.reset t.dirty_pages;
     List.iter (fun page -> refresh_protection t ~page) pages
-  | Some s ->
+  | Some _ ->
     (* Session-scoped flush: only the session's entries are marked
        clean. Page dirty bits are left alone — a page may also carry
        another open session's page-grain dirtiness, which the entry
@@ -370,7 +375,7 @@ let clean_after_flush ?pinned_by:filter t =
        clean entries on a still-dirty page are re-shipped unchanged at
        its close (idempotent at the home, since footprints are
        disjoint). *)
-    iter_entries t (fun e -> if List.mem s e.pins then e.dirty <- false)
+    iter_scoped t (fun e -> e.dirty <- false)
 
 let bump_version e = e.version <- e.version + 1
 

@@ -39,10 +39,9 @@ type entry = {
           home's record of our copy — the delta base image *)
   mutable shadow_version : int;
   mutable pins : int list;
-      (** ids of the open sessions that touched this entry — concurrent
-          admission's per-session pin counts. Always [[]] in
-          single-session runs (the runtime only pins when the session
-          registry is in multi-open mode). *)
+      (** ids of the open admitted sessions that touched this entry (see
+          {!set_scope}). Always [[]] while an unadmitted session owns the
+          cache. *)
 }
 
 type t
@@ -62,13 +61,19 @@ val create :
 
 val in_region : t -> int -> bool
 
-(** [set_scope t scope] partitions placement by session (concurrent
-    admission): while [scope] is [Some sid], new entries are placed on
-    pages that no other session's entries share, because fault handling
-    is page-grained — a fault sweeps every absent entry on the page, and
-    a page mixing two sessions would cross-contaminate their fetches.
-    [None] (the default) is the legacy single-session placement. *)
+(** [set_scope t scope] names the session the cache works for. [Some
+    sid] is an admitted session, which shares the cache with other open
+    sessions: new entries are placed on pages that no other session's
+    entries share, because fault handling is page-grained — a fault
+    sweeps every absent entry on the page, and a page mixing two
+    sessions would cross-contaminate their fetches; entries are pinned
+    to [sid] ({!pin}); and the dirty set and flush cover only its pinned
+    entries. [None] (the default) is an unadmitted session, which owns
+    the whole cache: whole-cache placement, no pins, whole-cache dirty
+    set and flush. *)
 val set_scope : t -> int option -> unit
+
+val scope : t -> int option
 
 (** [allocate t lp ~size] reserves a slot for [lp] (absent, clean) and
     returns its entry. The slot's pages are mapped and protected.
@@ -101,26 +106,29 @@ val mark_page_dirty : t -> page:int -> unit
 val is_page_dirty : t -> page:int -> bool
 val dirty_pages : t -> int list
 
-(** [pin e ~session] records [session] as a user of [e]'s copy. *)
-val pin : entry -> session:int -> unit
+(** [pin t e] records the scope's session as a user of [e]'s copy; a
+    no-op under scope [None]. *)
+val pin : t -> entry -> unit
 
-val pinned_by : entry -> session:int -> bool
+(** [iter_scoped t f] applies [f] to the scope's entries: every entry
+    under scope [None], else the entries the scope's session pinned. *)
+val iter_scoped : t -> (entry -> unit) -> unit
 
 (** [dirty_entries t] is the modified data set to ship at the next
-    control transfer: with [Page_grain], every present entry on a dirty
-    page; with [Twin_diff], only entries whose bytes differ from the
-    twin. [?pinned_by] restricts the set to one session's pinned entries
-    (concurrent admission: a session's control transfer must not leak
-    another open session's modified data). *)
-val dirty_entries : ?pinned_by:int -> t -> entry list
+    control transfer, among the scope's entries: with [Page_grain],
+    every present entry on a dirty page; with [Twin_diff], only entries
+    whose bytes differ from the twin. Under an admitted scope, a
+    session's control transfer must not leak another open session's
+    modified data. *)
+val dirty_entries : t -> entry list
 
-(** [clean_after_flush t] marks the whole modified data set clean,
-    drops twins, and restores read-only protection. With [?pinned_by],
-    only that session's entries are cleaned and page dirty bits are
-    left alone (they may witness another open session's page-grain
-    dirtiness); the page state fully resets when the last session
-    closes. *)
-val clean_after_flush : ?pinned_by:int -> t -> unit
+(** [clean_after_flush t] marks the scope's modified data set clean.
+    Under scope [None] it also drops twins and restores read-only
+    protection. Under an admitted scope only that session's entries are
+    cleaned and page dirty bits are left alone (they may witness
+    another open session's page-grain dirtiness); the page state fully
+    resets when the last session closes. *)
+val clean_after_flush : t -> unit
 
 (** Delta-coherency snapshot plumbing (see docs/DELTA.md). *)
 
@@ -162,10 +170,10 @@ val remove : t -> entry -> unit
     invalidation. *)
 val invalidate : t -> unit
 
-(** [invalidate_session t ~session] is the session-scoped variant used
-    under concurrent admission: entries pinned only by [session] are
-    removed (slots recycle), shared entries merely lose the pin, and
-    other open sessions' entries are untouched. *)
+(** [invalidate_session t ~session] is the variant for an admitted
+    session: entries pinned only by [session] are removed (slots
+    recycle), shared entries merely lose the pin, and other open
+    sessions' entries are untouched. *)
 val invalidate_session : t -> session:int -> unit
 
 (** [refresh_protection t ~page] recomputes the page's protection from

@@ -61,23 +61,19 @@ type t = {
           regardless of the strategy flag so mixed clusters stay
           coherent; cleared with the rest of the session state
           ([drop_session]). *)
-  mutable state_session : int option;
-      (** the session whose cached state this node currently holds; a
-          frame from a newer session purges leftovers from one whose
-          invalidation or abort never reached us (crashed at the time) *)
   sstash : (int, saved_sstate) Hashtbl.t;
-      (** concurrent admission: parked per-session runtime state of
-          open sessions other than the focused one. [shipped],
-          [traveling] and the pending batches above always describe the
-          focused session; switching focus swaps them through here.
-          Unused (empty) in single-open mode. *)
+      (** parked per-session runtime state of the admitted sessions held
+          here other than the focused one. [shipped], [traveling] and
+          the pending batches above always describe the focused session;
+          switching focus swaps them through here. An unadmitted session
+          is only ever held alone, so it is never parked. *)
   mutable focused : int option;
-      (** the session whose state currently occupies the swappable
-          fields; [None] outside concurrent mode *)
+      (** the session whose state occupies the swappable fields; [None]
+          when the node holds no session's state there *)
   dir_owner : int Int_table.t;
-      (** concurrent admission: datum address -> session that recorded
-          its copy-directory rows, so a session-scoped purge can drop
-          exactly its rows. Unused in single-open mode. *)
+      (** datum address -> admitted session that recorded its
+          copy-directory rows, so that session's drop removes exactly
+          its rows. Empty while an unadmitted session owns the node. *)
   peer_eps : string Space_id.Table.t;
       (** other spaces' endpoint names, formatted once each: every
           request and trace note names one *)
@@ -161,16 +157,6 @@ let note_own t addr akind =
   if Transport.traced t.transport then
     note_access t akind ~datum:(Printf.sprintf "%s/%d" t.ep addr)
 
-(* Concurrent admission: a cache entry belongs to the open sessions that
-   touched it. Pins drive the session-scoped dirty-set filter and the
-   session-scoped invalidation; in single-open mode nothing pins, so the
-   cache behaves exactly as before. *)
-let pin_entry t (e : Cache.entry) =
-  if Session.concurrent_enabled t.session then
-    match Session.current t.session with
-    | Some info -> Cache.pin e ~session:info.Session.id
-    | None -> ()
-
 (* --- pointer swizzling (paper, section 3.2) --- *)
 
 let swizzle t = function
@@ -180,11 +166,11 @@ let swizzle t = function
     else (
       match Cache.find_by_lp t.cache lp with
       | Some e ->
-        pin_entry t e;
+        Cache.pin t.cache e;
         e.Cache.local_addr
       | None ->
         let e = Cache.allocate t.cache lp ~size:(sizeof t lp.ty) in
-        pin_entry t e;
+        Cache.pin t.cache e;
         Log.debug (fun m ->
             m "%a: swizzled %a -> 0x%x" Space_id.pp t.id Long_pointer.pp lp
               e.Cache.local_addr);
@@ -234,10 +220,9 @@ let rec remove_row peer = function
 
 (* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. *)
 let dir_record t ~peer ~addr image =
-  (if Session.concurrent_enabled t.session then
-     match Session.current t.session with
-     | Some info -> Int_table.replace t.dir_owner addr info.Session.id
-     | None -> ());
+  (match Cache.scope t.cache with
+  | Some sid -> Int_table.replace t.dir_owner addr sid
+  | None -> ());
   Int_table.replace t.directory addr
     ((peer, image) :: remove_row peer (dir_rows t addr))
 
@@ -306,7 +291,7 @@ let install_item t ~src ~kind (item : Wire.item) =
       | Some e -> e
       | None -> Cache.allocate t.cache lp ~size:(sizeof t lp.ty)
     in
-    pin_entry t e;
+    Cache.pin t.cache e;
     let fresh = not e.Cache.present in
     if dirty || fresh then begin
       note_datum t lp Trace.Acc_install;
@@ -552,16 +537,27 @@ let is_unreachable_msg msg =
   && String.equal (String.sub msg 0 (String.length unreachable_prefix))
        unreachable_prefix
 
-(* --- concurrent admission: per-session state focus --- *)
+(* --- the session a node works for --- *)
 
-(* Point the swappable per-session fields at [sid]'s state. Sessions
-   interleave only at operation granularity — the simulated cluster is
-   single-threaded, and every frame is handled to completion before
-   another session's frame can arrive — so swapping at each focus
-   switch is sound. *)
+(* A node holds the state of every session that reached it and has not
+   been dropped here yet: the focused one in the swappable fields, the
+   others parked in [sstash]. An unadmitted session differs from an
+   admitted one in one fact: it owns the node. That is decided when the
+   node first focuses the session and kept in the cache's scope
+   ({!Cache.set_scope}): [None] for an unadmitted session, [Some sid]
+   for an admitted one. The scope then decides where entries are
+   placed, whether they are pinned, which entries a flush covers and
+   which drop ends the session.
+
+   Sessions interleave only at operation granularity — the simulated
+   cluster is single-threaded, and every frame is handled to completion
+   before another session's frame can arrive — so swapping at each
+   focus switch is sound. *)
 let swap_focus t sid =
-  if t.focused <> Some sid then begin
-    (match t.focused with
+  match t.focused with
+  | Some f when f = sid -> ()
+  | focused ->
+    (match focused with
     | Some old ->
       Hashtbl.replace t.sstash old
         {
@@ -573,87 +569,51 @@ let swap_focus t sid =
     | None -> ());
     (match Hashtbl.find_opt t.sstash sid with
     | Some sv ->
+      (* only an admitted session is ever parked *)
       Hashtbl.remove t.sstash sid;
       t.shipped <- sv.sv_shipped;
       t.traveling <- sv.sv_traveling;
       t.pending_allocs <- sv.sv_allocs;
-      t.pending_frees <- sv.sv_frees
+      t.pending_frees <- sv.sv_frees;
+      Cache.set_scope t.cache (Some sid)
     | None ->
-      t.shipped <- Space_id.Table.create 4;
-      t.traveling <- Long_pointer.Table.create 16;
-      t.pending_allocs <- [];
-      t.pending_frees <- []);
-    t.focused <- Some sid;
-    (* fault handling is page-grained: [sid]'s cache entries must not
-       share pages with another session's (see {!Cache.set_scope}) *)
-    Cache.set_scope t.cache (Some sid)
-  end
-
-(* Focus an open session: swap its state in, then re-assert the shared
-   session registry's focus unconditionally — another node of the
-   cluster may have moved it since this node last ran. *)
-let focus_node t sid =
-  if Session.concurrent_enabled t.session then begin
-    swap_focus t sid;
-    Session.focus t.session sid
-  end
+      (* first focus here; with nothing focused the swappable fields
+         hold no session's state and are taken over as they are *)
+      if Option.is_some focused then begin
+        t.shipped <- Space_id.Table.create 4;
+        t.traveling <- Long_pointer.Table.create 16;
+        t.pending_allocs <- [];
+        t.pending_frees <- []
+      end;
+      Cache.set_scope t.cache
+        (match Session.find t.session sid with
+        | Some info when info.Session.admitted -> Some sid
+        | Some _ | None -> None));
+    t.focused <- Some sid
 
 (* Re-align the shared registry's focus with this node's own focused
    session before a ground-side operation: between two of this ground's
-   operations, another ground's activity may have moved the focus. *)
+   operations, another ground's activity may have moved the focus. Every
+   access touch calls this, so the common case — the registry already
+   points there — is two field reads. *)
 let refocus t =
-  if Session.concurrent_enabled t.session then
-    match t.focused with
-    | Some sid when Session.find t.session sid <> None ->
-      Session.focus t.session sid
-    | Some _ | None -> ()
-
-(* Session-scoped purge (concurrent admission): drop exactly [sid]'s
-   state at this node — its pinned cache entries (per-datum drop marks;
-   a wildcard drop would erase other open sessions' access history in
-   the race checker), its swapped runtime state, its staged write-backs
-   and its copy-directory rows — leaving every other open session
-   untouched. A [closed] session is no longer in the registry, so it
-   cannot be focused there and its drops are not marked: its access
-   history ended with it. *)
-let purge_session ?(closed = false) t sid =
-  if closed then swap_focus t sid
-  else begin
-    focus_node t sid;
-    Cache.iter_entries t.cache (fun e ->
-        if Cache.pinned_by e ~session:sid then
-          note_datum t e.Cache.lp Trace.Acc_drop)
-  end;
-  Cache.invalidate_session t.cache ~session:sid;
-  Space_id.Table.reset t.shipped;
-  Long_pointer.Table.reset t.traveling;
-  t.pending_allocs <- [];
-  t.pending_frees <- [];
-  Hashtbl.remove t.staged sid;
-  let owned =
-    Int_table.fold
-      (fun addr owner acc -> if owner = sid then addr :: acc else acc)
-      t.dir_owner []
-  in
-  List.iter
-    (fun addr ->
-      Int_table.remove t.directory addr;
-      Int_table.remove t.dir_owner addr)
-    owned;
-  Hashtbl.remove t.sstash sid;
-  t.focused <- None
+  match (t.focused, Session.current t.session) with
+  | Some sid, Some info when info.Session.id = sid -> ()
+  | Some sid, _ when Session.is_open t.session sid -> Session.focus t.session sid
+  | Some _, _ | None, _ -> ()
 
 (* --- outcome accounting for the adaptive policy --- *)
 
-(* Close the session's book on the cache, just before invalidation:
-   every prefetched datum either paid off (it was touched) or was pure
-   waste, and each pointer field of a touched datum yields one edge
-   observation — child still absent: a healthy skip; child prefetched:
-   touched or wasted; child present otherwise: the program had to
-   demand it. The controller turns these into budgets and hints. *)
+(* Close the session's book on its cache entries (the scope's, see
+   {!Cache.iter_scoped}), just before invalidation: every prefetched
+   datum either paid off (it was touched) or was pure waste, and each
+   pointer field of a touched datum yields one edge observation — child
+   still absent: a healthy skip; child prefetched: touched or wasted;
+   child present otherwise: the program had to demand it. The
+   controller turns these into budgets and hints. *)
 let record_outcomes t =
   let stats = Transport.stats t.transport in
-  Cache.iter_entries t.cache (fun e ->
+  Cache.iter_scoped t.cache (fun e ->
       if e.Cache.present && e.Cache.prefetched && not e.Cache.touched then
         Stats.add_wasted_prefetch_bytes stats e.Cache.size);
   match t.policy with
@@ -661,7 +621,7 @@ let record_outcomes t =
   | Some pol ->
     let profile = Srpc_policy.Engine.profile pol in
     let arch = arch t in
-    Cache.iter_entries t.cache (fun (e : Cache.entry) ->
+    Cache.iter_scoped t.cache (fun (e : Cache.entry) ->
         if e.Cache.present then begin
           let ty = e.Cache.lp.Long_pointer.ty in
           if e.Cache.prefetched then
@@ -703,24 +663,67 @@ let record_outcomes t =
 
 (* Forget this node's state of session [sid]: cached foreign data,
    shipped/traveling bookkeeping, staged write-backs, the copy directory
-   and unflushed batched operations. Under concurrent admission only
-   [sid]'s share goes. [outcomes] first closes the policy's book on the
-   cache: at a session's normal end, not at an abort or at the lazy
-   purge of a node that missed its session's end. *)
-let drop_session ?(outcomes = false) t sid =
-  if Session.concurrent_enabled t.session then purge_session t sid
-  else begin
-    if outcomes then record_outcomes t;
+   and unflushed batched operations. An unadmitted session owns the
+   node, so everything goes, under one wildcard drop mark. An admitted
+   session's share goes and every other open session's stays: its
+   pinned entries (per-datum drop marks; a wildcard would erase other
+   open sessions' access history in the race checker), its staged
+   write-backs and its copy-directory rows. A [closed] session is no
+   longer in the registry and its drops are not marked: its access
+   history ended with it. [outcomes] first closes the policy's book on
+   the session's entries: at a session's normal end, not at an abort or
+   at the lazy purge of a node that missed its session's end. *)
+let drop_session ?(outcomes = false) ?(closed = false) t sid =
+  swap_focus t sid;
+  if outcomes then record_outcomes t;
+  (match Cache.scope t.cache with
+  | None ->
     note_access t ~datum:"*" Trace.Acc_drop;
     Cache.invalidate t.cache;
-    Space_id.Table.reset t.shipped;
-    Long_pointer.Table.reset t.traveling;
     Hashtbl.reset t.staged;
-    Int_table.reset t.directory;
-    t.pending_allocs <- [];
-    t.pending_frees <- [];
-    t.state_session <- None
-  end
+    Int_table.reset t.directory
+  | Some _ ->
+    if not closed then
+      Cache.iter_scoped t.cache (fun e -> note_datum t e.Cache.lp Trace.Acc_drop);
+    Cache.invalidate_session t.cache ~session:sid;
+    Hashtbl.remove t.staged sid;
+    let owned =
+      Int_table.fold
+        (fun addr owner acc -> if owner = sid then addr :: acc else acc)
+        t.dir_owner []
+    in
+    List.iter
+      (fun addr ->
+        Int_table.remove t.directory addr;
+        Int_table.remove t.dir_owner addr)
+      owned);
+  Space_id.Table.reset t.shipped;
+  Long_pointer.Table.reset t.traveling;
+  t.pending_allocs <- [];
+  t.pending_frees <- [];
+  t.focused <- None
+
+(* Focus the open session [sid] at this node and in the shared
+   registry. A node that was unreachable when a session's invalidation
+   or abort went out still holds that session's state, so on [sid]'s
+   first focus here — its begin at the ground, its first frame anywhere
+   else — the node first drops every session it holds that the registry
+   has closed: the lazy half of crash-safe reusability, once per
+   session per node, never a cache scan per frame. *)
+let focus_node t sid =
+  let held =
+    (match t.focused with Some f -> f = sid | None -> false)
+    || Hashtbl.mem t.sstash sid
+  in
+  if not held then
+    Option.to_list t.focused
+    @ Hashtbl.fold (fun parked _ acc -> parked :: acc) t.sstash []
+    |> List.sort compare
+    |> List.iter (fun old ->
+           if not (Session.is_open t.session old) then
+             drop_session ~closed:true t old);
+  swap_focus t sid;
+  Session.focus t.session sid
 
 let request t ~dst req =
   let dst_ep = endpoint_of t dst in
@@ -865,18 +868,10 @@ let chaos_lose_first_writeback = ref false
    checker catches stale reads; never set it in production code. *)
 let chaos_reorder_invalidate = ref false
 
-(* Concurrent admission: the focused session's id, as the filter for the
-   session-scoped dirty set and flush. [None] in single-open mode, where
-   the cache-wide behavior is unchanged. *)
-let focused_pin t =
-  if Session.concurrent_enabled t.session then
-    Option.map (fun (i : Session.info) -> i.Session.id) (Session.current t.session)
-  else None
-
 (* Drain the dirty entries, charging the twin-diff CPU cost and applying
    the chaos defect switch — shared by the transfer and close encodes. *)
 let take_dirty_entries t =
-  let entries = Cache.dirty_entries ?pinned_by:(focused_pin t) t.cache in
+  let entries = Cache.dirty_entries t.cache in
   if t.strategy.Strategy.grain = Strategy.Twin_diff then begin
     let psz = Address_space.page_size t.space in
     Transport.charge_cpu_bytes t.transport
@@ -986,7 +981,7 @@ let transfer_batch t ~delta ~dst =
   let travelers = Long_pointer.Table.fold (fun lp () acc -> lp :: acc) t.traveling [] in
   let travelers = if delta then List.rev travelers else travelers in
   let full, deltas = encode t ~delta ~dst entries travelers in
-  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache;
+  Cache.clean_after_flush t.cache;
   { b_full = full; b_deltas = deltas; b_frees = frees }
 
 (* encode, close variant: the foreign dirty entries, grouped by home and
@@ -1006,7 +1001,7 @@ let close_batches t ~delta ~frees =
       foreign
     |> List.map (fun (home, entries) -> (home, encode t ~delta ~dst:home entries []))
   in
-  Cache.clean_after_flush ?pinned_by:(focused_pin t) t.cache;
+  Cache.clean_after_flush t.cache;
   let batch home (full, deltas) frees =
     (home, { b_full = full; b_deltas = deltas; b_frees = frees })
   in
@@ -1397,62 +1392,26 @@ let offload t ~root plan =
 
 (* --- dispatch of incoming frames --- *)
 
-(* Every frame names its session; a frame from a session other than the
-   active one is a protocol violation (e.g. a stale remote pointer used
-   after its session ended) and must fail loudly. Under concurrent
-   admission several sessions are open at once: the frame need only name
-   an open one, and [ensure_fresh] demultiplexes it onto that session's
-   state — the wire-level session id is exactly the interleaving key. *)
+(* Every frame names its session, which must be open: a frame for a
+   closed one (e.g. a stale remote pointer used after its session
+   ended) is a protocol violation and must fail loudly. The frame is
+   then demultiplexed onto its own session's state ([focus_node]) — the
+   wire-level session id is exactly the interleaving key. *)
 let check_session t session =
-  if Session.concurrent_enabled t.session then begin
-    if Session.find t.session session = None then
-      failwith
-        (Printf.sprintf "session mismatch: frame for #%d, which is not open"
-           session)
-  end
-  else
-    let info = Session.current_exn t.session in
-    if session <> info.Session.id then
-      failwith
-        (Printf.sprintf "session mismatch: frame for #%d, active #%d" session
-           info.Session.id)
-
-(* A node that was unreachable when its session's invalidation or abort
-   went out still holds that session's cached state. The first frame of
-   a newer session purges it before any processing — the lazy half of
-   crash-safe reusability. Under concurrent admission several sessions
-   are open at once, so "newer" cannot mean "other": the first frame of
-   a session this node holds no state for purges every session it still
-   holds state for that the shared registry has since closed — once per
-   session per node, never a cache scan per frame. The frame is then
-   demultiplexed onto its own session's state. *)
-let ensure_fresh t session =
-  if Session.concurrent_enabled t.session then begin
-    if t.focused <> Some session && not (Hashtbl.mem t.sstash session) then
-      Option.to_list t.focused
-      @ Hashtbl.fold (fun sid _ acc -> sid :: acc) t.sstash []
-      |> List.sort compare
-      |> List.iter (fun sid ->
-             if Session.find t.session sid = None then
-               purge_session ~closed:true t sid);
-    focus_node t session
-  end
-  else begin
-    (match t.state_session with
-    | Some s when s <> session -> drop_session t s
-    | Some _ | None -> ());
-    t.state_session <- Some session
-  end
+  if not (Session.is_open t.session session) then
+    failwith
+      (Printf.sprintf "session mismatch: frame for #%d, which is not open"
+         session)
 
 (* The session's invalidation reached us — the [Invalidate] body,
    shared with the invalidation ridden by a [Wb_delta] close frame. *)
 let invalidated t sid =
-  if !chaos_reorder_invalidate && not (Session.concurrent_enabled t.session)
-  then
-    (* the defect: acknowledge the invalidation and advance the session
-       bookkeeping without dropping anything — stale copies survive into
-       the next session and the self-healing purge is disarmed *)
-    t.state_session <- None
+  if !chaos_reorder_invalidate then
+    (* the defect: acknowledge the invalidation and let go of the
+       session without dropping anything — its stale copies survive
+       into the next session, and the node no longer holds the session,
+       so the self-healing purge never finds it *)
+    t.focused <- None
   else drop_session ~outcomes:true t sid
 
 (* all-or-nothing close, phase one: hold a batch without applying it; a
@@ -1471,7 +1430,7 @@ let handle t src req =
   | Wire.Hb -> Wire.Hb_ack
   | _ ->
   check_session t (Wire.request_session req);
-  ensure_fresh t (Wire.request_session req);
+  focus_node t (Wire.request_session req);
   let peer () = Space_id.of_string src in
   match (req : Wire.request) with
   | Wire.Call { proc; args; writebacks; eager; session = _ } ->
@@ -1626,21 +1585,20 @@ let dispatch t src req_str =
 
 (* --- sessions --- *)
 
-let begin_session t =
-  let info = Session.begin_session t.session ~ground:t.id in
+(* The ground's half of opening a session the registry has just
+   opened: the begin mark, then the session's first focus here. *)
+let open_at_ground t (info : Session.info) =
   t.session_t0 <- Clock.now (Transport.clock t.transport);
-  t.state_session <- Some info.Session.id;
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Session_begin info.Session.id)
+  Transport.mark t.transport ~src:(endpoint t) (Trace.Session_begin info.Session.id);
+  focus_node t info.Session.id
+
+let begin_session t =
+  open_at_ground t (Session.begin_session t.session ~ground:t.id)
 
 (* Common close-out once the coherency traffic is done: invalidate the
    ground's own cache, run the policy's control decision, close the
    session and record the end mark. *)
 let close_tail t (info : Session.info) =
-  (* Under concurrent admission the drop is scoped: other sessions may
-     still be open at this ground's peers, and (at a shared registry
-     level) at this very process. Outcome accounting is then skipped —
-     it reads the whole cache, which may hold other open sessions'
-     entries. *)
   drop_session ~outcomes:true t info.Session.id;
   (* Every participant has now recorded its outcomes into the shared
      profile; run one control decision and install the derived hints so
@@ -1791,7 +1749,7 @@ let with_session t f =
     (try end_session t with _ -> ());
     raise exn
 
-(* --- concurrent admission (see docs/TRAFFIC.md) --- *)
+(* --- admission (see docs/TRAFFIC.md) --- *)
 
 (* Test-only defect switch: when set, admission requests bypass the
    footprint conflict check and every candidate is admitted — two
@@ -1801,29 +1759,28 @@ let with_session t f =
    controller; never set it in production code. *)
 let chaos_admit_conflicting = ref false
 
-let require_concurrent t who =
-  if not (Session.concurrent_enabled t.session) then
-    invalid_arg (who ^ ": session registry is not in concurrent mode");
+(* Two strategies keep a session alone on its nodes, so admission refuses
+   them: twin diffs and delta shadows are per page and per copy, not per
+   session. *)
+let require_admissible_strategy t who =
   if t.strategy.Strategy.grain = Strategy.Twin_diff then
     invalid_arg (who ^ ": Twin_diff write-back grain is single-session only");
   if delta_on t then
     invalid_arg (who ^ ": delta coherency is single-session only")
 
 let reserve_session t =
-  require_concurrent t "Node.reserve_session";
+  require_admissible_strategy t "Node.reserve_session";
   Session.reserve t.session
 
 (* Open a session that the admission controller has already recorded as
    admitted — either directly by [request_admission] or later by the
-   close-time FIFO drain. Emits the admit mark the offline linters key
-   the multiplexed protocol machine on, then the ordinary begin mark. *)
+   close-time FIFO drain. Emits the admit mark, which tells the offline
+   linters the session may overlap others, then the ordinary begin
+   mark. *)
 let start_admitted t ~id =
-  require_concurrent t "Node.start_admitted";
+  require_admissible_strategy t "Node.start_admitted";
   Transport.mark t.transport ~src:(endpoint t) (Trace.Session_admit id);
-  let _info = Session.begin_reserved t.session ~id ~ground:t.id in
-  focus_node t id;
-  t.session_t0 <- Clock.now (Transport.clock t.transport);
-  Transport.mark t.transport ~src:(endpoint t) (Trace.Session_begin id)
+  open_at_ground t (Session.begin_reserved t.session ~id ~ground:t.id)
 
 (* Ask the admission controller whether the session may open now. On
    [Admitted] the session is begun immediately; on [Queued] the caller
@@ -1831,7 +1788,7 @@ let start_admitted t ~id =
    [Denied] the caller backs off ([Admission.backoff_delay]) and asks
    again with the same reserved id. *)
 let request_admission ?(peers = []) t adm ~id ~footprint =
-  require_concurrent t "Node.request_admission";
+  require_admissible_strategy t "Node.request_admission";
   match
     Admission.request ~force:!chaos_admit_conflicting ~peers adm ~session:id
       footprint
@@ -1856,7 +1813,7 @@ let request_admission ?(peers = []) t adm ~id ~footprint =
    the controller retires the session and returns the FIFO waiters its
    departure admitted; the caller starts each with [start_admitted]. *)
 let end_session_validated t adm =
-  require_concurrent t "Node.end_session_validated";
+  require_admissible_strategy t "Node.end_session_validated";
   refocus t;
   let info = Session.current_exn t.session in
   let sid = info.Session.id in
@@ -1896,7 +1853,7 @@ let extended_malloc t ~home ~ty =
     t.prov_counter <- t.prov_counter + 1;
     let prov = Long_pointer.make ~origin:home ~addr:(-t.prov_counter) ~ty in
     let e = Cache.allocate t.cache prov ~size:(sizeof t ty) in
-    pin_entry t e;
+    Cache.pin t.cache e;
     e.Cache.dirty <- true;
     Cache.mark_present t.cache e;
     Stats.add_remote_allocs (Transport.stats t.transport) 1;
@@ -1990,7 +1947,6 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       reply_tick = 0;
       staged = Hashtbl.create 4;
       directory = Int_table.create 32;
-      state_session = None;
       sstash = Hashtbl.create 4;
       focused = None;
       dir_owner = Int_table.create 32;

@@ -105,7 +105,9 @@ val register : t -> string -> proc -> unit
 val run_local : t -> string -> Value.t list -> Value.t list
 
 (** [begin_session t] declares this node's thread the ground thread of a
-    new RPC session. *)
+    new RPC session, an unadmitted one that runs alone (see
+    {!Session.begin_session}).
+    @raise Session.Session_already_active if any session is open. *)
 val begin_session : t -> unit
 
 (** [end_session t] writes the modified data set back to the origin
@@ -125,20 +127,31 @@ val end_session : t -> unit
     The session is also ended if [f] raises. *)
 val with_session : t -> (unit -> 'a) -> 'a
 
-(** {1 Concurrent-session admission}
+(** {1 Admission}
 
-    With the shared session registry in multi-open mode
-    ({!Session.set_concurrent}) a cluster runs many sessions at once;
-    an {!Admission} controller decides which may be open concurrently
-    (disjoint static footprints) and the wire-level session id on every
-    frame demultiplexes each node's per-session runtime state. Sessions
-    interleave at operation granularity — the simulated cluster is
-    single-threaded. Concurrent mode requires [Page_grain] write-back
-    and no delta coherency; see docs/TRAFFIC.md. *)
+    A session opened through admission ({!reserve_session}, then
+    {!request_admission} or {!start_admitted}) may be open together with
+    other admitted sessions: an {!Admission} controller decides which
+    may overlap (disjoint static footprints), and the wire-level session
+    id on every frame demultiplexes each node's per-session runtime
+    state. Sessions interleave at operation granularity — the simulated
+    cluster is single-threaded.
+
+    Admitted and unadmitted sessions take one path through the runtime
+    and differ in one fact, decided when a node first focuses the
+    session: an unadmitted session owns the node. Its cache entries are
+    placed, flushed and dropped cache-wide, with one wildcard drop
+    mark. An admitted session's entries go on pages of their own and
+    are pinned to it, so its flush covers only them and its close drops
+    only them, with one drop mark per datum. Either close records the
+    prefetch outcomes of its entries. Admission requires
+    [Page_grain] write-back and no delta coherency: twin diffs and
+    delta shadows are kept per page and per copy, not per session. See
+    docs/TRAFFIC.md. *)
 
 (** [reserve_session t] draws a session id without opening it (the
     admission controller names queued sessions before they begin).
-    @raise Invalid_argument outside concurrent mode. *)
+    @raise Invalid_argument under [Twin_diff] grain or delta coherency. *)
 val reserve_session : t -> int
 
 (** [request_admission t adm ~id ~footprint] asks [adm] whether the
@@ -163,7 +176,9 @@ val request_admission :
   Admission.decision
 
 (** [start_admitted t ~id] begins a session the controller has already
-    admitted (from {!Admission.close}'s drain). *)
+    admitted (from {!Admission.close}'s drain).
+    @raise Session.Session_already_active while an unadmitted session
+    is open. *)
 val start_admitted : t -> id:int -> unit
 
 (** [end_session_validated t adm] closes the focused session with

@@ -4,24 +4,35 @@
     session. The concept of an RPC session is needed to determine the
     period for which the runtime system guarantees to respond to remote
     data references and to maintain the coherency of the cached data"
-    (paper, section 3.1). One session is active at a time — the paper's
-    single-active-thread model.
+    (paper, section 3.1).
 
-    {b Concurrent admission.} When [set_concurrent] turns the registry
-    into multi-open mode, several sessions may be open simultaneously
-    (the admission controller guarantees their footprints do not
-    conflict). [current] then designates the {e focused} session — the
-    one the node runtimes charge work to. The focus is switched with
-    {!focus} by the ground harness before each session step and by every
-    node's dispatcher on each incoming frame (requests carry their
-    session id on the wire). In the default single-open mode nothing
-    about the historical behavior changes. *)
+    {b One session model.} Every open session lives in one registry.
+    How a session was opened decides whether it may share the cluster
+    with others; no option does:
+    - {!begin_session} opens an {e unadmitted} session, which runs
+      alone — the paper's single-active-thread model. It is refused
+      while any session is open, and while it is open nothing else may
+      begin.
+    - The admission path ({!reserve}, then {!begin_reserved}) opens an
+      {e admitted} session. The admission controller guarantees that
+      the footprints of admitted sessions open together do not
+      conflict, so several may be open at once.
+
+    [current] designates the {e focused} session — the one the node
+    runtimes charge work to. The focus is switched with {!focus} by the
+    ground harness before each session step and by every node's
+    dispatcher on each incoming frame (requests carry their session id
+    on the wire). With one session open, it never moves. *)
 
 open Srpc_memory
 
 type info = {
   id : int;
   ground : Space_id.t;
+  admitted : bool;
+      (** opened by {!begin_reserved}: it may share nodes with other
+          admitted sessions. An unadmitted session owns every node it
+          reaches (see {!Node}'s admission notes). *)
   mutable participants : Space_id.Set.t;
   mutable cachers : Space_id.Set.t;
       (** spaces that received a data copy (item or delta-patched) this
@@ -46,8 +57,9 @@ exception Session_aborted of { session : int; reason : string }
 
 val create : unit -> t
 
-(** [begin_session t ~ground] opens a session rooted at [ground].
-    @raise Session_already_active if one is open (single-open mode). *)
+(** [begin_session t ~ground] opens an unadmitted session rooted at
+    [ground] and focuses it.
+    @raise Session_already_active if any session is open. *)
 val begin_session : t -> ground:Space_id.t -> info
 
 (** [close t] marks the focused session ended (the ground node's runtime
@@ -56,37 +68,30 @@ val close : t -> unit
 
 val current : t -> info option
 
-(** [set_concurrent t flag] switches the registry between the historical
-    single-open mode ([false], the default) and multi-open mode. *)
-val set_concurrent : t -> bool -> unit
-
-val concurrent_enabled : t -> bool
-
 (** [reserve t] draws the next session id without opening it — the
     admission controller names queued sessions before they begin. *)
 val reserve : t -> int
 
 (** [begin_reserved t ~id ~ground] opens a previously {!reserve}d
-    session (multi-open mode only) and focuses it.
-    @raise Session_already_active outside multi-open mode, or if [id] is
-    already open. *)
+    session as admitted and focuses it.
+    @raise Session_already_active if an unadmitted session is open, or
+    if [id] is already open. *)
 val begin_reserved : t -> id:int -> ground:Space_id.t -> info
 
 (** [focus t id] makes the open session [id] the current one.
     @raise No_active_session if [id] is not open. *)
 val focus : t -> int -> unit
 
-(** [find t id] is the open session [id], multi-open mode only. *)
+(** [find t id] is the open session [id]. *)
 val find : t -> int -> info option
 
-val open_count : t -> int
+(** [is_open t id] is [find t id <> None], without allocating. *)
+val is_open : t -> int -> bool
 
-(** Open session ids, ascending. *)
-val open_ids : t -> int list
-
-(** @raise No_active_session when none is open. *)
+(** @raise No_active_session when none is focused. *)
 val current_exn : t -> info
 
+(** Whether any session is open. *)
 val is_active : t -> bool
 
 (** [join t id] records [id] as a participant of the active session. *)

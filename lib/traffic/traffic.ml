@@ -151,7 +151,6 @@ let build_setup ?(arming = unarmed) ~name cfg =
   if cfg.servers < 2 || cfg.servers > 8 then
     invalid_arg (who ^ ": servers must be in 2..8");
   let cluster = Cluster.create () in
-  Session.set_concurrent (Cluster.session cluster) true;
   let strats = Gen.concurrent_strategies in
   let strategy =
     Interp.strategy_table.(strats.(abs cfg.seed mod Array.length strats))
@@ -585,7 +584,6 @@ type counter_outcome = {
 let run_counter ?(chaos = false) ~clients ~policy () =
   if clients < 1 then invalid_arg "Traffic.run_counter: clients >= 1";
   let cluster = Cluster.create () in
-  Session.set_concurrent (Cluster.session cluster) true;
   let strategy = Interp.strategy_table.(0) in
   let grounds =
     Array.init clients (fun c ->

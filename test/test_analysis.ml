@@ -233,7 +233,18 @@ let test_traffic_outside_session () =
     @ [ req "a" "b" ]
   in
   Alcotest.(check bool) "SP003 after close" true
-    (List.mem "SP003" (proto_ids after_close))
+    (List.mem "SP003" (proto_ids after_close));
+  (* a lost or duplicated frame after an admitted session's close is
+     traffic outside a session too *)
+  let after_admitted stray =
+    [ mark "a" (Trace.Session_admit 1); mark "a" (Trace.Session_begin 1) ]
+    @ close_phase "a" "b" 1
+    @ [ ev ~bytes:4 "a" "b" stray ]
+  in
+  Alcotest.(check bool) "SP003 dropped after admitted close" true
+    (List.mem "SP003" (proto_ids (after_admitted (Trace.Dropped Trace.Request))));
+  Alcotest.(check bool) "SP003 duplicated after admitted close" true
+    (List.mem "SP003" (proto_ids (after_admitted (Trace.Dup Trace.Request))))
 
 let test_invalidate_before_writeback () =
   let events =
@@ -378,7 +389,21 @@ let test_breaker_bypassed () =
     @ close_phase "a" "b" 1
   in
   Alcotest.(check bool) "no SP009 after revival" false
-    (List.mem "SP009" (proto_ids revived))
+    (List.mem "SP009" (proto_ids revived));
+  (* the breaker is admission's: an unadmitted session sending to the
+     dead peer is only the crashed-endpoint violation *)
+  let unadmitted =
+    [
+      mark "b" (Trace.Crash "b");
+      mark "a" (Trace.Session_begin 1);
+      req "a" "b"; rep "b" "a";
+    ]
+    @ close_phase "a" "c" 1
+  in
+  Alcotest.(check bool) "unadmitted: SP006" true
+    (List.mem "SP006" (proto_ids unadmitted));
+  Alcotest.(check bool) "unadmitted: no SP009" false
+    (List.mem "SP009" (proto_ids unadmitted))
 
 let test_dropped_and_dup_frames_tolerated () =
   (* a dropped request is thread-neutral; a dropped reply hands the

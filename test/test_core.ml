@@ -572,6 +572,46 @@ let test_session_lifecycle () =
   let info2 = Session.begin_session s ~ground:sid2 in
   Alcotest.(check int) "ids increase" 2 info2.Session.id
 
+(* One registry holds every open session, however it was opened. *)
+let test_session_find_unadmitted () =
+  let s = Session.create () in
+  let info = Session.begin_session s ~ground:sid1 in
+  (match Session.find s info.Session.id with
+  | Some found ->
+    Alcotest.(check int) "same session" info.Session.id found.Session.id;
+    Alcotest.(check bool) "unadmitted" false found.Session.admitted
+  | None -> Alcotest.fail "begin_session's session is not in the registry");
+  Session.close s;
+  Alcotest.(check bool) "gone after close" true
+    (Option.is_none (Session.find s info.Session.id))
+
+(* An unadmitted session runs alone: it cannot begin while an admitted
+   one is open... *)
+let test_session_begin_refused_while_admitted () =
+  let s = Session.create () in
+  let id = Session.reserve s in
+  let info = Session.begin_reserved s ~id ~ground:sid1 in
+  Alcotest.(check bool) "admitted" true info.Session.admitted;
+  Alcotest.check_raises "begin while admitted is open"
+    Session.Session_already_active (fun () ->
+      ignore (Session.begin_session s ~ground:sid2));
+  (* admitted sessions may overlap one another *)
+  let other = Session.begin_reserved s ~id:(Session.reserve s) ~ground:sid2 in
+  Alcotest.(check bool) "both open" true
+    (Session.is_open s id && Session.is_open s other.Session.id)
+
+(* ...and no admitted session begins while it is open. *)
+let test_session_reserved_refused_while_unadmitted () =
+  let s = Session.create () in
+  let _ = Session.begin_session s ~ground:sid1 in
+  let id = Session.reserve s in
+  Alcotest.check_raises "begin_reserved while unadmitted is open"
+    Session.Session_already_active (fun () ->
+      ignore (Session.begin_reserved s ~id ~ground:sid2));
+  Session.close s;
+  let info = Session.begin_reserved s ~id ~ground:sid2 in
+  Alcotest.(check int) "opens once it closed" id info.Session.id
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "core"
@@ -644,5 +684,14 @@ let () =
           tc "value projections" `Quick test_value_funref;
           tc "wire roundtrip" `Quick test_wire_funref_roundtrip;
         ] );
-      ("session", [ tc "lifecycle" `Quick test_session_lifecycle ]);
+      ( "session",
+        [
+          tc "lifecycle" `Quick test_session_lifecycle;
+          tc "find sees an unadmitted session" `Quick
+            test_session_find_unadmitted;
+          tc "begin refused while admitted open" `Quick
+            test_session_begin_refused_while_admitted;
+          tc "begin_reserved refused while unadmitted open" `Quick
+            test_session_reserved_refused_while_unadmitted;
+        ] );
     ]

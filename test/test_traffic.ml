@@ -334,6 +334,28 @@ let test_traffic_contended_abort_retry () =
   Alcotest.(check int) "no races" 0 res.Traffic.r_race_errors;
   Alcotest.(check int) "no protocol violations" 0 res.Traffic.r_proto_errors
 
+(* An admitted session's close records the prefetch outcomes of the
+   entries it pinned, as an unadmitted session's close always did:
+   [Traffic.default]'s closes drop 632 bytes of prefetch nothing
+   touched. *)
+let test_admitted_close_records_outcomes () =
+  let o = Traffic.open_loop ~name:"outcomes" ~horizon:Float.infinity Traffic.default in
+  Alcotest.(check int) "wasted prefetch bytes" 632
+    o.Traffic.o_stats.Stats.wasted_prefetch_bytes
+
+(* The reordered-invalidation defect takes effect under admission too:
+   invalidated copies survive into later sessions, and the race checker
+   sees the stale reads. *)
+let test_reorder_invalidate_caught_under_admission () =
+  Node.chaos_reorder_invalidate := true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Node.chaos_reorder_invalidate := false)
+      (fun () -> Traffic.run { Traffic.default with Traffic.seed = 2 })
+  in
+  if r.Traffic.r_race_errors = 0 then
+    Alcotest.fail "Race_lint missed the stale copies the defect left behind"
+
 (* {1 The shared counter: no lost update} *)
 
 let test_counter_serializes () =
@@ -529,10 +551,10 @@ let engine_tests =
 
 (* {1 Single-session byte identity} *)
 
-(* Digest of the full pp'd traces of five unfaulted legacy-mode checker
-   runs, computed on the tree immediately before concurrent admission
-   was added. Sessions that never opt into [Session.set_concurrent]
-   must keep producing these exact bytes. *)
+(* Digest of the full pp'd traces of five unfaulted checker runs,
+   computed on the tree immediately before concurrent admission was
+   added. Unadmitted sessions ([Node.begin_session]) must keep producing
+   these exact bytes. *)
 let pre_pr_fingerprint = "26a0510b3f30e198c808bc999dc63a64"
 
 let test_single_session_fingerprint () =
@@ -582,6 +604,10 @@ let () =
           tc "hot contention queues" `Quick test_traffic_contended_queue;
           tc "hot contention abort-retries" `Quick
             test_traffic_contended_abort_retry;
+          tc "admitted close records prefetch outcomes" `Quick
+            test_admitted_close_records_outcomes;
+          tc "reordered invalidation caught under admission" `Quick
+            test_reorder_invalidate_caught_under_admission;
         ] );
       ( "counter",
         [
