@@ -451,16 +451,32 @@ let invalidate_session t ~session =
         if e.pins = [] then victims := e :: !victims
       end);
   List.iter (fun e -> remove t e) !victims;
+  (* A page the drop emptied is unmapped and its frame recycled. Page
+     numbers are never reused, so no later placement moves. *)
+  List.iter
+    (fun e ->
+      List.iter
+        (fun page ->
+          match Int_table.find_opt t.by_page page with
+          | Some { on_page = []; _ } ->
+            Int_table.remove t.by_page page;
+            Address_space.unmap t.space ~page
+          | Some _ | None -> ())
+        e.pages)
+    !victims;
   (* The session's fill cursors and recycled slots die with it: its
      pages must not be refilled by a later session (page-grain fault
      handling would sweep across the sessions sharing the page). *)
   Int_table.remove t.scoped session
 
+(* [by_addr]'s fold order is wire-visible, so it restarts from its
+   initial size every session; the lookup-only [by_lp] and [by_page]
+   keep the size they grew to. *)
 let invalidate t =
   Int_table.iter (fun page _ -> Address_space.unmap t.space ~page) t.by_page;
-  Long_pointer.Lookup.reset t.by_lp;
+  Long_pointer.Lookup.clear t.by_lp;
   Int_table.reset t.by_addr;
-  Int_table.reset t.by_page;
+  Int_table.clear t.by_page;
   Int_table.reset t.dirty_pages;
   Int_table.reset t.twins;
   t.unscoped.cursors <- [];

@@ -77,8 +77,15 @@ type t = {
   peer_eps : string Space_id.Table.t;
       (** other spaces' endpoint names, formatted once each: every
           request and trace note names one *)
+  peer_ids : Space_id.t Registry.Names.t;
+      (** the reverse: senders' spaces by endpoint name, parsed once
+          each, since every incoming frame names one *)
   closure_seen : unit Int_table.t;
       (** addresses one [ship_closure] has visited; cleared per call *)
+  enc_ctx : Object_codec.encode_ctx;
+  dec_ctx : Object_codec.decode_ctx;
+      (** the codec contexts, built once: every datum shipped or
+          installed goes through one *)
 }
 
 and proc = t -> Value.t list -> Value.t list
@@ -124,7 +131,22 @@ let endpoint_of t id =
     Space_id.Table.add t.peer_eps id ep;
     ep
 
+(* The space that sent a frame, by its endpoint name. *)
+let peer_of t src =
+  match Registry.Names.find t.peer_ids src with
+  | id -> id
+  | exception Not_found ->
+    let id = Space_id.of_string src in
+    Registry.Names.add t.peer_ids src id;
+    id
+
 let sizeof t ty = Layout.sizeof_name t.registry (arch t) ty
+
+(* [Log.debug] builds its message closure before it checks the level,
+   so the per-datum paths check first and build nothing while debug
+   logging is off. *)
+let debugging () =
+  match Logs.Src.level src_log with Some Logs.Debug -> true | Some _ | None -> false
 
 let in_heap t addr = addr >= Allocator.base t.heap && addr < Allocator.limit t.heap
 
@@ -171,9 +193,10 @@ let swizzle t = function
       | None ->
         let e = Cache.allocate t.cache lp ~size:(sizeof t lp.ty) in
         Cache.pin t.cache e;
-        Log.debug (fun m ->
-            m "%a: swizzled %a -> 0x%x" Space_id.pp t.id Long_pointer.pp lp
-              e.Cache.local_addr);
+        if debugging () then
+          Log.debug (fun m ->
+              m "%a: swizzled %a -> 0x%x" Space_id.pp t.id Long_pointer.pp lp
+                e.Cache.local_addr);
         e.Cache.local_addr)
 
 let unswizzle t ~ty addr =
@@ -185,25 +208,11 @@ let unswizzle t ~ty addr =
   else if in_heap t addr then Some (Long_pointer.make ~origin:t.id ~addr ~ty)
   else raise (Invalid_pointer addr)
 
-let encode_ctx t =
-  {
-    Object_codec.enc_reg = t.registry;
-    enc_arch = arch t;
-    unswizzle = (fun ~ty w -> unswizzle t ~ty w);
-  }
-
-let decode_ctx t =
-  {
-    Object_codec.dec_reg = t.registry;
-    dec_arch = arch t;
-    swizzle = (fun lp -> swizzle t lp);
-  }
-
 (* --- data transfer (paper, sections 3.2-3.4) --- *)
 
 let encode_item t ~(lp : Long_pointer.t) ~addr : Wire.item =
   let raw = Address_space.read_unchecked t.space ~addr ~len:(sizeof t lp.ty) in
-  { lp; data = Object_codec.encode (encode_ctx t) ~ty:lp.ty raw }
+  { lp; data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw }
 
 (* --- delta coherency: copy directory and shadow bookkeeping --- *)
 
@@ -275,7 +284,7 @@ let install_item t ~src ~kind (item : Wire.item) =
     (* The datum came home: apply it to the original location. When it
        arrived dirty mid-session it stays in the traveling modified set
        so later control transfers refresh other participants' caches. *)
-    let raw = Object_codec.decode (decode_ctx t) ~ty:lp.ty item.Wire.data in
+    let raw = Object_codec.decode t.dec_ctx ~ty:lp.ty item.Wire.data in
     Address_space.write_unchecked t.space ~addr:lp.addr raw;
     if dirty then begin
       note_datum t lp Trace.Acc_apply;
@@ -295,7 +304,7 @@ let install_item t ~src ~kind (item : Wire.item) =
     let fresh = not e.Cache.present in
     if dirty || fresh then begin
       note_datum t lp Trace.Acc_install;
-      let raw = Object_codec.decode (decode_ctx t) ~ty:lp.ty item.Wire.data in
+      let raw = Object_codec.decode t.dec_ctx ~ty:lp.ty item.Wire.data in
       Address_space.write_unchecked t.space ~addr:e.Cache.local_addr raw;
       if dirty then e.Cache.dirty <- true;
       Cache.mark_present t.cache e;
@@ -431,6 +440,13 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
     | None -> Strategy.budget_allows strategy ~total:!total ~extra
     | Some (used, budget) -> used_by_ty used ty + extra <= budget ty
   in
+  (* Once the static budget has no byte left, nothing more can ship and
+     walking on to children has no visible effect: the lazy path's
+     one-datum fetches stop at their seed. *)
+  let spent () =
+    Option.is_none per_type_budget
+    && not (Strategy.budget_allows strategy ~total:!total ~extra:1)
+  in
   let queue = Queue.create () in
   let stack = ref [] in
   let push lp =
@@ -459,9 +475,10 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
       Int_table.add visited lp.addr ();
       let size = sizeof t lp.ty in
       let raw () = Address_space.read_unchecked t.space ~addr:lp.addr ~len:size in
-      if Int_table.mem shipped lp.addr && not forced then
+      if Int_table.mem shipped lp.addr && not forced then begin
         (* peer caches it already; traverse through without re-sending *)
-        List.iter push (children (raw ()) lp.ty)
+        if not (spent ()) then List.iter push (children (raw ()) lp.ty)
+      end
       else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
         total := !total + size;
         (match per_type_budget with
@@ -469,14 +486,14 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
           Registry.Names.replace used lp.ty (used_by_ty used lp.ty + size)
         | None -> ());
         let raw = raw () in
-        let data = Object_codec.encode (encode_ctx t) ~ty:lp.ty raw in
+        let data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw in
         out := { Wire.lp; data } :: !out;
         Int_table.replace shipped lp.addr ();
         note_datum t lp Trace.Acc_serve;
         (* closure provenance feeds the copy directory: [peer] will hold
            exactly this encoding *)
         dir_record t ~peer ~addr:lp.addr data;
-        List.iter push (children raw lp.ty)
+        if not (spent ()) then List.iter push (children raw lp.ty)
       end
       else if Option.is_none per_type_budget then budget_exceeded := true
       (* per-type budgets: this datum stays lazy, other types continue *)
@@ -515,15 +532,20 @@ let serve_fetch t ~peer wanted =
 (* --- remote allocation batching (paper, section 3.5) --- *)
 
 let group_by_space key xs =
-  let tbl = Space_id.Table.create 4 in
-  List.iter
-    (fun x ->
-      let k = key x in
-      match Space_id.Table.find_opt tbl k with
-      | Some r -> r := x :: !r
-      | None -> Space_id.Table.add tbl k (ref [ x ]))
-    xs;
-  Space_id.Table.fold (fun k r acc -> (k, List.rev !r) :: acc) tbl []
+  match xs with
+  | x :: rest when List.for_all (fun y -> Space_id.equal (key y) (key x)) rest ->
+    (* one space, the usual case: one group, no table *)
+    [ (key x, xs) ]
+  | _ ->
+    let tbl = Space_id.Table.create 4 in
+    List.iter
+      (fun x ->
+        let k = key x in
+        match Space_id.Table.find_opt tbl k with
+        | Some r -> r := x :: !r
+        | None -> Space_id.Table.add tbl k (ref [ x ]))
+      xs;
+    Space_id.Table.fold (fun k r acc -> (k, List.rev !r) :: acc) tbl []
 
 let session_id t = (Session.current_exn t.session).Session.id
 let faulty t = Option.is_some (Transport.fault_plan t.transport)
@@ -681,7 +703,8 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
     note_access t ~datum:"*" Trace.Acc_drop;
     Cache.invalidate t.cache;
     Hashtbl.reset t.staged;
-    Int_table.reset t.directory
+    (* only looked up, never folded: it keeps the size it grew to *)
+    Int_table.clear t.directory
   | Some _ ->
     if not closed then
       Cache.iter_scoped t.cache (fun e -> note_datum t e.Cache.lp Trace.Acc_drop);
@@ -1167,13 +1190,17 @@ let fetch_missing t missing =
       | Wire.Fetched { items } ->
         (* Items we asked for are demand fetches; anything extra in the
            same reply is the server's speculative closure around them. *)
-        let asked = Long_pointer.Lookup.create (List.length wanted) in
-        List.iter (fun lp -> Long_pointer.Lookup.replace asked lp ()) wanted;
+        let asked =
+          match wanted with
+          | [ lp ] -> Long_pointer.equal lp
+          | _ ->
+            let asked = Long_pointer.Lookup.create (List.length wanted) in
+            List.iter (fun lp -> Long_pointer.Lookup.replace asked lp ()) wanted;
+            Long_pointer.Lookup.mem asked
+        in
         List.iter
           (fun (item : Wire.item) ->
-            let kind =
-              if Long_pointer.Lookup.mem asked item.Wire.lp then `Demand else `Eager
-            in
+            let kind = if asked item.Wire.lp then `Demand else `Eager in
             install_item t ~src:origin ~kind item)
           items;
         (* The clock advance across this synchronous round trip is
@@ -1231,9 +1258,10 @@ let handle_fault t (fault : Address_space.fault) =
         (Cache.entries_on_page t.cache page)
     in
     if missing <> [] then begin
-      Log.debug (fun m ->
-          m "%a: fault page %d, fetching %d data" Space_id.pp t.id page
-            (List.length missing));
+      if debugging () then
+        Log.debug (fun m ->
+            m "%a: fault page %d, fetching %d data" Space_id.pp t.id page
+              (List.length missing));
       fetch_missing t missing;
       resolve_missing ()
     end
@@ -1431,7 +1459,7 @@ let handle t src req =
   | _ ->
   check_session t (Wire.request_session req);
   focus_node t (Wire.request_session req);
-  let peer () = Space_id.of_string src in
+  let peer () = peer_of t src in
   match (req : Wire.request) with
   | Wire.Call { proc; args; writebacks; eager; session = _ } ->
     serve_call t ~peer:(peer ()) ~delta:false ~eager (full_batch writebacks)
@@ -1919,7 +1947,7 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       ~grouping:strategy.Strategy.grouping ~grain:strategy.Strategy.grain
   in
   let hints = match hints with Some h -> h | None -> Hints.create () in
-  let t =
+  let rec t =
     {
       id;
       ep = Space_id.to_string id;
@@ -1951,7 +1979,20 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       focused = None;
       dir_owner = Int_table.create 32;
       peer_eps = Space_id.Table.create 4;
+      peer_ids = Registry.Names.create 4;
       closure_seen = Int_table.create 64;
+      enc_ctx =
+        {
+          Object_codec.enc_reg = registry;
+          enc_arch = arch;
+          unswizzle = (fun ~ty w -> unswizzle t ~ty w);
+        };
+      dec_ctx =
+        {
+          Object_codec.dec_reg = registry;
+          dec_arch = arch;
+          swizzle = (fun lp -> swizzle t lp);
+        };
     }
   in
   Mmu.set_handler mmu (handle_fault t);

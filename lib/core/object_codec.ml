@@ -14,6 +14,10 @@ type decode_ctx = {
   swizzle : Long_pointer.t option -> int;
 }
 
+(* One scratch encoder serves every datum: an encoding never re-enters
+   itself, since unswizzling a pointer encodes nothing. *)
+let scratch = Xdr.Enc.create ~initial:1024 ()
+
 let encode ctx ~ty raw =
   let shape = Layout.shape ctx.enc_reg ctx.enc_arch ty in
   let size = shape.Layout.layout.Layout.size in
@@ -21,7 +25,8 @@ let encode ctx ~ty raw =
     invalid_arg
       (Printf.sprintf "Object_codec.encode: %s is %d bytes, got %d" ty size
          (Bytes.length raw));
-  let enc = Xdr.Enc.create ~initial:(size * 2) () in
+  let enc = scratch in
+  Xdr.Enc.clear enc;
   let endian = ctx.enc_arch.Arch.endian in
   List.iter
     (fun { Layout.leaf_offset = off; kind } ->

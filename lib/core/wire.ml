@@ -244,10 +244,17 @@ let encode_request_body ~reg enc r =
     Offload.encode_plan enc plan;
     Enc.list enc (encode_item ~reg) writebacks
 
-let encode_request ~reg r =
-  let enc = Enc.create () in
-  encode_request_body ~reg enc r;
-  Enc.to_string enc
+(* Every frame is encoded into one scratch encoder and copied out, so a
+   frame costs only its string. Encoding never re-enters itself: items
+   arrive already encoded. *)
+let scratch = Enc.create ~initial:4096 ()
+
+let encoded f =
+  Enc.clear scratch;
+  f scratch;
+  Enc.to_string scratch
+
+let encode_request ~reg r = encoded (fun enc -> encode_request_body ~reg enc r)
 
 (* Retry-envelope framing: tag 15 prefixes a sequence number before the
    ordinary request body. Tag 15 is far from the live request tags so an
@@ -255,11 +262,10 @@ let encode_request ~reg r =
 let framed_tag = 15
 
 let encode_framed ~reg ~seq r =
-  let enc = Enc.create () in
-  Enc.int enc framed_tag;
-  Enc.int enc seq;
-  encode_request_body ~reg enc r;
-  Enc.to_string enc
+  encoded (fun enc ->
+      Enc.int enc framed_tag;
+      Enc.int enc seq;
+      encode_request_body ~reg enc r)
 
 let decode_request_tagged ~reg dec tag =
   match tag with
@@ -396,8 +402,8 @@ let response_label = function
   | Offload_return _ -> "offload-return"
 
 let encode_response ~reg r =
-  let enc = Enc.create () in
-  (match r with
+  encoded @@ fun enc ->
+  match r with
   | Return { results; writebacks; eager } ->
     Enc.int enc 0;
     Enc.list enc (encode_wvalue ~reg) results;
@@ -429,8 +435,7 @@ let encode_response ~reg r =
     Enc.int enc 7;
     Enc.list enc Enc.hyper results;
     Enc.list enc (encode_item ~reg) writebacks;
-    Enc.list enc (encode_lp ~reg) wset);
-  Enc.to_string enc
+    Enc.list enc (encode_lp ~reg) wset
 
 let decode_response ~reg s =
   let dec = Dec.of_string s in

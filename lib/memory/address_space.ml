@@ -5,7 +5,11 @@ type fault = { space : Space_id.t; addr : int; page : int; access : access }
 exception Page_fault of fault
 exception Segv of { space : Space_id.t; addr : int; access : access }
 
-type page = { data : Bytes.t; mutable prot : Prot.t }
+type page = {
+  data : Bytes.t;
+  mutable prot : Prot.t;
+  mutable written : int;  (** every byte at or past this offset is zero *)
+}
 
 type t = {
   id : Space_id.t;
@@ -13,6 +17,9 @@ type t = {
   page_size : int;
   page_shift : int;
   pages : page Int_table.t;
+  mutable spare : page list;
+      (** unmapped pages, whose frames the next [map]s reuse: spare plus
+          mapped frames never exceed the peak mapped-page count *)
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -24,7 +31,14 @@ let log2 n =
 let create ?(page_size = 4096) ~id ~arch () =
   if not (is_power_of_two page_size) then
     invalid_arg "Address_space.create: page_size must be a power of two";
-  { id; arch; page_size; page_shift = log2 page_size; pages = Int_table.create 64 }
+  {
+    id;
+    arch;
+    page_size;
+    page_shift = log2 page_size;
+    pages = Int_table.create 64;
+    spare = [];
+  }
 
 let id t = t.id
 let arch t = t.arch
@@ -32,12 +46,34 @@ let page_size t = t.page_size
 let page_of_addr t addr = addr lsr t.page_shift
 let page_base t page = page lsl t.page_shift
 
+(* A page's frame is zero-filled whether it is new or reused, and no
+   caller keeps a page's bytes past the access that got them, so a
+   reused frame is indistinguishable from a new one. Reuse zeroes only
+   the bytes up to the write mark: a cache page often holds one small
+   datum. *)
 let map t ~page ~prot =
-  match Int_table.find_opt t.pages page with
-  | Some p -> p.prot <- prot
-  | None -> Int_table.add t.pages page { data = Bytes.make t.page_size '\000'; prot }
+  match Int_table.find t.pages page with
+  | p -> p.prot <- prot
+  | exception Not_found ->
+    let p =
+      match t.spare with
+      | p :: rest ->
+        t.spare <- rest;
+        Bytes.fill p.data 0 p.written '\000';
+        p.prot <- prot;
+        p.written <- 0;
+        p
+      | [] -> { data = Bytes.make t.page_size '\000'; prot; written = 0 }
+    in
+    Int_table.add t.pages page p
 
-let unmap t ~page = Int_table.remove t.pages page
+let unmap t ~page =
+  match Int_table.find t.pages page with
+  | p ->
+    Int_table.remove t.pages page;
+    t.spare <- p :: t.spare
+  | exception Not_found -> ()
+
 let is_mapped t ~page = Int_table.mem t.pages page
 
 let protection t ~page =
@@ -109,6 +145,9 @@ let access t ~addr ~len acc ~check f x =
     | p ->
       if check && not (allows p.prot acc) then
         raise (Page_fault { space = t.id; addr; page; access = acc });
+      (match acc with
+      | Write -> if off + len > p.written then p.written <- off + len
+      | Read -> ());
       f t.arch p.data off x
     | exception Not_found -> raise (Segv { space = t.id; addr; access = acc })
   end
@@ -122,6 +161,7 @@ let access t ~addr ~len acc ~check f x =
     | Read -> ()
     | Write ->
       iter_range t ~addr ~len ~access:Write ~check:false (fun p off src chunk ->
+          if off + chunk > p.written then p.written <- off + chunk;
           Bytes.blit buf src p.data off chunk));
     v
   end

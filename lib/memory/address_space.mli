@@ -46,7 +46,9 @@ val page_base : t -> int -> int
 val map : t -> page:int -> prot:Prot.t -> unit
 
 (** [unmap t ~page] discards the page and its contents. Unmapping an
-    unmapped page is a no-op. *)
+    unmapped page is a no-op. The page's frame is kept and handed,
+    zero-filled, to the next {!map} of a new page, so a space holds at
+    most as many frames as it ever had pages mapped at once. *)
 val unmap : t -> page:int -> unit
 
 val is_mapped : t -> page:int -> bool

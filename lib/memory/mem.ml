@@ -108,9 +108,6 @@ let store_word m ~addr v =
   Codec.check_word a v;
   store m ~addr ~len:a.Arch.word_size Codec.set_word v
 
-let load_bytes m ~addr ~len = Mmu.read m ~addr ~len
-let store_bytes m ~addr b = Mmu.write m ~addr b
-
 let raw_load_word space ~addr =
   Address_space.access space ~addr ~len:(Address_space.arch space).Arch.word_size
     Address_space.Read ~check:false get_word ()
@@ -120,13 +117,3 @@ let raw_store_word space ~addr v =
   Codec.check_word a v;
   Address_space.access space ~addr ~len:a.Arch.word_size Address_space.Write
     ~check:false Codec.set_word v
-
-let raw_load_i64 space ~addr =
-  Address_space.access space ~addr ~len:8 Address_space.Read ~check:false
-    (fun a b off () -> Codec.get_i64 a.Arch.endian b off)
-    ()
-
-let raw_store_i64 space ~addr v =
-  Address_space.access space ~addr ~len:8 Address_space.Write ~check:false
-    (fun a b off v -> Codec.set_i64 a.Arch.endian b off v)
-    v

@@ -52,12 +52,8 @@ val store_f32 : Mmu.t -> addr:int -> float -> unit
 val load_word : Mmu.t -> addr:int -> int
 
 val store_word : Mmu.t -> addr:int -> int -> unit
-val load_bytes : Mmu.t -> addr:int -> len:int -> bytes
-val store_bytes : Mmu.t -> addr:int -> bytes -> unit
 
 (** System-path accesses (protection ignored). *)
 
 val raw_load_word : Address_space.t -> addr:int -> int
 val raw_store_word : Address_space.t -> addr:int -> int -> unit
-val raw_load_i64 : Address_space.t -> addr:int -> int64
-val raw_store_i64 : Address_space.t -> addr:int -> int64 -> unit

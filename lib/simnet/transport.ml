@@ -161,8 +161,11 @@ let rpc t ~src ~dst request =
   match Hashtbl.find_opt t.dispatchers dst with
   | None -> raise (Unknown_endpoint dst)
   | Some dispatch -> (
-    Log.debug (fun m ->
-        m "rpc %s -> %s (%d bytes)" src dst (String.length request));
+    (* checked first: the message closure would cost every frame *)
+    (match Logs.Src.level src_log with
+    | Some Logs.Debug ->
+      Log.debug (fun m -> m "rpc %s -> %s (%d bytes)" src dst (String.length request))
+    | Some _ | None -> ());
     match t.faults with
     | None ->
       charge_frame t ~src ~dst ~dir:Trace.Request request;

@@ -6,6 +6,7 @@ module Enc = struct
   type t = Buffer.t
 
   let create ?(initial = 256) () = Buffer.create initial
+  let clear = Buffer.clear
   let length = Buffer.length
   let int32 t v = Buffer.add_int32_be t v
 

@@ -14,6 +14,10 @@ module Enc : sig
 
   val create : ?initial:int -> unit -> t
 
+  (** [clear t] empties [t] and keeps its storage, so one encoder can be
+      reused for many encodings. *)
+  val clear : t -> unit
+
   (** Current encoded size in bytes. *)
   val length : t -> int
 

@@ -980,11 +980,11 @@ let test_access_field_offsets_per_registry () =
 
 (* --- host cost of the untraced path --- *)
 
-(* Fully eager sessions over a depth-8 tree (255 nodes): the call ships
-   the whole tree and the callee reads every node. *)
-let eager_tree_sessions () =
+(* Sessions over a depth-8 tree (255 nodes) in which the callee reads
+   every node: fully eager, the call ships the whole tree; fully lazy,
+   each node is one fault and one fetch. *)
+let tree_sessions strategy =
   let cluster = Cluster.create () in
-  let strategy = Strategy.fully_eager in
   let a = Cluster.add_node cluster ~site:1 ~strategy () in
   let b = Cluster.add_node cluster ~site:2 ~strategy () in
   Srpc_workloads.Tree.register_types cluster;
@@ -1009,8 +1009,13 @@ let eager_tree_sessions () =
    boxed XDR integers and tuple-keyed lookups cost 139,036. *)
 let untraced_minor_words_bound = 71_610. *. 1.25
 
-let test_untraced_allocation () =
-  let _, session = eager_tree_sessions () in
+(* The same for a fully lazy session: 255 faults, each one fetch. Before
+   the fault path stopped rebuilding codec contexts, frame buffers and
+   one-datum tables per fetch, it allocated 182,999. *)
+let untraced_lazy_minor_words_bound = 124_574. *. 1.25
+
+let check_untraced_allocation strategy ~bound =
+  let _, session = tree_sessions strategy in
   Alcotest.(check bool) "warm-up visits every node" true (session ());
   let sessions = 4 in
   let ok = ref true in
@@ -1020,15 +1025,21 @@ let test_untraced_allocation () =
   done;
   let per_session = (Gc.minor_words () -. w0) /. float_of_int sessions in
   Alcotest.(check bool) "every session visits every node" true !ok;
-  if per_session > untraced_minor_words_bound then
+  if per_session > bound then
     Alcotest.failf "%.0f minor words per untraced session, bound %.0f" per_session
-      untraced_minor_words_bound
+      bound
+
+let test_untraced_allocation () =
+  check_untraced_allocation Strategy.fully_eager ~bound:untraced_minor_words_bound
+
+let test_untraced_lazy_allocation () =
+  check_untraced_allocation Strategy.fully_lazy ~bound:untraced_lazy_minor_words_bound
 
 (* Tracing still witnesses every access: the race checker is fed as many
    [Trace.Access] marks for these sessions as before the untraced path
    stopped naming data. *)
 let test_traced_access_marks () =
-  let cluster, session = eager_tree_sessions () in
+  let cluster, session = tree_sessions Strategy.fully_eager in
   let trace = Trace.create () in
   Transport.set_trace (Cluster.transport cluster) (Some trace);
   for _ = 1 to 5 do
@@ -1194,6 +1205,8 @@ let () =
         [
           tc "untraced sessions stay within their allocation" `Quick
             test_untraced_allocation;
+          tc "untraced lazy sessions stay within their allocation" `Quick
+            test_untraced_lazy_allocation;
           tc "traced sessions witness every access" `Quick test_traced_access_marks;
         ] );
       ( "misc",

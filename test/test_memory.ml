@@ -140,6 +140,45 @@ let test_space_unmap () =
   Alcotest.(check bool) "unmapped" false (Address_space.is_mapped s ~page:1);
   Address_space.unmap s ~page:1 (* idempotent *)
 
+(* A page's frame outlives its unmap and is handed to the next map, so
+   what an unmapped page held must never show through. *)
+let test_space_remap_reads_zero () =
+  let s = mk_space () in
+  let pages = [ 1; 2 ] in
+  List.iter (fun page -> Address_space.map s ~page ~prot:Prot.Read_write) pages;
+  (* one write on page 2 alone, one straddling pages 1 and 2 *)
+  Address_space.write s ~addr:612 (Bytes.make 8 'x');
+  Address_space.write s ~addr:504 (Bytes.make 16 'y');
+  List.iter (fun page -> Address_space.unmap s ~page) pages;
+  List.iter (fun page -> Address_space.map s ~page ~prot:Prot.Read_only) pages;
+  Alcotest.(check string) "zero-filled" (String.make 512 '\000')
+    (Bytes.to_string (Address_space.read s ~addr:256 ~len:512))
+
+(* A 4 KiB frame is too big for the minor heap, so each new frame adds
+   its words to the major-heap count of [Gc.counters]; an unmap/map
+   cycle reuses the frame and must add fewer words than one frame over
+   all its cycles. *)
+let test_space_remap_allocates_no_frame () =
+  let page_size = 4096 in
+  let s = mk_space ~page_size () in
+  Address_space.map s ~page:1 ~prot:Prot.Read_write;
+  Address_space.unmap s ~page:1;
+  let frame_words = float_of_int (page_size / (Sys.word_size / 8)) in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  Gc.minor ();
+  let w0 = major_words () in
+  for _ = 1 to 1_000 do
+    Address_space.map s ~page:1 ~prot:Prot.Read_write;
+    Address_space.unmap s ~page:1
+  done;
+  let words = major_words () -. w0 in
+  if words >= frame_words then
+    Alcotest.failf "1000 remap cycles added %.0f major words; one frame is %.0f"
+      words frame_words
+
 let test_space_ensure_mapped_partial () =
   let s = mk_space () in
   Address_space.map s ~page:1 ~prot:Prot.Read_only;
@@ -489,6 +528,8 @@ let () =
           tc "unchecked path ignores protection" `Quick test_space_unchecked_ignores_protection;
           tc "remap keeps contents" `Quick test_space_remap_keeps_contents;
           tc "unmap" `Quick test_space_unmap;
+          tc "remapped page reads zero" `Quick test_space_remap_reads_zero;
+          tc "remap reuses the frame" `Quick test_space_remap_allocates_no_frame;
           tc "ensure_mapped maps only gaps" `Quick test_space_ensure_mapped_partial;
           tc "zero-length access" `Quick test_space_zero_length_access;
           tc "fill zero" `Quick test_space_fill_zero;

@@ -17,6 +17,7 @@
      is byte-identical to the trace the tree produced before concurrent
      admission existed, pinned by digest. *)
 
+open Srpc_memory
 open Srpc_core
 open Srpc_simnet
 open Srpc_analysis
@@ -356,6 +357,44 @@ let test_reorder_invalidate_caught_under_admission () =
   if r.Traffic.r_race_errors = 0 then
     Alcotest.fail "Race_lint missed the stale copies the defect left behind"
 
+(* Dropping an admitted session unmaps every cache page it emptied: N
+   admitted sessions, each caching the whole tree at the callee, leave
+   no cache page mapped there. Each once stayed mapped for the node's
+   life. *)
+let test_admitted_drops_unmap_pages () =
+  let cluster = Cluster.create () in
+  let a = Cluster.add_node cluster ~site:1 () in
+  let b = Cluster.add_node cluster ~site:2 () in
+  Srpc_workloads.Tree.register_types cluster;
+  let root = Srpc_workloads.Tree.build a ~depth:4 in
+  Node.register b "visit" (fun node args ->
+      let visited, _ =
+        Srpc_workloads.Tree.visit node (Access.of_value (List.hd args))
+          ~limit:max_int
+      in
+      [ Value.int visited ]);
+  let adm = Admission.create (Cluster.stats cluster) in
+  let sessions = 64 in
+  for _ = 1 to sessions do
+    let id = Node.reserve_session a in
+    (match Node.request_admission a adm ~id ~footprint:(fp_of "tree" [ w "tree" ]) with
+    | Admission.Admitted -> ()
+    | _ -> Alcotest.fail "a lone session was not admitted");
+    (match Node.call a ~dst:(Node.id b) "visit" [ Access.to_value root ] with
+    | [ v ] -> Alcotest.(check int) "visits every node" 15 (Value.to_int v)
+    | _ -> Alcotest.fail "visit returned no count");
+    match Node.end_session_validated a adm with
+    | `Committed, [] -> ()
+    | _ -> Alcotest.fail "the close did not commit alone"
+  done;
+  let space = Node.space b in
+  let cache_pages =
+    List.filter
+      (fun page -> Cache.in_region (Node.cache b) (Address_space.page_base space page))
+      (Address_space.mapped_pages space)
+  in
+  Alcotest.(check int) "cache pages mapped at the callee" 0 (List.length cache_pages)
+
 (* {1 The shared counter: no lost update} *)
 
 let test_counter_serializes () =
@@ -608,6 +647,8 @@ let () =
             test_admitted_close_records_outcomes;
           tc "reordered invalidation caught under admission" `Quick
             test_reorder_invalidate_caught_under_admission;
+          tc "admitted drops unmap emptied cache pages" `Quick
+            test_admitted_drops_unmap_pages;
         ] );
       ( "counter",
         [
