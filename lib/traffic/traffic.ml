@@ -577,8 +577,8 @@ type counter_outcome = {
   k_committed : int;
   k_final : int;
   k_validation_failures : int;
-  k_race_errors : int;
-  k_proto_errors : int;
+  k_race : Diagnostic.t list;
+  k_proto : Diagnostic.t list;
 }
 
 let run_counter ?(chaos = false) ~clients ~policy () =
@@ -686,12 +686,11 @@ let run_counter ?(chaos = false) ~clients ~policy () =
   let cell = Srpc_workloads.Linked_list.nth server head 0 in
   let final = Access.get_int server cell ~field:"value" in
   let snap = Cluster.snapshot cluster in
-  let errors ds = List.length (List.filter Diagnostic.is_error ds) in
   {
     k_clients = clients;
     k_committed = !committed;
     k_final = final;
     k_validation_failures = snap.Stats.validations_failed;
-    k_race_errors = errors (Race_lint.check trace);
-    k_proto_errors = errors (Proto_lint.check trace);
+    k_race = Race_lint.check trace;
+    k_proto = Proto_lint.check trace;
   }

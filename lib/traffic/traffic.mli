@@ -142,8 +142,10 @@ type counter_outcome = {
   k_committed : int;
   k_final : int;  (** the counter cell's closing value *)
   k_validation_failures : int;
-  k_race_errors : int;
-  k_proto_errors : int;
+  k_race : Srpc_analysis.Diagnostic.t list;
+      (** [Race_lint]'s report over the full trace *)
+  k_proto : Srpc_analysis.Diagnostic.t list;
+      (** [Proto_lint]'s report over the full trace *)
 }
 
 val run_counter :

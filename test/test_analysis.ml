@@ -166,7 +166,13 @@ let req src dst = ev ~bytes:4 src dst (Trace.Message Trace.Request)
 let rep src dst = ev ~bytes:4 src dst (Trace.Message Trace.Reply)
 let mark src kind = ev src src kind
 
-let proto_ids events = rule_ids (Proto_lint.check_events events)
+(* Every synthetic trace the linter tests check, newest first: the
+   pinned-report test replays the tests to collect them. *)
+let linted = ref []
+
+let proto_ids events =
+  linted := events :: !linted;
+  rule_ids (Proto_lint.check_events events)
 
 let close_phase ground peer id =
   (* a well-formed session close: write-back, then invalidation *)
@@ -730,7 +736,9 @@ let test_staged_delta_after_commit () =
 let acc ?(session = 1) src datum akind =
   mark src (Trace.Access { session; datum; akind })
 
-let race_ids events = rule_ids (Race_lint.check_events events)
+let race_ids events =
+  linted := events :: !linted;
+  rule_ids (Race_lint.check_events events)
 
 let test_cc101_unordered_writes () =
   (* two spaces write the same datum with no frame between them *)
@@ -954,6 +962,69 @@ let test_catalogue_covers_emitted_rules () =
       "CC001"; "CC002"; "CC003"; "CC004"; "CC005";
       "CC101"; "CC102"; "CC103" ]
 
+let proto_lint_tests =
+  [
+    ("clean trace", test_clean_trace);
+    ("nested calls ok", test_nested_calls_ok);
+    ("overlapping requests", test_overlapping_requests);
+    ("mismatched reply", test_mismatched_reply);
+    ("unreplied request", test_unreplied_request);
+    ("traffic outside session", test_traffic_outside_session);
+    ("invalidate before write-back", test_invalidate_before_writeback);
+    ("clean abort trace", test_clean_abort_trace);
+    ("abort with write-back", test_abort_with_writeback);
+    ("abort without invalidation", test_abort_without_invalidation);
+    ("frame after crash", test_frame_after_crash);
+    ("crash and revive clean", test_crash_revive_clean);
+    ("SP009 shed while open", test_shed_while_open);
+    ("SP009 begin after shed", test_begin_after_shed);
+    ("SP009 breaker bypassed", test_breaker_bypassed);
+    ("dropped and dup frames tolerated", test_dropped_and_dup_frames_tolerated);
+    ("runtime trace verifies", test_runtime_trace_verifies);
+    ("targeted invalidation misses a casher", test_targeted_invalidation_misses_casher);
+    ("targeted invalidation clean", test_targeted_invalidation_clean);
+    ("abort exempts SP007", test_targeted_invalidation_abort_exempt);
+    ("copy state resets between sessions", test_copy_state_resets_between_sessions);
+    ("delta call mispaired", test_delta_call_mispaired);
+    ("delta invalidation frame before write-back", test_delta_inv_frame_before_writeback);
+    ("staged delta after commit point", test_staged_delta_after_commit);
+    ("SP010 offload without footprint", test_offload_without_footprint);
+    ("SP010 offload into ground", test_offload_into_ground);
+    ("SP010 offload to dead peer", test_offload_to_dead_peer);
+    ("SP010 per-session footprint", test_offload_footprint_multi);
+  ]
+
+let race_lint_tests =
+  [
+    ("CC101 unordered writes", test_cc101_unordered_writes);
+    ("CC102 stale copy", test_cc102_stale_copy);
+    ("CC102 lost write-back", test_cc102_lost_writeback);
+    ("CC103 use after free", test_cc103_use_after_free);
+  ]
+
+(* Both linters' whole reports (rule, space, locus and message) over
+   every synthetic trace the tests above check, pinned by digest: those
+   tests compare rule ids only. Each report's lines are sorted first,
+   since [Diagnostic.sort] leaves the order of diagnostics that tie on
+   space, rule and locus unspecified. *)
+let test_synthetic_reports_pinned () =
+  linted := [];
+  List.iter (fun (_, f) -> f ()) (proto_lint_tests @ race_lint_tests);
+  let reports =
+    List.rev_map
+      (fun events ->
+        Race_lint.check_events events @ Proto_lint.check_events events
+        |> List.map (Format.asprintf "%a" Diagnostic.pp)
+        |> List.sort String.compare)
+      !linted
+  in
+  Alcotest.(check (pair int int)) "traces, diagnostics" (51, 44)
+    (List.length reports, List.length (List.concat reports));
+  Alcotest.(check string) "reports" "5f2e010559d23c1fdd396d02c31364e2"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n--\n" (List.map (String.concat "\n") reports))))
+
 let tc = Alcotest.test_case
 
 let () =
@@ -974,52 +1045,10 @@ let () =
           tc "validate raises" `Quick test_validate_raises;
           tc "node startup validation" `Quick test_node_startup_validation;
         ] );
-      ( "proto-lint",
-        [
-          tc "clean trace" `Quick test_clean_trace;
-          tc "nested calls ok" `Quick test_nested_calls_ok;
-          tc "overlapping requests" `Quick test_overlapping_requests;
-          tc "mismatched reply" `Quick test_mismatched_reply;
-          tc "unreplied request" `Quick test_unreplied_request;
-          tc "traffic outside session" `Quick test_traffic_outside_session;
-          tc "invalidate before write-back" `Quick test_invalidate_before_writeback;
-          tc "clean abort trace" `Quick test_clean_abort_trace;
-          tc "abort with write-back" `Quick test_abort_with_writeback;
-          tc "abort without invalidation" `Quick test_abort_without_invalidation;
-          tc "frame after crash" `Quick test_frame_after_crash;
-          tc "crash and revive clean" `Quick test_crash_revive_clean;
-          tc "SP009 shed while open" `Quick test_shed_while_open;
-          tc "SP009 begin after shed" `Quick test_begin_after_shed;
-          tc "SP009 breaker bypassed" `Quick test_breaker_bypassed;
-          tc "dropped and dup frames tolerated" `Quick test_dropped_and_dup_frames_tolerated;
-          tc "runtime trace verifies" `Quick test_runtime_trace_verifies;
-          tc "targeted invalidation misses a casher" `Quick
-            test_targeted_invalidation_misses_casher;
-          tc "targeted invalidation clean" `Quick
-            test_targeted_invalidation_clean;
-          tc "abort exempts SP007" `Quick
-            test_targeted_invalidation_abort_exempt;
-          tc "copy state resets between sessions" `Quick
-            test_copy_state_resets_between_sessions;
-          tc "delta call mispaired" `Quick test_delta_call_mispaired;
-          tc "delta invalidation frame before write-back" `Quick
-            test_delta_inv_frame_before_writeback;
-          tc "staged delta after commit point" `Quick
-            test_staged_delta_after_commit;
-          tc "SP010 offload without footprint" `Quick
-            test_offload_without_footprint;
-          tc "SP010 offload into ground" `Quick test_offload_into_ground;
-          tc "SP010 offload to dead peer" `Quick test_offload_to_dead_peer;
-          tc "SP010 per-session footprint" `Quick
-            test_offload_footprint_multi;
-        ] );
-      ( "race-lint",
-        [
-          tc "CC101 unordered writes" `Quick test_cc101_unordered_writes;
-          tc "CC102 stale copy" `Quick test_cc102_stale_copy;
-          tc "CC102 lost write-back" `Quick test_cc102_lost_writeback;
-          tc "CC103 use after free" `Quick test_cc103_use_after_free;
-        ] );
+      ("proto-lint", List.map (fun (n, f) -> tc n `Quick f) proto_lint_tests);
+      ("race-lint", List.map (fun (n, f) -> tc n `Quick f) race_lint_tests);
+      ( "pinned",
+        [ tc "synthetic trace reports" `Quick test_synthetic_reports_pinned ] );
       ( "footprint",
         [
           tc "recursive type widens" `Quick test_footprint_recursive_widens;

@@ -239,6 +239,37 @@ let test_reorder_mutation_detected () =
      copies survive into the next session, caught as CC102(a) *)
   run_mutation ~name:"invalidate-reorder" Node.chaos_reorder_invalidate
 
+(* The linters' whole reports (rule, space, locus and message) over the
+   traces of a check run with the write-back defect planted, pinned by
+   digest: the mutation tests above look for a rule id only. Lines are
+   sorted first, since [Diagnostic.sort] leaves the order of
+   diagnostics that tie on space, rule and locus unspecified. *)
+let test_lost_writeback_reports_pinned () =
+  let lines = ref [] and failing = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Node.chaos_lose_first_writeback := false)
+    (fun () ->
+      Node.chaos_lose_first_writeback := true;
+      for seed = 0 to 59 do
+        let plan = Script.resolve (Gen.script ~seed ~depth:12 ~fault:None) in
+        let trace = (Interp.run plan).Interp.trace in
+        let ds =
+          Srpc_analysis.(Race_lint.check trace @ Proto_lint.check trace)
+        in
+        if ds <> [] then incr failing;
+        List.iter
+          (fun d ->
+            lines :=
+              Format.asprintf "seed %d %a" seed Srpc_analysis.Diagnostic.pp d
+              :: !lines)
+          ds
+      done);
+  Alcotest.(check (pair int int)) "failing seeds, diagnostics" (16, 23)
+    (!failing, List.length !lines);
+  Alcotest.(check string) "reports" "e05b43d876c791396f9bd71eef5c073f"
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (List.sort String.compare !lines))))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "check"
@@ -265,5 +296,7 @@ let () =
             test_mutation_detected_and_shrunk;
           tc "invalidate-reorder defect detected and shrunk" `Quick
             test_reorder_mutation_detected;
+          tc "write-back defect reports pinned" `Quick
+            test_lost_writeback_reports_pinned;
         ] );
     ]

@@ -406,8 +406,9 @@ let test_counter_serializes () =
         o.Traffic.k_final;
       Alcotest.(check int) "no validation failures" 0
         o.Traffic.k_validation_failures;
-      Alcotest.(check int) "no races" 0 o.Traffic.k_race_errors;
-      Alcotest.(check int) "no protocol violations" 0 o.Traffic.k_proto_errors)
+      Alcotest.(check int) "no races" 0 (Diagnostic.count_errors o.Traffic.k_race);
+      Alcotest.(check int) "no protocol violations" 0
+        (Diagnostic.count_errors o.Traffic.k_proto))
     [ Strategy.Queue_conflicts; Strategy.Abort_retry ]
 
 let test_counter_chaos_detected () =
@@ -424,10 +425,66 @@ let test_counter_chaos_detected () =
     o.Traffic.k_committed o.Traffic.k_final;
   if o.Traffic.k_validation_failures = 0 then
     Alcotest.fail "overlapping bumps never failed validation";
-  if o.Traffic.k_race_errors = 0 then
+  if Diagnostic.count_errors o.Traffic.k_race = 0 then
     Alcotest.fail "Race_lint missed the chaos-admitted overlap (CC101)";
-  if o.Traffic.k_proto_errors = 0 then
+  if Diagnostic.count_errors o.Traffic.k_proto = 0 then
     Alcotest.fail "the protocol linter missed the overlap (SP008)"
+
+(* {1 Pinned diagnostics}
+
+   The linters' whole reports (rule, space, locus and message) over runs
+   that carry defects, pinned by digest. The checks above compare rule
+   ids only, so they cannot see a message change. *)
+
+(* A report's lines in sorted order: [Diagnostic.sort] orders a report
+   by space, rule and locus, and leaves diagnostics that tie on all
+   three in the order the linter found them, which no caller relies on. *)
+let report_digest ds =
+  let lines = List.map (Format.asprintf "%a" Diagnostic.pp) ds in
+  Digest.to_hex (Digest.string (String.concat "\n" (List.sort String.compare lines)))
+
+(* [Traffic.run]'s trace: an arming that installs nothing but swaps in a
+   trace the test keeps, before the first session opens. *)
+let traffic_trace cfg =
+  let trace = Trace.create () in
+  let arming =
+    {
+      Traffic.a_faults =
+        (fun cluster _ ->
+          Transport.set_trace (Cluster.transport cluster) (Some trace);
+          None);
+      a_queue_cap = max_int;
+      a_retry_budget = max_int;
+      a_give_up = None;
+      a_outages = [];
+    }
+  in
+  ignore (Traffic.open_loop ~arming ~name:"traffic" ~horizon:Float.infinity cfg);
+  trace
+
+let test_reorder_invalidate_diagnostics () =
+  Node.chaos_reorder_invalidate := true;
+  let trace =
+    Fun.protect
+      ~finally:(fun () -> Node.chaos_reorder_invalidate := false)
+      (fun () -> traffic_trace { Traffic.default with Traffic.seed = 2 })
+  in
+  let race = Race_lint.check trace and proto = Proto_lint.check trace in
+  Alcotest.(check (pair int int)) "report sizes" (27, 0)
+    (List.length race, List.length proto);
+  Alcotest.(check string) "Race_lint report" "476cff6aa48b99cc94794589d3aeddb3"
+    (report_digest race)
+
+let test_counter_chaos_diagnostics () =
+  let o =
+    Traffic.run_counter ~chaos:true ~clients:6 ~policy:Strategy.Queue_conflicts ()
+  in
+  Alcotest.(check (pair int int)) "report sizes" (6, 35)
+    (List.length o.Traffic.k_race, List.length o.Traffic.k_proto);
+  Alcotest.(check string) "Race_lint report" "5d8e6780ba63ce0205cc9e681ec67f67"
+    (report_digest o.Traffic.k_race);
+  Alcotest.(check string) "Proto_lint report" "9e4321ce81a9aa370b0781893b29340f"
+    (report_digest o.Traffic.k_proto)
 
 (* {1 The chaos soak: recovery and overload protection, end to end} *)
 
@@ -655,6 +712,12 @@ let () =
           tc "admission serializes the bumps" `Quick test_counter_serializes;
           tc "chaos overlap caught, no lost update" `Quick
             test_counter_chaos_detected;
+        ] );
+      ( "diagnostics",
+        [
+          tc "reordered invalidation report pinned" `Quick
+            test_reorder_invalidate_diagnostics;
+          tc "chaos counter report pinned" `Quick test_counter_chaos_diagnostics;
         ] );
       ( "soak",
         [
