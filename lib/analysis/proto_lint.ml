@@ -1,4 +1,5 @@
 open Srpc_simnet
+module Int_table = Srpc_memory.Int_table
 
 (* The verifier replays a trace against the paper's session model
    (section 3.1): one ground thread opens a session; the single thread
@@ -36,11 +37,12 @@ type sess = {
       (* endpoints that received a data copy (Copy notes) *)
   inval_dsts : (string, unit) Hashtbl.t;
       (* endpoints the ground sent (or attempted) an invalidation to *)
-  writes : (string, unit) Hashtbl.t;  (* datum roots written so far *)
-  touched : (string, unit) Hashtbl.t;
+  mutable writes : (string * unit Int_table.t) list;
+      (* datums written so far: per home endpoint, their addresses *)
+  mutable touched : string list;
       (* spaces whose data the session's footprint covers, harvested
-         from the space prefix of its Access datums ("space/addr") —
-         the set an offload-call may legitimately target (SP010) *)
+         from the homes of its Access marks — the set an offload-call
+         may legitimately target (SP010) *)
   dead_at_begin : (string, unit) Hashtbl.t;
       (* endpoints already past their crash mark when the session
          began *)
@@ -56,12 +58,31 @@ type state = {
   mutable out : Diagnostic.t list;
 }
 
-(* The home-space prefix of a datum rendered "space/addr"; wildcard
-   footprints ("*") and malformed datums carry no space. *)
-let datum_space datum =
-  match String.index_opt datum '/' with
-  | Some i when i > 0 -> Some (String.sub datum 0 i)
-  | _ -> None
+(* The runtime names each endpoint by a few shared strings, so these
+   small lists are searched with [String.equal], which settles equal
+   pointers without reading a byte. *)
+let rec addrs_of home = function
+  | [] -> raise Not_found
+  | (h, addrs) :: rest -> if String.equal h home then addrs else addrs_of home rest
+
+let wrote s ~home ~addr =
+  match addrs_of home s.writes with
+  | addrs -> Int_table.mem addrs addr
+  | exception Not_found -> false
+
+let note_write s ~home ~addr =
+  match addrs_of home s.writes with
+  | addrs -> Int_table.replace addrs addr ()
+  | exception Not_found ->
+    let addrs = Int_table.create 8 in
+    Int_table.add addrs addr ();
+    s.writes <- (home, addrs) :: s.writes
+
+let rec mem_endpoint ep = function
+  | [] -> false
+  | h :: rest -> String.equal h ep || mem_endpoint ep rest
+
+let touched s ep = mem_endpoint ep s.touched
 
 let emit ?(space = "") st idx rule_id message =
   st.out <-
@@ -214,9 +235,6 @@ let begin_sess st idx (e : Trace.event) id =
        | None -> ());
     let dead = Hashtbl.create 4 in
     Hashtbl.iter (fun ep () -> Hashtbl.replace dead ep ()) st.crashed;
-    let touched = Hashtbl.create 8 in
-    (* the ground space's own heap is always in the footprint *)
-    Hashtbl.replace touched e.Trace.src ();
     Hashtbl.replace st.opened id
       {
         id;
@@ -229,8 +247,9 @@ let begin_sess st idx (e : Trace.event) id =
         aborted = false;
         copy_dsts = Hashtbl.create 4;
         inval_dsts = Hashtbl.create 4;
-        writes = Hashtbl.create 8;
-        touched;
+        writes = [];
+        (* the ground space's own heap is always in the footprint *)
+        touched = [ e.Trace.src ];
         dead_at_begin = dead;
       }
   end
@@ -272,7 +291,7 @@ let request st idx (e : Trace.event) =
              s.id e.Trace.dst)
       else if
         (not (String.equal e.Trace.dst s.ground))
-        && not (Hashtbl.mem s.touched e.Trace.dst)
+        && not (touched s e.Trace.dst)
       then
         emit ~space:e.Trace.dst st idx "SP010"
           (Printf.sprintf
@@ -403,38 +422,37 @@ let step st idx (e : Trace.event) =
     (* crash marks may appear outside sessions (planned chaos) *)
     Hashtbl.replace st.crashed ep ()
   | Trace.Revive ep -> Hashtbl.remove st.crashed ep
-  | Trace.Access { session; datum; akind } -> (
+  | Trace.Access { session; home; addr; akind } -> (
     (* datum-granular race analysis belongs to Race_lint; the protocol
        machine harvests the footprint (SP010) and, since a write names
        its session, detects overlapping writes exactly (SP008). Aborted
        sessions discard their writes and are exempt. *)
-    match Hashtbl.find_opt st.opened session with
-    | None -> ()
-    | Some s ->
-      (match datum_space datum with
-      | Some sp -> Hashtbl.replace s.touched sp ()
-      | None -> ());
+    match Hashtbl.find st.opened session with
+    | exception Not_found -> ()
+    | s -> (
+      if addr <> Trace.every_datum && not (touched s home) then
+        s.touched <- home :: s.touched;
       match akind with
       | Trace.Acc_write ->
-        Hashtbl.replace s.writes datum ();
+        note_write s ~home ~addr;
         if not s.aborted then
           Hashtbl.iter
             (fun other_id other ->
               if
                 other_id <> session
                 && (not other.aborted)
-                && Hashtbl.mem other.writes datum
+                && wrote other ~home ~addr
               then
                 emit ~space:e.Trace.src st idx "SP008"
                   (Printf.sprintf
                      "sessions #%d and #%d are concurrently open and both \
-                      wrote %s (conflicting admission: no queue/abort \
+                      wrote %s/%d (conflicting admission: no queue/abort \
                       separates them)"
-                     other_id session datum))
+                     other_id session home addr))
             st.opened
       | Trace.Acc_read | Trace.Acc_serve | Trace.Acc_apply | Trace.Acc_install
       | Trace.Acc_free | Trace.Acc_alloc | Trace.Acc_drop ->
-        ())
+        ()))
 
 let check_events events =
   let st =

@@ -1,93 +1,151 @@
 open Srpc_simnet
+module Int_table = Srpc_memory.Int_table
 
-(* Vector clocks, one per space, keyed by space name. A clock maps
-   space -> count of that space's local steps known to have
-   happened-before this point. *)
-module Sm = Map.Make (String)
+(* Every endpoint a trace names is interned once per check as a [space]
+   with an ordinal. Its vector clock is an int array indexed by ordinal
+   (entries past the end are 0): entry [k] counts the local steps of
+   space [k] known to have happened-before this point. The data homed
+   in a space hang off it by heap address, so the per-datum state is
+   one probe away. *)
+type space = {
+  name : string;
+  ord : int;
+  mutable clock : int array;
+  data : datum Int_table.t;
+  mutable purges : int;
+      (* whole-cache drops, crashes and revivals so far: a copy recorded
+         before the latest one is gone *)
+}
 
-type clock = int Sm.t
+and datum = {
+  home : space;
+  addr : int;
+  (* the last write, for CC101: its writer's ordinal (-1 for none), the
+     writer's own clock entry just after it, and its event index *)
+  mutable writer : int;
+  mutable wtime : int;
+  mutable widx : int;
+  (* the unapplied foreign write, for CC102(b): writer ordinal (-1 for
+     none), session and event index *)
+  mutable pw_writer : int;
+  mutable pw_session : int;
+  mutable pw_idx : int;
+  mutable freed : int;
+      (* the free's event index, -1 unless freed and not reallocated
+         since (CC103) *)
+  mutable copies : copy list;  (* cached copies, for CC102(a) *)
+  mutable reported : (string * int) list;
+      (* (rule, space ordinal) already reported: a stale copy read in a
+         loop is one defect, not fifty *)
+}
 
-let clock_get c k = Option.value ~default:0 (Sm.find_opt k c)
-let clock_tick c k = Sm.add k (clock_get c k + 1) c
+(* [holder]'s copy, installed during session [installed]; it stands
+   while [purge] is the holder's [purges] *)
+and copy = { holder : int; mutable installed : int; mutable purge : int }
 
-let clock_join a b =
-  Sm.union (fun _ x y -> Some (max x y)) a b
-
-(* [a] happened-before (or equals) [b]? *)
-let clock_leq a b = Sm.for_all (fun k v -> v <= clock_get b k) a
-
-(* The home space of a datum named "HOME/ADDR". *)
-let datum_home datum =
-  match String.index_opt datum '/' with
-  | Some i -> String.sub datum 0 i
-  | None -> datum
-
-type last_write = { writer : string; at_clock : clock; widx : int }
-
-type pending = { pw_writer : string; pw_session : int; pw_idx : int }
+(* The space a lookup site returned last. The runtime names a space by
+   one shared string per recording node, so runs of events from one node
+   match it by [==] before any hashing. *)
+type memo = { mutable last : space }
 
 type state = {
-  vcs : (string, clock) Hashtbl.t;
-  (* per-datum last write, for CC101 *)
-  writes : (string, last_write) Hashtbl.t;
-  (* per-space: datum -> session the current cached copy was installed
-     in, for CC102(a); cleared wholesale by Acc_drop / crash / revive *)
-  copies : (string, (string, int) Hashtbl.t) Hashtbl.t;
-  (* per-datum unapplied foreign write, for CC102(b) *)
-  pendings : (string, pending) Hashtbl.t;
-  (* data freed and not yet reallocated, for CC103 *)
-  freed : (string, int) Hashtbl.t;  (* datum -> free event index *)
-  (* session lifecycle *)
-  mutable session : int option;
+  by_name : (string, space) Hashtbl.t;
+  mutable spaces : space array;  (* by ordinal *)
+  mutable count : int;
+  srcs : memo;  (* event sources *)
+  peers : memo;  (* frame destinations and datum homes *)
+  pending_in : datum list Int_table.t;
+      (* per session, the data a foreign write of it left pending (a
+         datum may repeat) *)
+  closed : unit Int_table.t;  (* sessions seen closing (end/abort) *)
   mutable aborted : bool;
-  closed : (int, unit) Hashtbl.t;  (* sessions seen closing (end/abort) *)
-  session_crashes : (string, unit) Hashtbl.t;
+  mutable session_crashes : int list;
       (* spaces that crashed while the current session was open — their
          lost updates are abort semantics, not races *)
-  (* one report per (rule, space, datum): a stale copy read in a loop
-     is one defect, not fifty *)
-  reported : (string, unit) Hashtbl.t;
   mutable out : Diagnostic.t list;
 }
 
-let vc st space =
-  match Hashtbl.find_opt st.vcs space with
-  | Some c -> c
-  | None -> Sm.empty
+let new_space st name =
+  let sp =
+    { name; ord = st.count; clock = [||]; data = Int_table.create 64; purges = 0 }
+  in
+  if st.count = Array.length st.spaces then
+    st.spaces <-
+      Array.init (max 8 (2 * st.count)) (fun i ->
+          if i < st.count then st.spaces.(i) else sp);
+  st.spaces.(st.count) <- sp;
+  st.count <- st.count + 1;
+  Hashtbl.add st.by_name name sp;
+  sp
 
-let set_vc st space c = Hashtbl.replace st.vcs space c
+let intern st name =
+  match Hashtbl.find_opt st.by_name name with
+  | Some sp -> sp
+  | None -> new_space st name
 
-let copies_of st space =
-  match Hashtbl.find_opt st.copies space with
-  | Some m -> m
-  | None ->
-    let m = Hashtbl.create 16 in
-    Hashtbl.add st.copies space m;
-    m
+let lookup st memo name =
+  if memo.last.name == name then memo.last
+  else begin
+    let sp = intern st name in
+    memo.last <- sp;
+    sp
+  end
 
-let emit st idx ~space ~rule ~key message =
-  let k = rule ^ "|" ^ space ^ "|" ^ key in
-  if not (Hashtbl.mem st.reported k) then begin
-    Hashtbl.add st.reported k ();
+let datum_of home addr =
+  match Int_table.find home.data addr with
+  | d -> d
+  | exception Not_found ->
+    let d =
+      { home; addr; writer = -1; wtime = 0; widx = 0; pw_writer = -1;
+        pw_session = 0; pw_idx = 0; freed = -1; copies = []; reported = [] }
+    in
+    Int_table.add home.data addr d;
+    d
+
+let name d = Printf.sprintf "%s/%d" d.home.name d.addr
+
+let emit st idx (d : datum) ~(space : space) ~rule message =
+  if not (List.mem (rule, space.ord) d.reported) then begin
+    d.reported <- (rule, space.ord) :: d.reported;
     st.out <-
-      Diagnostic.make ~space ~severity:Error ~rule_id:rule
+      Diagnostic.make ~space:space.name ~severity:Error ~rule_id:rule
         ~path:(Printf.sprintf "event[%d]" idx)
-        message
+        (message ())
       :: st.out
   end
+
+(* --- vector clocks --- *)
+
+let entry (sp : space) k = if k < Array.length sp.clock then sp.clock.(k) else 0
+
+let reserve (sp : space) n =
+  if Array.length sp.clock < n then begin
+    let c = Array.make n 0 in
+    Array.blit sp.clock 0 c 0 (Array.length sp.clock);
+    sp.clock <- c
+  end
+
+(* A local step of [sp]. *)
+let tick st (sp : space) =
+  reserve sp st.count;
+  sp.clock.(sp.ord) <- sp.clock.(sp.ord) + 1
+
+(* [dst] learns everything [src] knew. *)
+let join (dst : space) (src : space) =
+  reserve dst (Array.length src.clock);
+  Array.iteri (fun k v -> if v > dst.clock.(k) then dst.clock.(k) <- v) src.clock
 
 (* --- happens-before edges --- *)
 
 let frame_edge st ~src ~dst =
   (* a delivered frame: the sender's step, then the receiver learns
      everything the sender knew *)
-  let c = clock_tick (vc st src) src in
-  set_vc st src c;
-  set_vc st dst (clock_join (vc st dst) c)
+  tick st src;
+  join dst src
 
 let drop_edge st ~src =
   (* the send happened; nobody learned about it *)
-  set_vc st src (clock_tick (vc st src) src)
+  tick st src
 
 (* --- the access alphabet --- *)
 
@@ -103,116 +161,144 @@ let touches_payload = function
   | Trace.Acc_apply | Trace.Acc_free | Trace.Acc_alloc | Trace.Acc_drop ->
     false
 
-let check_freed st idx ~space ~datum akind =
-  match Hashtbl.find_opt st.freed datum with
-  | Some fidx when touches_payload akind ->
-    emit st idx ~space ~rule:"CC103" ~key:datum
-      (Printf.sprintf "%s %s %s, freed at event[%d] and never reallocated"
-         (Trace.access_name akind) space datum fidx)
-  | Some _ | None -> ()
+let check_freed st idx ~space d akind =
+  if d.freed >= 0 && touches_payload akind then
+    emit st idx d ~space ~rule:"CC103" (fun () ->
+        Printf.sprintf "%s %s %s, freed at event[%d] and never reallocated"
+          (Trace.access_name akind) space.name (name d) d.freed)
 
-let check_write_order st idx ~space ~datum =
+(* A write is a local step of its own, so a later check can tell "after
+   the write" from "after the writer's last frame". Only the writer's
+   own clock entry is kept: the write happens-before a point of space
+   [s] iff [s]'s entry for the writer has reached it, since a clock
+   entry only ever grows by joining clocks that carry all the writer
+   knew when its entry had that value. *)
+let check_write_order st idx ~(space : space) d =
   (* CC101: the previous write to this datum (from another space) must
      happen-before this one along delivered frames *)
-  (match Hashtbl.find_opt st.writes datum with
-  | Some w
-    when (not (String.equal w.writer space))
-         && not (clock_leq w.at_clock (vc st space)) ->
-    emit st idx ~space ~rule:"CC101" ~key:datum
-      (Printf.sprintf
-         "%s wrote %s concurrently with %s's write at event[%d]: no \
-          happens-before path connects them"
-         space datum w.writer w.widx)
-  | Some _ | None -> ());
-  (* the write is a local step of its own, so a later snapshot compare
-     can tell "after the write" from "after the last frame" *)
-  let c = clock_tick (vc st space) space in
-  set_vc st space c;
-  Hashtbl.replace st.writes datum { writer = space; at_clock = c; widx = idx }
+  if d.writer >= 0 && d.writer <> space.ord && entry space d.writer < d.wtime
+  then
+    emit st idx d ~space ~rule:"CC101" (fun () ->
+        Printf.sprintf
+          "%s wrote %s concurrently with %s's write at event[%d]: no \
+           happens-before path connects them"
+          space.name (name d) st.spaces.(d.writer).name d.widx);
+  tick st space;
+  d.writer <- space.ord;
+  d.wtime <- space.clock.(space.ord);
+  d.widx <- idx
 
-let check_stale_copy st idx ~space ~datum ~session akind =
+let no_copy = { holder = -1; installed = 0; purge = -1 }
+
+let rec find_copy holder = function
+  | [] -> no_copy
+  | c :: rest -> if c.holder = holder then c else find_copy holder rest
+
+let install (space : space) d session =
+  let c = find_copy space.ord d.copies in
+  if c == no_copy then
+    d.copies <- { holder = space.ord; installed = session; purge = space.purges } :: d.copies
+  else begin
+    c.installed <- session;
+    c.purge <- space.purges
+  end
+
+let drop_copy (space : space) d =
+  let c = find_copy space.ord d.copies in
+  if c != no_copy then c.purge <- -1
+
+let check_stale_copy st idx ~space d ~session akind =
   (* CC102(a): the copy being touched was installed during a session
      that already closed — its invalidation never landed here *)
   match akind with
-  | Trace.Acc_read | Trace.Acc_write -> (
-    match Hashtbl.find_opt (copies_of st space) datum with
-    | Some inst
-      when inst <> session && Hashtbl.mem st.closed inst ->
-      emit st idx ~space ~rule:"CC102" ~key:datum
-        (Printf.sprintf
-           "%s %s a copy of %s installed in closed session #%d during \
-            session #%d: the invalidation never reached this space"
-           space
-           (if akind = Trace.Acc_write then "writes" else "reads")
-           datum inst session)
-    | Some _ | None -> ())
+  | Trace.Acc_read | Trace.Acc_write ->
+    let c = find_copy space.ord d.copies in
+    if
+      c.purge = space.purges && c.installed <> session
+      && Int_table.mem st.closed c.installed
+    then
+      emit st idx d ~space ~rule:"CC102" (fun () ->
+          Printf.sprintf
+            "%s %s a copy of %s installed in closed session #%d during \
+             session #%d: the invalidation never reached this space"
+            space.name
+            (if akind = Trace.Acc_write then "writes" else "reads")
+            (name d) c.installed session)
   | _ -> ()
 
-let track_pending st idx ~space ~datum ~session akind =
-  let home = datum_home datum in
+let track_pending st idx ~(space : space) d ~session akind =
   match akind with
-  | Trace.Acc_write when not (String.equal home space) ->
-    Hashtbl.replace st.pendings datum
-      { pw_writer = space; pw_session = session; pw_idx = idx }
-  | Trace.Acc_apply | Trace.Acc_free when String.equal home space ->
-    Hashtbl.remove st.pendings datum
+  | Trace.Acc_write when d.home != space ->
+    if d.pw_writer < 0 || d.pw_session <> session then begin
+      let mine = Option.value ~default:[] (Int_table.find_opt st.pending_in session) in
+      Int_table.replace st.pending_in session (d :: mine)
+    end;
+    d.pw_writer <- space.ord;
+    d.pw_session <- session;
+    d.pw_idx <- idx
+  | (Trace.Acc_apply | Trace.Acc_free) when d.home == space -> d.pw_writer <- -1
   | _ -> ()
 
-let access st idx ~src ~session ~datum akind =
-  if String.equal datum "*" then begin
+let access st idx ~src ~session ~home ~addr akind =
+  let space = lookup st st.srcs src in
+  if addr = Trace.every_datum then begin
     (* a cache purge: every copy this space held is gone *)
     match akind with
-    | Trace.Acc_drop -> Hashtbl.remove st.copies src
+    | Trace.Acc_drop -> space.purges <- space.purges + 1
     | _ -> ()
   end
   else begin
-    check_freed st idx ~space:src ~datum akind;
+    let d = datum_of (lookup st st.peers home) addr in
+    check_freed st idx ~space d akind;
     (match akind with
-    | Trace.Acc_free -> Hashtbl.replace st.freed datum idx
+    | Trace.Acc_free -> d.freed <- idx
     | Trace.Acc_alloc ->
-      Hashtbl.remove st.freed datum;
-      Hashtbl.remove st.writes datum;
-      Hashtbl.remove st.pendings datum
-    | Trace.Acc_install ->
-      Hashtbl.replace (copies_of st src) datum session
+      d.freed <- -1;
+      d.writer <- -1;
+      d.pw_writer <- -1
+    | Trace.Acc_install -> install space d session
     | Trace.Acc_drop ->
       (* session-scoped purge (concurrent admission): the invalidation
          names each dropped copy instead of wiping the whole cache *)
-      Hashtbl.remove (copies_of st src) datum
+      drop_copy space d
     | _ -> ());
-    check_stale_copy st idx ~space:src ~datum ~session akind;
-    if is_write akind then check_write_order st idx ~space:src ~datum;
-    track_pending st idx ~space:src ~datum ~session akind
+    check_stale_copy st idx ~space d ~session akind;
+    if is_write akind then check_write_order st idx ~space d;
+    track_pending st idx ~space d ~session akind
   end
 
 (* --- session lifecycle --- *)
 
 let session_close st idx id ~committed =
-  Hashtbl.replace st.closed id ();
+  Int_table.replace st.closed id ();
+  (* the session's pendings are settled either way: committed ones are
+     judged here, aborted ones are discarded by design *)
+  let mine = Option.value ~default:[] (Int_table.find_opt st.pending_in id) in
+  Int_table.remove st.pending_in id;
+  let settled =
+    List.fold_left
+      (fun acc d ->
+        if d.pw_writer >= 0 && d.pw_session = id then begin
+          let lost = (d.pw_idx, d.pw_writer, d) in
+          d.pw_writer <- -1;
+          lost :: acc
+        end
+        else acc)
+      [] mine
+  in
   if committed then
     (* CC102(b): a committed close guarantees the modified data set
-       reached every home; any write still pending was silently lost *)
-    Hashtbl.iter
-      (fun datum p ->
-        if
-          p.pw_session = id
-          && not (Hashtbl.mem st.session_crashes (datum_home datum))
-        then
-          emit st idx ~space:p.pw_writer ~rule:"CC102" ~key:datum
-            (Printf.sprintf
-               "session #%d committed but %s's write to %s at event[%d] \
-                never reached its home"
-               id p.pw_writer datum p.pw_idx))
-      st.pendings;
-  (* either way the session's pendings are settled: committed ones were
-     just judged, aborted ones are discarded by design *)
-  let drop =
-    Hashtbl.fold
-      (fun datum p acc -> if p.pw_session = id then datum :: acc else acc)
-      st.pendings []
-  in
-  List.iter (Hashtbl.remove st.pendings) drop;
-  st.session <- None;
+       reached every home; any write still pending was silently lost.
+       Lost writes are reported in the order they were made. *)
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) settled
+    |> List.iter (fun (widx, writer, d) ->
+           if not (List.mem d.home.ord st.session_crashes) then
+             let writer = st.spaces.(writer) in
+             emit st idx d ~space:writer ~rule:"CC102" (fun () ->
+                 Printf.sprintf
+                   "session #%d committed but %s's write to %s at event[%d] \
+                    never reached its home"
+                   id writer.name (name d) widx));
   st.aborted <- false
 
 let step st idx (e : Trace.event) =
@@ -224,47 +310,47 @@ let step st idx (e : Trace.event) =
        observe — giving them happens-before edges could mask a genuine
        race between sessions, so they are invisible here *)
     ()
-  | Trace.Message _ -> frame_edge st ~src:e.Trace.src ~dst:e.Trace.dst
-  | Trace.Dup _ ->
-    (* the duplicate still carries the sender's knowledge; the receiver's
+  | Trace.Message _ | Trace.Dup _ ->
+    (* a duplicate still carries the sender's knowledge; the receiver's
        reply cache suppresses re-execution but the join is sound *)
-    frame_edge st ~src:e.Trace.src ~dst:e.Trace.dst
-  | Trace.Dropped _ -> drop_edge st ~src:e.Trace.src
-  | Trace.Session_begin id ->
-    st.session <- Some id;
+    let src = lookup st st.srcs e.Trace.src in
+    frame_edge st ~src ~dst:(lookup st st.peers e.Trace.dst)
+  | Trace.Dropped _ -> drop_edge st ~src:(lookup st st.srcs e.Trace.src)
+  | Trace.Session_begin _ ->
     st.aborted <- false;
-    Hashtbl.reset st.session_crashes
-  | Trace.Session_abort id ->
-    ignore id;
-    st.aborted <- true
+    st.session_crashes <- []
+  | Trace.Session_abort _ -> st.aborted <- true
   | Trace.Session_end id -> session_close st idx id ~committed:(not st.aborted)
   | Trace.Crash ep ->
     (* the space's memory is gone with it *)
-    Hashtbl.remove st.copies ep;
-    Hashtbl.replace st.session_crashes ep ()
+    let sp = intern st ep in
+    sp.purges <- sp.purges + 1;
+    st.session_crashes <- sp.ord :: st.session_crashes
   | Trace.Revive ep ->
     (* it restarts empty-handed *)
-    Hashtbl.remove st.copies ep
-  | Trace.Access { session; datum; akind } ->
-    access st idx ~src:e.Trace.src ~session ~datum akind
+    let sp = intern st ep in
+    sp.purges <- sp.purges + 1
+  | Trace.Access { session; home; addr; akind } ->
+    access st idx ~src:e.Trace.src ~session ~home ~addr akind
   | Trace.Write_back _ | Trace.Invalidate _ | Trace.Copy _
   | Trace.Inval_sent _ | Trace.Session_admit _ | Trace.Session_queued _
   | Trace.Session_shed _ ->
     ()
 
 let check_events events =
+  (* its name is this module's own string, so no event's matches by [==] *)
+  let none = { name = "(none)"; ord = -1; clock = [||]; data = Int_table.create 1; purges = 0 } in
   let st =
     {
-      vcs = Hashtbl.create 8;
-      writes = Hashtbl.create 64;
-      copies = Hashtbl.create 8;
-      pendings = Hashtbl.create 16;
-      freed = Hashtbl.create 16;
-      session = None;
+      by_name = Hashtbl.create 16;
+      spaces = [||];
+      count = 0;
+      srcs = { last = none };
+      peers = { last = none };
+      pending_in = Int_table.create 16;
+      closed = Int_table.create 16;
       aborted = false;
-      closed = Hashtbl.create 16;
-      session_crashes = Hashtbl.create 4;
-      reported = Hashtbl.create 16;
+      session_crashes = [];
       out = [];
     }
   in

@@ -85,18 +85,6 @@ let fp_write_roots (fp : Footprint.t) =
 let pair_conflicts fp fp' =
   List.exists Diagnostic.is_error (Footprint.interferes fp fp')
 
-(* Roots contended between [fp] and the sessions currently open (the
-   queue is not consulted: this reports who we would wait on). *)
-let contended_roots t fp =
-  Hashtbl.fold
-    (fun _ fp' acc ->
-      if pair_conflicts fp fp' then
-        List.filter (fun root -> List.mem root (fp_roots fp')) (fp_roots fp)
-        @ acc
-      else acc)
-    t.open_tbl []
-  |> List.sort_uniq String.compare
-
 let conflicts_with_open t fp =
   Hashtbl.fold (fun _ fp' hit -> hit || pair_conflicts fp fp') t.open_tbl false
 

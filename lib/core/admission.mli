@@ -93,9 +93,6 @@ val validate : t -> session:int -> bool
     session and re-requests admission). *)
 val fail_validation : t -> session:int -> unit
 
-(** Datum roots the candidate would contend with the open sessions. *)
-val contended_roots : t -> Footprint.t -> string list
-
 val open_count : t -> int
 val queue_length : t -> int
 

@@ -451,8 +451,10 @@ let invalidate_session t ~session =
         if e.pins = [] then victims := e :: !victims
       end);
   List.iter (fun e -> remove t e) !victims;
-  (* A page the drop emptied is unmapped and its frame recycled. Page
-     numbers are never reused, so no later placement moves. *)
+  (* A page the drop emptied is unmapped and its frame recycled, and its
+     dirty bit and twin go with it: under admission only an unadmitted
+     flush would clear them, and the dirty set is walked at every close.
+     Page numbers are never reused, so no later placement moves. *)
   List.iter
     (fun e ->
       List.iter
@@ -460,6 +462,8 @@ let invalidate_session t ~session =
           match Int_table.find_opt t.by_page page with
           | Some { on_page = []; _ } ->
             Int_table.remove t.by_page page;
+            Int_table.remove t.dirty_pages page;
+            Int_table.remove t.twins page;
             Address_space.unmap t.space ~page
           | Some _ | None -> ())
         e.pages)

@@ -108,11 +108,6 @@ let probe t ep =
     miss t p);
   p.p_state
 
-let probe_all t =
-  Hashtbl.fold (fun ep _ acc -> ep :: acc) t.peers []
-  |> List.sort String.compare
-  |> List.iter (fun ep -> ignore (probe t ep))
-
 (* Fold the simulator's ground-truth crash/revive marks recorded since
    [from] (an event index; returns the new cursor). Only the events
    after the cursor are read, so an armed soak that observes on every

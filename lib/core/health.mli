@@ -50,9 +50,6 @@ val available : t -> string -> bool
     [Stats.suspicions]. *)
 val probe : t -> string -> state
 
-(** Probe every watched peer once, in endpoint order. *)
-val probe_all : t -> unit
-
 (** [observe t trace ~from] folds the ground-truth
     {!Srpc_simnet.Trace.kind.Crash}/[Revive] marks recorded since event
     index [from] into the detector — planned chaos is reflected without

@@ -152,32 +152,31 @@ let in_heap t addr = addr >= Allocator.base t.heap && addr < Allocator.limit t.h
 
 (* --- datum-granular access marks (race-checker witnesses) --- *)
 
-(* A datum is named by its home and heap address: "B/66560". The marks
-   are only witnesses for [Srpc_analysis.Race_lint]; they move no bytes,
-   charge no time, and are skipped entirely when no trace is attached or
-   no session is open (setup-time touches cannot race). A name is
-   formatted only once a trace is known to be attached: the untraced
-   path touches every datum and must not pay for it. *)
-let note_access t ~datum akind =
+(* A datum is named by its home's endpoint and its heap address, printed
+   "B/66560". The marks are only witnesses for [Srpc_analysis.Race_lint];
+   they move no bytes, charge no time, and are skipped entirely when no
+   trace is attached or no session is open (setup-time touches cannot
+   race). A mark carries the endpoint string the node already holds, so
+   it formats nothing, and the home is looked up only once a trace is
+   known to be attached: the untraced path touches every datum and must
+   not pay for it. *)
+let note_access t ~home ~addr akind =
   if Transport.traced t.transport then
     match Session.current t.session with
     | None -> ()
     | Some info ->
       Transport.mark t.transport ~src:t.ep
-        (Trace.Access { session = info.Session.id; datum; akind })
+        (Trace.Access { session = info.Session.id; home; addr; akind })
 
 (* Provisional pointers are renamed when the allocation batch resolves,
    so marks under the provisional name would never pair up with the
    home-side marks under the real one; they are elided instead. *)
 let note_datum t (lp : Long_pointer.t) akind =
   if lp.addr > 0 && Transport.traced t.transport then
-    note_access t akind
-      ~datum:(Printf.sprintf "%s/%d" (endpoint_of t lp.origin) lp.addr)
+    note_access t ~home:(endpoint_of t lp.origin) ~addr:lp.addr akind
 
 (* A datum of this node's own heap, by address. *)
-let note_own t addr akind =
-  if Transport.traced t.transport then
-    note_access t akind ~datum:(Printf.sprintf "%s/%d" t.ep addr)
+let note_own t addr akind = note_access t ~home:t.ep ~addr akind
 
 (* --- pointer swizzling (paper, section 3.2) --- *)
 
@@ -700,7 +699,7 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
   if outcomes then record_outcomes t;
   (match Cache.scope t.cache with
   | None ->
-    note_access t ~datum:"*" Trace.Acc_drop;
+    note_access t ~home:"" ~addr:Trace.every_datum Trace.Acc_drop;
     Cache.invalidate t.cache;
     Hashtbl.reset t.staged;
     (* only looked up, never folded: it keeps the size it grew to *)
@@ -1998,17 +1997,9 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
   Mmu.set_handler mmu (handle_fault t);
   Transport.register transport (endpoint t) (dispatch t);
   (* Frame labels give the offline linters the opcode of every recorded
-     frame without their own decoder. Registries are identical across a
-     cluster (frames could not decode otherwise), so the last node's is
-     as good as any. Only consulted while a trace is attached. *)
-  Transport.set_frame_labeler transport
-    (Some
-       (fun ~dir frame ->
-         match dir with
-         | Trace.Request ->
-           Wire.request_label (snd (Wire.decode_framed ~reg:registry frame))
-         | Trace.Reply ->
-           Wire.response_label (Wire.decode_response ~reg:registry frame)));
+     frame without their own decoder. Only consulted while a trace is
+     attached, and read from the frame's tag words, not decoded. *)
+  Transport.set_frame_labeler transport (Some Wire.frame_label);
   t
 
 let register t name body = Hashtbl.replace t.procs name body

@@ -401,6 +401,44 @@ let response_label = function
   | Hb_ack -> "hb-ack"
   | Offload_return _ -> "offload-return"
 
+(* Labels by tag word, for frames that are recorded but not decoded. A
+   [Wb_delta] frame ends with its [invalidate] flag. *)
+let frame_label ~dir frame =
+  let word at = Int32.to_int (String.get_int32_be frame at) in
+  match dir with
+  | Srpc_simnet.Trace.Request -> (
+    match if word 0 = framed_tag then word 8 else word 0 with
+    | 0 -> "call"
+    | 1 -> "fetch"
+    | 2 -> "write-back"
+    | 3 -> "alloc-batch"
+    | 4 -> "free-batch"
+    | 5 -> "invalidate"
+    | 6 -> "abort"
+    | 7 -> "wb-stage"
+    | 8 -> "wb-commit"
+    | 9 -> (
+      match word (String.length frame - 4) with
+      | 0 -> "wb-delta"
+      | 1 -> "wb-delta+inv"
+      | n -> raise (Decode_error (Printf.sprintf "bad bool %d" n)))
+    | 10 -> "wb-stage-delta"
+    | 11 -> "call-d"
+    | 12 -> "hb"
+    | 13 -> "offload-call"
+    | n -> raise (Decode_error (Printf.sprintf "bad request tag %d" n)))
+  | Srpc_simnet.Trace.Reply -> (
+    match word 0 with
+    | 0 -> "return"
+    | 1 -> "fetched"
+    | 2 -> "allocated"
+    | 3 -> "ack"
+    | 4 -> "error"
+    | 5 -> "return-d"
+    | 6 -> "hb-ack"
+    | 7 -> "offload-return"
+    | n -> raise (Decode_error (Printf.sprintf "bad response tag %d" n)))
+
 let encode_response ~reg r =
   encoded @@ fun enc ->
   match r with

@@ -154,6 +154,14 @@ val request_session : request -> int
 val request_label : request -> string
 
 val response_label : response -> string
+
+(** [frame_label ~dir frame] is the label of the encoded request (bare
+    or enveloped) or response [frame], read from its tag words without
+    decoding the body: [request_label] or [response_label] of what it
+    decodes to, for any frame the encoders produce.
+    @raise Xdr.Decode_error on a tag no frame carries. *)
+val frame_label : dir:Srpc_simnet.Trace.direction -> string -> string
+
 val encode_response : reg:Srpc_types.Registry.t -> response -> string
 val decode_response : reg:Srpc_types.Registry.t -> string -> response
 val pp_request : Format.formatter -> request -> unit

@@ -42,7 +42,6 @@ let reset t =
   t.forced_drops <- 0
 let set_global t p = t.global <- p
 let set_link t ~src ~dst p = Hashtbl.replace t.links (src, dst) p
-let clear_link t ~src ~dst = Hashtbl.remove t.links (src, dst)
 
 let link_profile t ~src ~dst =
   match Hashtbl.find_opt t.links (src, dst) with

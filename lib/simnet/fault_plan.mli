@@ -48,8 +48,6 @@ val set_global : t -> profile -> unit
     to [dst] (one direction only). *)
 val set_link : t -> src:endpoint -> dst:endpoint -> profile -> unit
 
-val clear_link : t -> src:endpoint -> dst:endpoint -> unit
-
 (** One-direction partition: frames from [src] to [dst] are always lost
     until {!heal}. The reverse direction is unaffected. *)
 val partition : t -> src:endpoint -> dst:endpoint -> unit

@@ -26,7 +26,9 @@ type kind =
   | Revive of string
   | Copy of int
   | Inval_sent of int
-  | Access of { session : int; datum : string; akind : access }
+  | Access of { session : int; home : string; addr : int; akind : access }
+
+let every_datum = -1
 
 type event = {
   at : float;
@@ -103,8 +105,10 @@ let pp_kind ppf = function
   | Revive ep -> Format.fprintf ppf "revive %s" ep
   | Copy id -> Format.fprintf ppf "copy #%d" id
   | Inval_sent id -> Format.fprintf ppf "inval-sent #%d" id
-  | Access { session; datum; akind } ->
-    Format.fprintf ppf "access #%d %s %s" session (access_name akind) datum
+  | Access { session; akind; addr; _ } when addr = every_datum ->
+    Format.fprintf ppf "access #%d %s *" session (access_name akind)
+  | Access { session; home; addr; akind } ->
+    Format.fprintf ppf "access #%d %s %s/%d" session (access_name akind) home addr
 
 let pp_event ppf e =
   match e.kind with

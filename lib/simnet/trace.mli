@@ -24,8 +24,8 @@ type access =
   | Acc_free  (** the home released the datum's region *)
   | Acc_alloc  (** the home carved a fresh datum out of its heap *)
   | Acc_drop
-      (** the space discarded all session state (cache purge);
-          [datum] is ["*"] *)
+      (** the space discarded a cached copy, or with [addr =]
+          {!every_datum} every copy it held (a cache purge) *)
 
 type kind =
   | Message of direction  (** a wire frame *)
@@ -64,9 +64,18 @@ type kind =
   | Inval_sent of int
       (** provenance note: [src] sent (or attempted) an invalidation to
           [dst] at the close of session [id] *)
-  | Access of { session : int; datum : string; akind : access }
-      (** [src] performed [akind] on [datum] (rendered ["HOME/ADDR"])
-          during session [session] — the race checker's raw material *)
+  | Access of { session : int; home : string; addr : int; akind : access }
+      (** [src] performed [akind] during session [session] on the datum
+          at heap address [addr] of the space whose endpoint is [home],
+          printed ["HOME/ADDR"] — the race checker's raw material. The
+          runtime passes the endpoint string it already holds, so a mark
+          formats and copies nothing. A whole-cache [Acc_drop] names no
+          datum: its [addr] is {!every_datum}, its [home] is [""], and
+          it prints as ["*"]. *)
+
+(** The [addr] of an [Access] mark that covers every datum its space
+    holds rather than one. *)
+val every_datum : int
 
 type event = {
   at : float;  (** simulated time, seconds *)

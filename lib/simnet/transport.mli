@@ -49,9 +49,11 @@ val traced : t -> bool
 
 (** [set_frame_labeler t (Some f)] installs a frame labeler: when a
     trace is attached, every recorded frame event carries
-    [f ~dir frame] as its [label] (the decoded opcode). Exceptions from
-    [f] degrade to the empty label. The labeler is never consulted
-    without a trace. *)
+    [f ~dir frame] as its [label], the frame's opcode. It is called once
+    per recorded frame, so it should read the opcode from the frame's
+    tag rather than decode the frame (the runtime installs
+    [Srpc_core.Wire.frame_label]). Exceptions from [f] degrade to the
+    empty label. The labeler is never consulted without a trace. *)
 val set_frame_labeler :
   t -> (dir:Trace.direction -> string -> string) option -> unit
 

@@ -438,8 +438,8 @@ let off_req src dst =
 let off_rep src dst =
   ev ~bytes:4 ~label:"offload-return" src dst (Trace.Message Trace.Reply)
 
-let touch ?(session = 1) ground datum =
-  ev ground ground (Trace.Access { session; datum; akind = Trace.Acc_read })
+let touch ?(session = 1) ground (home, addr) =
+  ev ground ground (Trace.Access { session; home; addr; akind = Trace.Acc_read })
 
 let test_offload_without_footprint () =
   (* a plan ships to b before the session touched any datum of b: the
@@ -453,7 +453,7 @@ let test_offload_without_footprint () =
   let marked =
     [
       mark "a" (Trace.Session_begin 1);
-      touch "a" "b/4096";
+      touch "a" ("b", 4096);
       off_req "a" "b"; off_rep "b" "a";
     ]
     @ close_phase "a" "b" 1
@@ -483,7 +483,7 @@ let test_offload_to_dead_peer () =
     [
       mark "b" (Trace.Crash "b");
       mark "a" (Trace.Session_begin 1);
-      touch "a" "b/4096";
+      touch "a" ("b", 4096);
       off_req "a" "b"; off_rep "b" "a";
     ]
     @ close_phase "a" "c" 1
@@ -495,7 +495,7 @@ let test_offload_to_dead_peer () =
       mark "b" (Trace.Crash "b");
       mark "a" (Trace.Session_begin 1);
       mark "b" (Trace.Revive "b");
-      touch "a" "b/4096";
+      touch "a" ("b", 4096);
       off_req "a" "b"; off_rep "b" "a";
     ]
     @ close_phase "a" "b" 1
@@ -517,9 +517,9 @@ let test_offload_footprint_multi () =
       mark "c" (Trace.Session_admit 2);
       mark "c" (Trace.Session_begin 2);
       (* session 2 (grounded at c) touches b; session 1 does not *)
-      touch ~session:2 "c" "b/64";
+      touch ~session:2 "c" ("b", 64);
     ]
-    @ (if footprint then [ touch ~session:1 "a" "b/4096" ] else [])
+    @ (if footprint then [ touch ~session:1 "a" ("b", 4096) ] else [])
     @ [ off_req "a" "b"; off_rep "b" "a" ]
     @ mclose "a" 1 @ mclose "c" 2
   in
@@ -733,8 +733,8 @@ let test_staged_delta_after_commit () =
 
 (* --- happens-before race checker: synthetic traces --- *)
 
-let acc ?(session = 1) src datum akind =
-  mark src (Trace.Access { session; datum; akind })
+let acc ?(session = 1) src (home, addr) akind =
+  mark src (Trace.Access { session; home; addr; akind })
 
 let race_ids events =
   linted := events :: !linted;
@@ -745,8 +745,8 @@ let test_cc101_unordered_writes () =
   let events =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
-      acc "c" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
+      acc "c" ("a", 64) Trace.Acc_write;
     ]
   in
   Alcotest.(check bool) "CC101" true (List.mem "CC101" (race_ids events));
@@ -755,11 +755,11 @@ let test_cc101_unordered_writes () =
   let ordered =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
       req "b" "c";
-      acc "c" "a/64" Trace.Acc_write;
+      acc "c" ("a", 64) Trace.Acc_write;
       req "c" "a";
-      acc "a" "a/64" Trace.Acc_apply;
+      acc "a" ("a", 64) Trace.Acc_apply;
       mark "a" (Trace.Session_end 1);
     ]
   in
@@ -769,9 +769,9 @@ let test_cc101_unordered_writes () =
   let dropped =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
       ev ~bytes:4 "b" "c" (Trace.Dropped Trace.Request);
-      acc "c" "a/64" Trace.Acc_write;
+      acc "c" ("a", 64) Trace.Acc_write;
     ]
   in
   Alcotest.(check bool) "CC101 through a dropped frame" true
@@ -783,12 +783,12 @@ let test_cc102_stale_copy () =
   let stale =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_install;
-      acc "b" "a/64" Trace.Acc_read;
+      acc "b" ("a", 64) Trace.Acc_install;
+      acc "b" ("a", 64) Trace.Acc_read;
       mark "a" (Trace.Session_end 1);
       mark "a" (Trace.Session_begin 2);
-      acc ~session:2 "b" "a/64" Trace.Acc_read;
-      acc ~session:2 "b" "a/64" Trace.Acc_read;
+      acc ~session:2 "b" ("a", 64) Trace.Acc_read;
+      acc ~session:2 "b" ("a", 64) Trace.Acc_read;
     ]
   in
   let cc102 = List.filter (String.equal "CC102") (race_ids stale) in
@@ -798,13 +798,13 @@ let test_cc102_stale_copy () =
   let purged =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_install;
-      acc "b" "a/64" Trace.Acc_read;
-      acc "b" "*" Trace.Acc_drop;
+      acc "b" ("a", 64) Trace.Acc_install;
+      acc "b" ("a", 64) Trace.Acc_read;
+      acc "b" ("", Trace.every_datum) Trace.Acc_drop;
       mark "a" (Trace.Session_end 1);
       mark "a" (Trace.Session_begin 2);
-      acc ~session:2 "b" "a/64" Trace.Acc_install;
-      acc ~session:2 "b" "a/64" Trace.Acc_read;
+      acc ~session:2 "b" ("a", 64) Trace.Acc_install;
+      acc ~session:2 "b" ("a", 64) Trace.Acc_read;
     ]
   in
   Alcotest.(check (list string)) "purged copy clean" [] (race_ids purged)
@@ -815,7 +815,7 @@ let test_cc102_lost_writeback () =
   let lost =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
       mark "a" (Trace.Session_end 1);
     ]
   in
@@ -824,7 +824,7 @@ let test_cc102_lost_writeback () =
   let aborted =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
       mark "a" (Trace.Session_abort 1);
       mark "a" (Trace.Session_end 1);
     ]
@@ -835,7 +835,7 @@ let test_cc102_lost_writeback () =
   let crashed =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "b" "a/64" Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
       mark "a" (Trace.Crash "a");
       mark "a" (Trace.Session_end 1);
     ]
@@ -843,12 +843,30 @@ let test_cc102_lost_writeback () =
   Alcotest.(check (list string)) "crashed home exempt" []
     (race_ids crashed)
 
+let test_cc102_lost_writes_in_write_order () =
+  (* every write a close lost is reported at the close's event, so the
+     reports come in the order the writes were made *)
+  let lost =
+    [
+      mark "a" (Trace.Session_begin 1);
+      acc "b" ("a", 128) Trace.Acc_write;
+      acc "b" ("a", 64) Trace.Acc_write;
+      acc "b" ("a", 96) Trace.Acc_write;
+      mark "a" (Trace.Session_end 1);
+    ]
+  in
+  Alcotest.(check (list string)) "lost writes, in write order"
+    [ "session #1 committed but b's write to a/128 at event[1] never reached its home";
+      "session #1 committed but b's write to a/64 at event[2] never reached its home";
+      "session #1 committed but b's write to a/96 at event[3] never reached its home" ]
+    (List.map (fun d -> d.Diagnostic.message) (Race_lint.check_events lost))
+
 let test_cc103_use_after_free () =
   let events =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "a" "a/64" Trace.Acc_free;
-      acc "b" "a/64" Trace.Acc_read;
+      acc "a" ("a", 64) Trace.Acc_free;
+      acc "b" ("a", 64) Trace.Acc_read;
     ]
   in
   Alcotest.(check bool) "CC103" true (List.mem "CC103" (race_ids events));
@@ -856,9 +874,9 @@ let test_cc103_use_after_free () =
   let recycled =
     [
       mark "a" (Trace.Session_begin 1);
-      acc "a" "a/64" Trace.Acc_free;
-      acc "a" "a/64" Trace.Acc_alloc;
-      acc "b" "a/64" Trace.Acc_read;
+      acc "a" ("a", 64) Trace.Acc_free;
+      acc "a" ("a", 64) Trace.Acc_alloc;
+      acc "b" ("a", 64) Trace.Acc_read;
     ]
   in
   Alcotest.(check (list string)) "realloc clean" [] (race_ids recycled)
@@ -999,6 +1017,7 @@ let race_lint_tests =
     ("CC101 unordered writes", test_cc101_unordered_writes);
     ("CC102 stale copy", test_cc102_stale_copy);
     ("CC102 lost write-back", test_cc102_lost_writeback);
+    ("CC102 lost writes in write order", test_cc102_lost_writes_in_write_order);
     ("CC103 use after free", test_cc103_use_after_free);
   ]
 

@@ -172,11 +172,6 @@ let test_plan_footprint_homes () =
    means), as is the trailing recovery session (it touches no data). *)
 let test_footprint_subset_property () =
   let open Srpc_analysis in
-  let datum_home d =
-    match String.index_opt d '/' with
-    | Some i -> String.sub d 0 i
-    | None -> d
-  in
   for seed = 0 to 199 do
     let plan = Script.resolve (gen_for seed) in
     let fps = Array.of_list (Plan_footprint.sessions plan) in
@@ -197,8 +192,8 @@ let test_footprint_subset_property () =
     List.iteri
       (fun idx e ->
         match e.Srpc_simnet.Trace.kind with
-        | Srpc_simnet.Trace.Access { session; datum; akind }
-          when datum <> "*" -> (
+        | Srpc_simnet.Trace.Access { session; home; addr; akind }
+          when addr <> Srpc_simnet.Trace.every_datum -> (
             match Hashtbl.find_opt order session with
             | Some k when k < Array.length fps && not fps.(k).Footprint.escapes
               ->
@@ -206,23 +201,23 @@ let test_footprint_subset_property () =
                 | Srpc_simnet.Trace.Acc_write | Srpc_simnet.Trace.Acc_apply ->
                     if not (may k Footprint.Write) then
                       Alcotest.failf
-                        "seed %d event[%d]: %s writes %s in session %d, \
+                        "seed %d event[%d]: %s writes %s/%d in session %d, \
                          which the static footprint calls read-only"
-                        seed idx e.Srpc_simnet.Trace.src datum k
+                        seed idx e.Srpc_simnet.Trace.src home addr k
                 | Srpc_simnet.Trace.Acc_free ->
                     if not (may k Footprint.Free) then
                       Alcotest.failf
-                        "seed %d event[%d]: free of %s in session %d \
+                        "seed %d event[%d]: free of %s/%d in session %d \
                          absent from the static footprint"
-                        seed idx datum k
+                        seed idx home addr k
                 | _ -> ());
                 let homes = fps.(k).Footprint.homes in
-                if homes <> [] && not (List.mem (datum_home datum) homes)
+                if homes <> [] && not (List.mem home homes)
                 then
                   Alcotest.failf
-                    "seed %d event[%d]: datum %s homed outside the static \
+                    "seed %d event[%d]: datum %s/%d homed outside the static \
                      prediction %s of session %d"
-                    seed idx datum (String.concat "," homes) k
+                    seed idx home addr (String.concat "," homes) k
             | _ -> ())
         | _ -> ())
       events

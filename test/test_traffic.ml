@@ -357,10 +357,11 @@ let test_reorder_invalidate_caught_under_admission () =
   if r.Traffic.r_race_errors = 0 then
     Alcotest.fail "Race_lint missed the stale copies the defect left behind"
 
-(* Dropping an admitted session unmaps every cache page it emptied: N
-   admitted sessions, each caching the whole tree at the callee, leave
-   no cache page mapped there. Each once stayed mapped for the node's
-   life. *)
+(* Dropping an admitted session unmaps every cache page it emptied and
+   forgets the page's dirty bit: N admitted sessions, each caching the
+   whole tree at the callee and updating it, leave no cache page mapped
+   and no page marked dirty there. Each once stayed for the node's life,
+   and the dirty set is walked at every admitted close. *)
 let test_admitted_drops_unmap_pages () =
   let cluster = Cluster.create () in
   let a = Cluster.add_node cluster ~site:1 () in
@@ -369,7 +370,7 @@ let test_admitted_drops_unmap_pages () =
   let root = Srpc_workloads.Tree.build a ~depth:4 in
   Node.register b "visit" (fun node args ->
       let visited, _ =
-        Srpc_workloads.Tree.visit node (Access.of_value (List.hd args))
+        Srpc_workloads.Tree.visit_update node (Access.of_value (List.hd args))
           ~limit:max_int
       in
       [ Value.int visited ]);
@@ -393,7 +394,8 @@ let test_admitted_drops_unmap_pages () =
       (fun page -> Cache.in_region (Node.cache b) (Address_space.page_base space page))
       (Address_space.mapped_pages space)
   in
-  Alcotest.(check int) "cache pages mapped at the callee" 0 (List.length cache_pages)
+  Alcotest.(check int) "cache pages mapped at the callee" 0 (List.length cache_pages);
+  Alcotest.(check (list int)) "dirty pages at the callee" [] (Cache.dirty_pages (Node.cache b))
 
 (* {1 The shared counter: no lost update} *)
 

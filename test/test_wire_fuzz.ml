@@ -89,6 +89,8 @@ let requests : Wire.request list =
         frees = [ lp 12288 ];
         invalidate = true;
       };
+    Wire.Wb_delta
+      { session = 7; full = []; deltas = []; frees = [ lp 4096 ]; invalidate = false };
     Wire.Wb_stage_delta
       {
         session = 7;
@@ -115,6 +117,7 @@ let requests : Wire.request list =
         plan = fzplan;
         writebacks = [ item 8192 "stale" ];
       };
+    Wire.Hb;
   ]
 
 let responses : Wire.response list =
@@ -147,6 +150,7 @@ let responses : Wire.response list =
         writebacks = [ item 4096 "refreshed" ];
         wset = [ lp 4096; lp 8192 ];
       };
+    Wire.Hb_ack;
   ]
 
 (* (label, encoded frame, decoder) — decoders are closed over [reg] and
@@ -336,6 +340,27 @@ let test_roundtrip_sanity () =
       Alcotest.(check bool) "response roundtrip" true (r = r'))
     responses
 
+(* Traced frames are labeled from their tag words, never decoded: the
+   label read so must be the one the decoded frame carries. *)
+let test_tag_labels () =
+  let open Srpc_simnet in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun frame ->
+          Alcotest.(check string) "request label"
+            (Wire.request_label (snd (Wire.decode_framed ~reg frame)))
+            (Wire.frame_label ~dir:Trace.Request frame))
+        [ Wire.encode_request ~reg r; Wire.encode_framed ~reg ~seq:42 r ])
+    requests;
+  List.iter
+    (fun r ->
+      let frame = Wire.encode_response ~reg r in
+      Alcotest.(check string) "response label"
+        (Wire.response_label (Wire.decode_response ~reg frame))
+        (Wire.frame_label ~dir:Trace.Reply frame))
+    responses
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "wire-fuzz"
@@ -351,5 +376,6 @@ let () =
           tc "every bit flip is typed" `Quick test_bit_flips;
           tc "seeded corruption is typed" `Quick test_random_corruption;
           tc "pure garbage is typed" `Quick test_garbage_frames;
+          tc "tag labels match decoded labels" `Quick test_tag_labels;
         ] );
     ]
