@@ -715,7 +715,7 @@ let () =
           tc "chaos overlap caught, no lost update" `Quick
             test_counter_chaos_detected;
         ] );
-      ( "diagnostics",
+      ( "reports",
         [
           tc "reordered invalidation report pinned" `Quick
             test_reorder_invalidate_diagnostics;
