@@ -94,6 +94,69 @@ let test_lp_wire_size () =
   Long_pointer.encode ~reg e2 None;
   Alcotest.(check int) "null 4 bytes" 4 (Srpc_xdr.Xdr.Enc.length e2)
 
+(* [Long_pointer.Table]'s fold order is the traveler order of every
+   transfer frame, so its hash must stay the one frames were pinned
+   with: [Space_id.hash] and the address mixed with [Hashtbl.hash] of
+   the type name. A seeded mix of adds, replaces, removes, resets and
+   clears over long pointers of several type names, some of them
+   random, must fold exactly like a table keyed by that hash. *)
+module Pinned_lp_table = Hashtbl.Make (struct
+  type t = Long_pointer.t
+
+  let equal = Long_pointer.equal
+
+  let hash (t : Long_pointer.t) =
+    (Space_id.hash t.origin * 31) + (t.addr * 7) + Hashtbl.hash t.ty
+end)
+
+let test_lp_table_fold_order () =
+  let g = Pinned_lp_table.create 16 and t = Long_pointer.Table.create 16 in
+  let rng = Random.State.make [| 20 |] in
+  let random_name () =
+    String.init (1 + Random.State.int rng 24) (fun _ ->
+        Char.chr (32 + Random.State.int rng 95))
+  in
+  let names =
+    Array.append
+      [| "tnode"; "node"; "cell"; "list_node"; "matrix_tile"; "" |]
+      (Array.init 10 (fun _ -> random_name ()))
+  in
+  let origins = [| sid1; sid2; Space_id.make ~site:3 ~proc:7 |] in
+  let fold_g () = Pinned_lp_table.fold (fun k v acc -> (k, v) :: acc) g [] in
+  let fold_t () = Long_pointer.Table.fold (fun k v acc -> (k, v) :: acc) t [] in
+  let same what =
+    let show = List.map (fun (k, v) -> (Format.asprintf "%a" Long_pointer.pp k, v)) in
+    Alcotest.(check (list (pair string int))) what (show (fold_g ())) (show (fold_t ()))
+  in
+  for step = 1 to 40_000 do
+    let lp =
+      Long_pointer.make
+        ~origin:origins.(Random.State.int rng (Array.length origins))
+        ~addr:(8 * Random.State.int rng 4096)
+        ~ty:names.(Random.State.int rng (Array.length names))
+    in
+    match Random.State.int rng 10_000 with
+    | n when n < 5_000 ->
+      Pinned_lp_table.add g lp step;
+      Long_pointer.Table.add t lp step
+    | n when n < 7_500 ->
+      Pinned_lp_table.replace g lp step;
+      Long_pointer.Table.replace t lp step
+    | n when n < 9_994 ->
+      Pinned_lp_table.remove g lp;
+      Long_pointer.Table.remove t lp;
+      if step mod 300 = 0 then same (Printf.sprintf "step %d" step)
+    | n when n < 9_997 ->
+      Pinned_lp_table.reset g;
+      Long_pointer.Table.reset t;
+      same (Printf.sprintf "reset at step %d" step)
+    | _ ->
+      Pinned_lp_table.clear g;
+      Long_pointer.Table.clear t;
+      same (Printf.sprintf "clear at step %d" step)
+  done;
+  same "end"
+
 (* --- Strategy --- *)
 
 let test_strategy_presets () =
@@ -374,6 +437,84 @@ let test_cache_slot_reuse () =
   let e3 = Cache.allocate cache (lp_at 0x300) ~size:48 in
   Alcotest.(check bool) "size class respected" true (e3.Cache.local_addr <> addr)
 
+(* [find_containing] answers for whichever entry holds the address now:
+   after an entry is removed and its slot reused, the new entry. *)
+let test_cache_find_containing_after_slot_reuse () =
+  let _, cache = mk_cache () in
+  let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
+  let addr = e.Cache.local_addr in
+  let holder () =
+    Option.map (fun e -> e.Cache.lp.Long_pointer.addr) (Cache.find_containing cache addr)
+  in
+  Alcotest.(check (option int)) "the first entry" (Some 0x100) (holder ());
+  Alcotest.(check (option int)) "asked again" (Some 0x100) (holder ());
+  Cache.remove cache e;
+  Alcotest.(check (option int)) "nothing once removed" None (holder ());
+  ignore (Cache.find_containing cache (addr + 4));
+  let e2 = Cache.allocate cache (lp_at 0x200) ~size:16 in
+  Alcotest.(check int) "slot reused" addr e2.Cache.local_addr;
+  Alcotest.(check (option int)) "the new entry" (Some 0x200) (holder ());
+  Cache.remove cache e2;
+  let e3 = Cache.allocate cache (lp_at 0x300) ~size:16 in
+  Alcotest.(check int) "slot reused again" addr e3.Cache.local_addr;
+  Alcotest.(check (option int)) "the newest entry" (Some 0x300) (holder ());
+  Cache.invalidate cache;
+  Alcotest.(check (option int)) "nothing after invalidation" None (holder ())
+
+(* The order of the modified data set reaches the write-back frames.
+   Sequential placement: [s] alone on page P0, the 300-byte [l] on P1
+   and the head of P2, then [x] and [y] behind it on P2. A straddling
+   entry is taken once, at the first of its pages that is dirty; an
+   entry dirtied without a page fault joins after the dirty pages'
+   entries unless one of its pages is dirty. *)
+let test_cache_dirty_entries_order () =
+  let order grain ~dirty ~touch ~flagged =
+    let space, cache = mk_cache ~grouping:Strategy.Sequential ~grain () in
+    let named = [ ("s", 0x100, 16); ("l", 0x200, 300); ("x", 0x300, 16); ("y", 0x400, 16) ] in
+    let entries =
+      List.map (fun (n, a, size) -> (n, Cache.allocate cache (lp_at a) ~size)) named
+    in
+    let entry n = List.assoc n entries in
+    List.iter (fun (_, e) -> Cache.mark_present cache e) entries;
+    let p0 = List.hd (entry "s").Cache.pages in
+    Alcotest.(check (list int)) "l straddles P1 and P2" [ p0 + 1; p0 + 2 ]
+      (entry "l").Cache.pages;
+    Alcotest.(check (list int)) "x behind l" [ p0 + 2 ] (entry "x").Cache.pages;
+    List.iter (fun k -> Cache.mark_page_dirty cache ~page:(p0 + k)) dirty;
+    List.iter
+      (fun (n, off) ->
+        Address_space.write_unchecked space
+          ~addr:((entry n).Cache.local_addr + off)
+          (Bytes.of_string "touched!"))
+      touch;
+    List.iter (fun n -> (entry n).Cache.dirty <- true) flagged;
+    List.map
+      (fun e -> fst (List.find (fun (_, e') -> e' == e) entries))
+      (Cache.dirty_entries cache)
+  in
+  let check what expect got = Alcotest.(check (list string)) what expect got in
+  check "page grain, P1 clean" [ "l"; "x"; "y"; "s" ]
+    (order Strategy.Page_grain ~dirty:[ 0; 2 ] ~touch:[] ~flagged:[]);
+  check "page grain, P1 clean, l flagged" [ "l"; "x"; "y"; "s" ]
+    (order Strategy.Page_grain ~dirty:[ 0; 2 ] ~touch:[] ~flagged:[ "l" ]);
+  check "page grain, all dirty" [ "x"; "y"; "l"; "s" ]
+    (order Strategy.Page_grain ~dirty:[ 0; 1; 2 ] ~touch:[] ~flagged:[]);
+  check "page grain, P2 clean, x flagged" [ "x"; "l"; "s" ]
+    (order Strategy.Page_grain ~dirty:[ 0; 1 ] ~touch:[] ~flagged:[ "x" ]);
+  check "page grain, only P1 dirty" [ "l" ]
+    (order Strategy.Page_grain ~dirty:[ 1 ] ~touch:[] ~flagged:[]);
+  check "twin diff, P1 clean, l changed on P2" [ "l"; "x" ]
+    (order Strategy.Twin_diff ~dirty:[ 0; 2 ] ~touch:[ ("l", 290); ("x", 0) ] ~flagged:[]);
+  check "twin diff, P1 clean, l changed on P1" [ "x" ]
+    (order Strategy.Twin_diff ~dirty:[ 0; 2 ] ~touch:[ ("l", 0); ("x", 0) ] ~flagged:[]);
+  check "twin diff, P1 clean, l flagged" [ "l"; "s" ]
+    (order Strategy.Twin_diff ~dirty:[ 0; 2 ] ~touch:[ ("s", 0) ] ~flagged:[ "l" ]);
+  check "twin diff, all dirty" [ "y"; "l"; "s" ]
+    (order Strategy.Twin_diff ~dirty:[ 0; 1; 2 ]
+       ~touch:[ ("l", 0); ("s", 4); ("y", 0) ] ~flagged:[]);
+  check "twin diff, clean pages, flagged" [ "l"; "y" ]
+    (order Strategy.Twin_diff ~dirty:[] ~touch:[] ~flagged:[ "l"; "y" ])
+
 let test_cache_invalidate () =
   let space, cache = mk_cache () in
   let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
@@ -625,6 +766,7 @@ let () =
       ( "long-pointer",
         [
           tc "equal/hash" `Quick test_lp_equal_hash;
+          tc "table folds by the pinned hash" `Quick test_lp_table_fold_order;
           tc "provisional" `Quick test_lp_provisional;
           tc "wire roundtrip" `Quick test_lp_wire_roundtrip;
           tc "wire size" `Quick test_lp_wire_size;
@@ -660,6 +802,9 @@ let () =
           tc "rebind" `Quick test_cache_rebind;
           tc "remove" `Quick test_cache_remove;
           tc "slot reuse after remove" `Quick test_cache_slot_reuse;
+          tc "find_containing after slot reuse" `Quick
+            test_cache_find_containing_after_slot_reuse;
+          tc "dirty entries order with a straddler" `Quick test_cache_dirty_entries_order;
           tc "invalidate" `Quick test_cache_invalidate;
           tc "accounting" `Quick test_cache_accounting;
           tc "table rendering (Table 1)" `Quick test_cache_table_rendering;

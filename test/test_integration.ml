@@ -982,17 +982,17 @@ let test_access_field_offsets_per_registry () =
 
 (* Sessions over a depth-8 tree (255 nodes) in which the callee reads
    every node: fully eager, the call ships the whole tree; fully lazy,
-   each node is one fault and one fetch. *)
-let tree_sessions strategy =
+   each node is one fault and one fetch. With [visit_update] the callee
+   also increments every node, so each session faults for writes and
+   ships the modified data set back. *)
+let tree_sessions ?(visit = Srpc_workloads.Tree.visit) strategy =
   let cluster = Cluster.create () in
   let a = Cluster.add_node cluster ~site:1 ~strategy () in
   let b = Cluster.add_node cluster ~site:2 ~strategy () in
   Srpc_workloads.Tree.register_types cluster;
   let root = Srpc_workloads.Tree.build a ~depth:8 in
   Node.register b "visit" (fun node args ->
-      let visited, _ =
-        Srpc_workloads.Tree.visit node (Access.of_value (List.hd args)) ~limit:max_int
-      in
+      let visited, _ = visit node (Access.of_value (List.hd args)) ~limit:max_int in
       [ Value.int visited ]);
   let session () =
     Node.with_session a (fun () ->
@@ -1014,8 +1014,13 @@ let untraced_minor_words_bound = 71_610. *. 1.25
    one-datum tables per fetch, it allocated 182,999. *)
 let untraced_lazy_minor_words_bound = 124_574. *. 1.25
 
-let check_untraced_allocation strategy ~bound =
-  let _, session = tree_sessions strategy in
+(* The same for a session whose callee also increments every node under
+   [Strategy.smart ()]: write faults, the modified data set shipped back
+   on return and written back at the close. *)
+let untraced_update_minor_words_bound = 89_415. *. 1.25
+
+let check_untraced_allocation ?visit strategy ~bound =
+  let _, session = tree_sessions ?visit strategy in
   Alcotest.(check bool) "warm-up visits every node" true (session ());
   let sessions = 4 in
   let ok = ref true in
@@ -1034,6 +1039,10 @@ let test_untraced_allocation () =
 
 let test_untraced_lazy_allocation () =
   check_untraced_allocation Strategy.fully_lazy ~bound:untraced_lazy_minor_words_bound
+
+let test_untraced_update_allocation () =
+  check_untraced_allocation ~visit:Srpc_workloads.Tree.visit_update (Strategy.smart ())
+    ~bound:untraced_update_minor_words_bound
 
 (* Tracing still witnesses every access: the race checker is fed as many
    [Trace.Access] marks for these sessions as before the untraced path
@@ -1207,6 +1216,8 @@ let () =
             test_untraced_allocation;
           tc "untraced lazy sessions stay within their allocation" `Quick
             test_untraced_lazy_allocation;
+          tc "untraced updating sessions stay within their allocation" `Quick
+            test_untraced_update_allocation;
           tc "traced sessions witness every access" `Quick test_traced_access_marks;
         ] );
       ( "misc",

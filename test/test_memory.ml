@@ -154,6 +154,30 @@ let test_space_remap_reads_zero () =
   Alcotest.(check string) "zero-filled" (String.make 512 '\000')
     (Bytes.to_string (Address_space.read s ~addr:256 ~len:512))
 
+(* An unmapped page's frame goes to the next page mapped, so after the
+   unmap nothing may still reach it under the old page number: not a
+   load or store at the old address (both [Segv]), and no byte stored
+   there may show through the new page. *)
+let test_space_unmap_forgets_the_frame () =
+  let s = mk_space () in
+  Address_space.map s ~page:1 ~prot:Prot.Read_write;
+  let m = Mmu.create s in
+  Mem.store_i32 m ~addr:264 7l;
+  Alcotest.(check int32) "loaded before the unmap" 7l (Mem.load_i32 m ~addr:264);
+  Address_space.unmap s ~page:1;
+  Address_space.map s ~page:3 ~prot:Prot.Read_write;
+  let segv what f =
+    match f () with
+    | _ -> Alcotest.failf "%s at the unmapped page: expected Segv" what
+    | exception Address_space.Segv { addr; _ } ->
+      Alcotest.(check int) (what ^ " fault address") 264 addr
+  in
+  segv "load" (fun () -> ignore (Mem.load_i32 m ~addr:264));
+  segv "store" (fun () -> Mem.store_i32 m ~addr:264 9l);
+  segv "system read" (fun () -> ignore (Address_space.read_unchecked s ~addr:264 ~len:4));
+  Alcotest.(check string) "the new page reads zeros" (String.make 256 '\000')
+    (Bytes.to_string (Address_space.read s ~addr:768 ~len:256))
+
 (* A 4 KiB frame is too big for the minor heap, so each new frame adds
    its words to the major-heap count of [Gc.counters]; an unmap/map
    cycle reuses the frame and must add fewer words than one frame over
@@ -530,6 +554,7 @@ let () =
           tc "unmap" `Quick test_space_unmap;
           tc "remapped page reads zero" `Quick test_space_remap_reads_zero;
           tc "remap reuses the frame" `Quick test_space_remap_allocates_no_frame;
+          tc "unmap forgets the frame" `Quick test_space_unmap_forgets_the_frame;
           tc "ensure_mapped maps only gaps" `Quick test_space_ensure_mapped_partial;
           tc "zero-length access" `Quick test_space_zero_length_access;
           tc "fill zero" `Quick test_space_fill_zero;

@@ -166,6 +166,29 @@ let test_layout_recursive_behind_pointer_ok () =
   (* "node" contains node* — must not be flagged *)
   Alcotest.(check int) "fine" 16 (Layout.sizeof_name reg Arch.sparc32 "node")
 
+(* Two registries may bind one name to different types, and each
+   answers from its own binding even when the name is the very same
+   string value and the two are asked in turn at one word size. *)
+let test_layout_one_name_two_registries () =
+  let cell = "cell" in
+  let a = Registry.create () and b = Registry.create () in
+  Registry.register a cell (Struct [ ("v", i32) ]);
+  Registry.register b "pair" (Struct [ ("a", i32); ("b", i32) ]);
+  Registry.register b cell (Struct [ ("next", ptr cell); ("v", i64) ]);
+  for round = 1 to 3 do
+    let what fmt = Printf.sprintf fmt round in
+    Alcotest.(check int) (what "size in a, round %d") 4
+      (Layout.sizeof_name a Arch.sparc32 cell);
+    Alcotest.(check int) (what "id in a, round %d") 0 (Registry.id_of_name a cell);
+    Alcotest.(check int) (what "size in b, round %d") 16
+      (Layout.sizeof_name b Arch.sparc32 cell);
+    Alcotest.(check int) (what "id in b, round %d") 1 (Registry.id_of_name b cell)
+  done;
+  Alcotest.(check int) "size in a after b" 4 (Layout.sizeof_name a Arch.sparc32 cell);
+  Alcotest.(check int) "id in b after a" 1 (Registry.id_of_name b cell);
+  Alcotest.(check int) "id in a after b" 0 (Registry.id_of_name a cell);
+  Alcotest.(check int) "size in b after a" 16 (Layout.sizeof_name b Arch.sparc32 cell)
+
 (* --- wire codec --- *)
 
 let roundtrip_desc d =
@@ -287,6 +310,7 @@ let () =
             test_layout_recursive_by_value_rejected;
           tc "recursive behind pointer ok" `Quick
             test_layout_recursive_behind_pointer_ok;
+          tc "one name, two registries" `Quick test_layout_one_name_two_registries;
         ] );
       ( "wire-codec",
         [
