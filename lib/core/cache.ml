@@ -50,6 +50,9 @@ type t = {
   by_page : page_entries Int_table.t;
   dirty_pages : unit Int_table.t;
   twins : bytes Int_table.t;
+  mutable last_hit : entry option;
+      (** [find_containing]'s last exact hit, forgotten whenever an entry
+          leaves [by_addr] *)
   unscoped : pool;  (** scope [None] *)
   scoped : pool Int_table.t;  (** by session, for scope [Some session] *)
   mutable next_page : int;
@@ -83,6 +86,7 @@ let create ~space ~base ~limit ~grouping ~grain =
     by_page = Int_table.create 64;
     dirty_pages = Int_table.create 16;
     twins = Int_table.create 16;
+    last_hit = None;
     unscoped = { cursors = []; free_slots = Int_table.create 8 };
     scoped = Int_table.create 8;
     next_page = base / psz;
@@ -133,11 +137,14 @@ let rec cursor_of g = function
   | (g', c) :: rest -> if same_group g g' then c else cursor_of g rest
 
 let take_free_slot t ~size =
-  match Int_table.find_opt (pool t).free_slots (round_up size) with
-  | Some ({ contents = slot :: rest } as r) ->
-    r := rest;
-    Some slot
-  | Some { contents = [] } | None -> None
+  let slots = (pool t).free_slots in
+  if Int_table.length slots = 0 then None
+  else
+    match Int_table.find_opt slots (round_up size) with
+    | Some ({ contents = slot :: rest } as r) ->
+      r := rest;
+      Some slot
+    | Some { contents = [] } | None -> None
 
 let release_slot t ~addr ~size ~pages =
   let slots = (pool t).free_slots and key = round_up size in
@@ -200,15 +207,19 @@ let absent_on_page t page =
 
 let is_page_dirty t ~page = Int_table.mem t.dirty_pages page
 
-let refresh_protection t ~page =
+(* A page's protection follows from how many of its entries are absent
+   and whether it is dirty. *)
+let protect_page t ~page ~absent =
   if Address_space.is_mapped t.space ~page then begin
     let prot =
-      if absent_on_page t page > 0 then Prot.No_access
+      if absent > 0 then Prot.No_access
       else if is_page_dirty t ~page then Prot.Read_write
       else Prot.Read_only
     in
     Address_space.set_protection t.space ~page prot
   end
+
+let refresh_protection t ~page = protect_page t ~page ~absent:(absent_on_page t page)
 
 let allocate t lp ~size =
   if size <= 0 then invalid_arg "Cache.allocate: non-positive size";
@@ -253,13 +264,20 @@ let allocate t lp ~size =
 let find_by_lp t lp = Long_pointer.Lookup.find_opt t.by_lp lp
 let find_by_addr t addr = Int_table.find_opt t.by_addr addr
 
+(* A program touches one datum several times in a row (a field read,
+   then its write), so the last exact hit is asked first. *)
 let find_containing t addr =
-  match Int_table.find_opt t.by_addr addr with
-  | Some _ as hit -> hit
-  | None ->
-    entries_on_page t (addr / psz t)
-    |> List.find_opt (fun e ->
-           addr >= e.local_addr && addr < e.local_addr + e.size)
+  match t.last_hit with
+  | Some e as hit when e.local_addr = addr -> hit
+  | Some _ | None -> (
+    match Int_table.find_opt t.by_addr addr with
+    | Some _ as hit ->
+      t.last_hit <- hit;
+      hit
+    | None ->
+      entries_on_page t (addr / psz t)
+      |> List.find_opt (fun e ->
+             addr >= e.local_addr && addr < e.local_addr + e.size))
 
 let iter_entries t f =
   (* by_addr has exactly one binding per live entry *)
@@ -268,16 +286,16 @@ let iter_entries t f =
 let entry_count t = Int_table.length t.by_addr
 
 let mark_present t e =
-  if not e.present then begin
-    e.present <- true;
-    List.iter
-      (fun page ->
-        match Int_table.find_opt t.by_page page with
-        | Some p -> p.absent <- p.absent - 1
-        | None -> ())
-      e.pages
-  end;
-  List.iter (fun page -> refresh_protection t ~page) e.pages
+  let arrived = not e.present in
+  e.present <- true;
+  List.iter
+    (fun page ->
+      match Int_table.find t.by_page page with
+      | p ->
+        if arrived then p.absent <- p.absent - 1;
+        protect_page t ~page ~absent:p.absent
+      | exception Not_found -> protect_page t ~page ~absent:0)
+    e.pages
 
 let mark_page_dirty t ~page =
   if not (is_page_dirty t ~page) then begin
@@ -328,15 +346,21 @@ let in_scope t e =
 
 let iter_scoped t f = iter_entries t (fun e -> if in_scope t e then f e)
 
+(* Whether one of [e]'s pages before [page] is dirty. *)
+let rec dirty_before t page = function
+  | [] -> false
+  | p :: rest -> p < page && (is_page_dirty t ~page:p || dirty_before t page rest)
+
+(* The dirty pages are walked in ascending order, so an entry on several
+   of them is taken at the first: the one none of its pages before is
+   dirty. *)
 let dirty_entries t =
-  let seen = Int_table.create 16 in
   let out = ref [] in
   List.iter
     (fun page ->
       List.iter
         (fun e ->
-          if e.present && in_scope t e && not (Int_table.mem seen e.local_addr) then begin
-            Int_table.add seen e.local_addr ();
+          if e.present && in_scope t e && not (dirty_before t page e.pages) then begin
             let ship =
               match t.grain with
               | Strategy.Page_grain -> true
@@ -350,13 +374,13 @@ let dirty_entries t =
         (entries_on_page t page))
     (dirty_pages t);
   (* Entries dirtied without a page fault (installed writebacks, fresh
-     remote allocations) may sit on pages never marked dirty. *)
+     remote allocations) may sit on pages never marked dirty; one with a
+     dirty page was weighed above. *)
   iter_entries t (fun e ->
-      if e.dirty && e.present && in_scope t e && not (Int_table.mem seen e.local_addr)
-      then begin
-        Int_table.add seen e.local_addr ();
-        out := e :: !out
-      end);
+      if
+        e.dirty && e.present && in_scope t e
+        && not (List.exists (fun page -> is_page_dirty t ~page) e.pages)
+      then out := e :: !out);
   !out
 
 let clean_after_flush t =
@@ -428,6 +452,7 @@ let rebind t e lp =
 let remove t e =
   Long_pointer.Lookup.remove t.by_lp e.lp;
   Int_table.remove t.by_addr e.local_addr;
+  t.last_hit <- None;
   List.iter
     (fun page ->
       match Int_table.find_opt t.by_page page with
@@ -480,6 +505,7 @@ let invalidate t =
   Int_table.iter (fun page _ -> Address_space.unmap t.space ~page) t.by_page;
   Long_pointer.Lookup.clear t.by_lp;
   Int_table.reset t.by_addr;
+  t.last_hit <- None;
   Int_table.clear t.by_page;
   Int_table.reset t.dirty_pages;
   Int_table.reset t.twins;

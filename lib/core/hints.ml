@@ -31,8 +31,10 @@ let field_pointer_leaves reg arch ~ty ~field =
   let fty = Layout.field_type reg ~ty:desc ~field in
   List.map (fun (off, target) -> (base + off, target)) (Layout.pointer_leaves reg arch fty)
 
+(* Every datum a closure walk ships asks for its pointer fields, and
+   most runs set no hint: an empty table is not probed. *)
 let pointer_fields t reg arch ~ty =
-  match find t ~ty with
+  match if Registry.Names.length t = 0 then None else find t ~ty with
   | None -> Layout.pointer_leaves reg arch (Type_desc.Named ty)
   | Some { follow; prune_others } ->
     let followed =

@@ -17,7 +17,9 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let hash t = (Space_id.hash t.origin * 31) + (t.addr * 7) + Hashtbl.hash t.ty
+(* [String.hash] is [Hashtbl.hash]'s value on every string, without the
+   generic traversal: [Table]'s fold order, which frames carry, holds. *)
+let hash t = (Space_id.hash t.origin * 31) + (t.addr * 7) + String.hash t.ty
 
 let pp ppf t =
   Format.fprintf ppf "<%a:0x%x:%s>%s" Space_id.pp t.origin (abs t.addr) t.ty

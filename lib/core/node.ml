@@ -28,8 +28,9 @@ type t = {
   policy : Srpc_policy.Engine.t option;
   strategy : Strategy.t;
   procs : (string, proc) Hashtbl.t;
-  mutable shipped : unit Int_table.t Space_id.Table.t;
-      (** per peer, addresses of own data already sent in this session *)
+  mutable shipped : visit Int_table.t Space_id.Table.t;
+      (** per peer, addresses of own data a closure walk to that peer
+          visited in this session, and whether each was sent *)
   mutable traveling : unit Long_pointer.Table.t;
       (** own data modified elsewhere this session: the paper's modified
           data set keeps traveling with the thread of control even after
@@ -80,8 +81,7 @@ type t = {
   peer_ids : Space_id.t Registry.Names.t;
       (** the reverse: senders' spaces by endpoint name, parsed once
           each, since every incoming frame names one *)
-  closure_seen : unit Int_table.t;
-      (** addresses one [ship_closure] has visited; cleared per call *)
+  mutable walks : int;  (** closure walks so far, numbering each *)
   enc_ctx : Object_codec.encode_ctx;
   dec_ctx : Object_codec.decode_ctx;
       (** the codec contexts, built once: every datum shipped or
@@ -89,6 +89,10 @@ type t = {
 }
 
 and proc = t -> Value.t list -> Value.t list
+
+(* One datum's row in a per-peer shipped table: the walk that visited it
+   last, and whether it has been sent to the peer. *)
+and visit = { mutable walk : int; mutable sent : bool }
 and pending_alloc = { prov : Long_pointer.t; pa_entry : Cache.entry }
 and reply_slot = { rs_seq : int; rs_reply : string; mutable rs_used : int }
 
@@ -101,7 +105,7 @@ and batch = {
 }
 
 and saved_sstate = {
-  sv_shipped : unit Int_table.t Space_id.Table.t;
+  sv_shipped : visit Int_table.t Space_id.Table.t;
   sv_traveling : unit Long_pointer.Table.t;
   sv_allocs : pending_alloc list;
   sv_frees : Long_pointer.t list;
@@ -421,8 +425,8 @@ let shipped_set t peer =
 let ship_closure t ~peer ~forced_seeds ~seeds =
   let strategy = t.strategy in
   let shipped = shipped_set t peer in
-  let visited = t.closure_seen in
-  Int_table.clear visited;
+  t.walks <- t.walks + 1;
+  let walk = t.walks in
   let out = ref [] in
   let total = ref 0 in
   let budget_exceeded = ref false in
@@ -469,34 +473,46 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
            let w = Mem.Codec.get_word (arch t) raw off in
            if w = 0 then None else unswizzle t ~ty:target w)
   in
+  (* One probe per datum visit: its row says whether this walk has been
+     there and whether the peer holds the datum already. *)
+  let row addr =
+    match Int_table.find shipped addr with
+    | v -> v
+    | exception Not_found ->
+      let v = { walk = 0; sent = false } in
+      Int_table.add shipped addr v;
+      v
+  in
   let visit ~forced (lp : Long_pointer.t) =
-    if Space_id.equal lp.origin t.id && not (Int_table.mem visited lp.addr) then begin
-      Int_table.add visited lp.addr ();
-      let size = sizeof t lp.ty in
-      let raw () = Address_space.read_unchecked t.space ~addr:lp.addr ~len:size in
-      if Int_table.mem shipped lp.addr && not forced then begin
-        (* peer caches it already; traverse through without re-sending *)
-        if not (spent ()) then List.iter push (children (raw ()) lp.ty)
+    if Space_id.equal lp.origin t.id then
+      let v = row lp.addr in
+      if v.walk <> walk then begin
+        v.walk <- walk;
+        let size = sizeof t lp.ty in
+        let raw () = Address_space.read_unchecked t.space ~addr:lp.addr ~len:size in
+        if v.sent && not forced then begin
+          (* peer caches it already; traverse through without re-sending *)
+          if not (spent ()) then List.iter push (children (raw ()) lp.ty)
+        end
+        else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
+          total := !total + size;
+          (match per_type_budget with
+          | Some (used, _) ->
+            Registry.Names.replace used lp.ty (used_by_ty used lp.ty + size)
+          | None -> ());
+          let raw = raw () in
+          let data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw in
+          out := { Wire.lp; data } :: !out;
+          v.sent <- true;
+          note_datum t lp Trace.Acc_serve;
+          (* closure provenance feeds the copy directory: [peer] will hold
+             exactly this encoding *)
+          dir_record t ~peer ~addr:lp.addr data;
+          if not (spent ()) then List.iter push (children raw lp.ty)
+        end
+        else if Option.is_none per_type_budget then budget_exceeded := true
+        (* per-type budgets: this datum stays lazy, other types continue *)
       end
-      else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
-        total := !total + size;
-        (match per_type_budget with
-        | Some (used, _) ->
-          Registry.Names.replace used lp.ty (used_by_ty used lp.ty + size)
-        | None -> ());
-        let raw = raw () in
-        let data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw in
-        out := { Wire.lp; data } :: !out;
-        Int_table.replace shipped lp.addr ();
-        note_datum t lp Trace.Acc_serve;
-        (* closure provenance feeds the copy directory: [peer] will hold
-           exactly this encoding *)
-        dir_record t ~peer ~addr:lp.addr data;
-        if not (spent ()) then List.iter push (children raw lp.ty)
-      end
-      else if Option.is_none per_type_budget then budget_exceeded := true
-      (* per-type budgets: this datum stays lazy, other types continue *)
-    end
   in
   List.iter (visit ~forced:forced_seeds) seeds;
   let rec drain () =
@@ -719,7 +735,8 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
         Int_table.remove t.directory addr;
         Int_table.remove t.dir_owner addr)
       owned);
-  Space_id.Table.reset t.shipped;
+  (* only looked up, never folded: they keep the size they grew to *)
+  Space_id.Table.iter (fun _ visits -> Int_table.clear visits) t.shipped;
   Long_pointer.Table.reset t.traveling;
   t.pending_allocs <- [];
   t.pending_frees <- [];
@@ -1979,7 +1996,7 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       dir_owner = Int_table.create 32;
       peer_eps = Space_id.Table.create 4;
       peer_ids = Registry.Names.create 4;
-      closure_seen = Int_table.create 64;
+      walks = 0;
       enc_ctx =
         {
           Object_codec.enc_reg = registry;

@@ -17,6 +17,8 @@ type t = {
   page_size : int;
   page_shift : int;
   pages : page Int_table.t;
+  mutable tlb_page : int;  (** the last page looked up, or [-1]... *)
+  mutable tlb : page;  (** ...and its record *)
   mutable spare : page list;
       (** unmapped pages, whose frames the next [map]s reuse: spare plus
           mapped frames never exceed the peak mapped-page count *)
@@ -28,6 +30,25 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+(* A one-entry TLB in front of [pages]: consecutive accesses mostly land
+   on one page, and a hit costs no hash. It only ever holds a mapped
+   page; [unmap] empties it, since the unmapped page's frame goes to the
+   next page mapped. Page numbers are not negative ([map] refuses one),
+   so [-1] is no page. *)
+let no_page = { data = Bytes.empty; prot = Prot.No_access; written = 0 }
+
+let find_page t page =
+  if page = t.tlb_page then t.tlb
+  else begin
+    let p = Int_table.find t.pages page in
+    t.tlb_page <- page;
+    t.tlb <- p;
+    p
+  end
+
+(* [find_page] for a page number a caller names, which may be negative. *)
+let mapped_page t page = if page < 0 then raise Not_found else find_page t page
+
 let create ?(page_size = 4096) ~id ~arch () =
   if not (is_power_of_two page_size) then
     invalid_arg "Address_space.create: page_size must be a power of two";
@@ -37,6 +58,8 @@ let create ?(page_size = 4096) ~id ~arch () =
     page_size;
     page_shift = log2 page_size;
     pages = Int_table.create 64;
+    tlb_page = -1;
+    tlb = no_page;
     spare = [];
   }
 
@@ -52,7 +75,8 @@ let page_base t page = page lsl t.page_shift
    the bytes up to the write mark: a cache page often holds one small
    datum. *)
 let map t ~page ~prot =
-  match Int_table.find t.pages page with
+  if page < 0 then invalid_arg "Address_space.map: negative page";
+  match find_page t page with
   | p -> p.prot <- prot
   | exception Not_found ->
     let p =
@@ -68,21 +92,24 @@ let map t ~page ~prot =
     Int_table.add t.pages page p
 
 let unmap t ~page =
-  match Int_table.find t.pages page with
+  match mapped_page t page with
   | p ->
     Int_table.remove t.pages page;
+    t.tlb_page <- -1;
+    t.tlb <- no_page;
     t.spare <- p :: t.spare
   | exception Not_found -> ()
 
-let is_mapped t ~page = Int_table.mem t.pages page
+let is_mapped t ~page =
+  match mapped_page t page with _ -> true | exception Not_found -> false
 
 let protection t ~page =
-  Option.map (fun p -> p.prot) (Int_table.find_opt t.pages page)
+  match mapped_page t page with p -> Some p.prot | exception Not_found -> None
 
 let set_protection t ~page prot =
-  match Int_table.find_opt t.pages page with
-  | Some p -> p.prot <- prot
-  | None -> invalid_arg "Address_space.set_protection: page not mapped"
+  match mapped_page t page with
+  | p -> p.prot <- prot
+  | exception Not_found -> invalid_arg "Address_space.set_protection: page not mapped"
 
 let mapped_pages t =
   Int_table.fold (fun page _ acc -> page :: acc) t.pages [] |> List.sort Int.compare
@@ -111,11 +138,11 @@ let iter_range t ~addr ~len ~access ~check f =
     (* Validation pass: find the first unmapped or protection-violating
        page before touching anything. *)
     for page = first to last do
-      match Int_table.find_opt t.pages page with
-      | None ->
+      match find_page t page with
+      | exception Not_found ->
         let fault_addr = max addr (page_base t page) in
         raise (Segv { space = t.id; addr = fault_addr; access })
-      | Some p ->
+      | p ->
         if check && not (allows p.prot access) then
           let fault_addr = max addr (page_base t page) in
           raise (Page_fault { space = t.id; addr = fault_addr; page; access })
@@ -124,7 +151,7 @@ let iter_range t ~addr ~len ~access ~check f =
     let done_ = ref 0 in
     while !done_ < len do
       let page = page_of_addr t !pos in
-      let p = Int_table.find t.pages page in
+      let p = find_page t page in
       let off = !pos - page_base t page in
       let chunk = min (t.page_size - off) (len - !done_) in
       f p off !done_ chunk;
@@ -141,7 +168,7 @@ let access t ~addr ~len acc ~check f x =
   let off = addr land (t.page_size - 1) in
   if addr >= 0 && len > 0 && off + len <= t.page_size then begin
     let page = addr lsr t.page_shift in
-    match Int_table.find t.pages page with
+    match find_page t page with
     | p ->
       if check && not (allows p.prot acc) then
         raise (Page_fault { space = t.id; addr; page; access = acc });

@@ -42,7 +42,8 @@ val page_base : t -> int -> int
 
 (** [map t ~page ~prot] materializes [page] (zero-filled) with protection
     [prot]; remapping an existing page only changes its protection and
-    keeps its contents. *)
+    keeps its contents.
+    @raise Invalid_argument on a negative page number. *)
 val map : t -> page:int -> prot:Prot.t -> unit
 
 (** [unmap t ~page] discards the page and its contents. Unmapping an

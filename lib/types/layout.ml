@@ -70,8 +70,9 @@ let pointers_of leaves =
    (the only part of an architecture a layout depends on). The registry
    never rebinds a name, so a shape is computed once and kept in the
    registry it was computed against; a layout that raises is not kept.
-   Leaves are expanded on first use: a type may be sized without ever
-   being encoded. *)
+   The registry answers a repeat of the last name asked at a word size
+   by identity, without hashing it. Leaves are expanded on first use: a
+   type may be sized without ever being encoded. *)
 type shape = {
   layout : t;
   leaves : leaf list Lazy.t;
@@ -81,10 +82,9 @@ type shape = {
 type Registry.derived += Shape of shape
 
 let shape reg (arch : Arch.t) name =
-  let memo = Registry.derived reg ~word_size:arch.word_size in
-  match Registry.Names.find memo name with
-  | Shape s -> s
-  | _ | (exception Not_found) ->
+  match Registry.find_derived reg ~word_size:arch.word_size name with
+  | Some (Shape s) -> s
+  | Some _ | None ->
     let ty = Type_desc.Named name in
     let leaves = lazy (leaves_of reg arch ty) in
     let s =
@@ -94,7 +94,7 @@ let shape reg (arch : Arch.t) name =
         pointer_leaves = lazy (pointers_of (Lazy.force leaves));
       }
     in
-    Registry.Names.replace memo name (Shape s);
+    Registry.add_derived reg ~word_size:arch.word_size name (Shape s);
     s
 
 let of_type reg arch = function

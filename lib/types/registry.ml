@@ -2,12 +2,29 @@ type derived = ..
 
 module Names = Hashtbl.Make (String)
 
+(* The per-datum paths ask for one name many times in a row, as the
+   same string value (the type of the datum at hand), so each lookup
+   they make keeps its last answer in front of its table: a repeat of
+   that name, compared by identity, is answered without hashing. Names
+   are never rebound, so such an answer never goes stale. [no_name] is
+   the key of a memo that holds nothing: no caller can pass it. *)
+let no_name = String.make 1 '\000'
+
+type derived_memo = {
+  ws : int;
+  values : derived Names.t;
+  mutable last_key : string;
+  mutable last_value : derived option;
+}
+
 type t = {
   types : Type_desc.t Names.t;
   ids : int Names.t;
   mutable names : string array;  (** by id; the first [next_id] are assigned *)
   mutable next_id : int;
-  mutable derived : (int * derived Names.t) list;  (** by word size *)
+  mutable last_name : string;  (** [id_of_name]'s last answer... *)
+  mutable last_id : int;  (** ...and its id *)
+  mutable derived : derived_memo list;  (** by word size *)
 }
 
 exception Unknown_type of string
@@ -15,20 +32,39 @@ exception Duplicate_type of string
 
 let create () =
   { types = Names.create 32; ids = Names.create 32; names = Array.make 32 "";
-    next_id = 0; derived = [] }
+    next_id = 0; last_name = no_name; last_id = -1; derived = [] }
 
 let rec memo_for word_size = function
   | [] -> raise Not_found
-  | (ws, memo) :: rest ->
-    if Int.equal ws word_size then memo else memo_for word_size rest
+  | m :: rest -> if Int.equal m.ws word_size then m else memo_for word_size rest
 
-let derived t ~word_size =
+let derived_memo t ~word_size =
   match memo_for word_size t.derived with
-  | memo -> memo
+  | m -> m
   | exception Not_found ->
-    let memo = Names.create 32 in
-    t.derived <- (word_size, memo) :: t.derived;
-    memo
+    let m =
+      { ws = word_size; values = Names.create 32; last_key = no_name; last_value = None }
+    in
+    t.derived <- m :: t.derived;
+    m
+
+let find_derived t ~word_size name =
+  let m = derived_memo t ~word_size in
+  if name == m.last_key then m.last_value
+  else
+    match Names.find m.values name with
+    | v ->
+      let found = Some v in
+      m.last_key <- name;
+      m.last_value <- found;
+      found
+    | exception Not_found -> None
+
+let add_derived t ~word_size name v =
+  let m = derived_memo t ~word_size in
+  Names.replace m.values name v;
+  m.last_key <- no_name;
+  m.last_value <- None
 
 let register t name desc =
   match Names.find_opt t.types name with
@@ -58,9 +94,14 @@ let names t =
   Names.fold (fun name _ acc -> name :: acc) t.types [] |> List.sort String.compare
 
 let id_of_name t name =
-  match Names.find t.ids name with
-  | id -> id
-  | exception Not_found -> raise (Unknown_type name)
+  if name == t.last_name then t.last_id
+  else
+    match Names.find t.ids name with
+    | id ->
+      t.last_name <- name;
+      t.last_id <- id;
+      id
+    | exception Not_found -> raise (Unknown_type name)
 
 let name_of_id t id =
   if id >= 0 && id < t.next_id then t.names.(id)

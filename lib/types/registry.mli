@@ -27,6 +27,8 @@ val names : t -> string list
     wire frames carry a 4-byte specifier instead of a string. Ids are
     assigned in registration order, which is consistent system-wide
     because the registry is shared (it {e is} the name server).
+    [id_of_name] answers a repeat of the previous name, as the same
+    string value, without hashing.
 
     @raise Unknown_type on unregistered names/ids. *)
 
@@ -43,11 +45,18 @@ val resolve : t -> Type_desc.t -> Type_desc.t
 module Names : Hashtbl.S with type key = string
 
 (** Values derived from a registered name, such as its layout at one
-    word size ({!Layout}), cached with the registry: [derived t
-    ~word_size] holds them by name for that word size. {!register}
-    never rebinds a name, so a derived value stays valid for the
-    registry's lifetime. A module that derives one adds its own
-    constructor. *)
+    word size ({!Layout}), cached with the registry, by name and word
+    size. {!register} never rebinds a name, so a derived value stays
+    valid for the registry's lifetime. A module that derives one adds
+    its own constructor. *)
 type derived = ..
 
-val derived : t -> word_size:int -> derived Names.t
+(** [find_derived t ~word_size name] is the value derived from [name]
+    at [word_size], if one was added. A repeat of the previous name
+    asked at that word size, as the same string value, is answered
+    without hashing. *)
+val find_derived : t -> word_size:int -> string -> derived option
+
+(** [add_derived t ~word_size name v] caches [v] for [name] at
+    [word_size]. *)
+val add_derived : t -> word_size:int -> string -> derived -> unit
