@@ -54,7 +54,7 @@ type t = {
       (** per session, write-backs delivered by [Wb_stage] /
           [Wb_stage_delta] (with their sender) and not yet applied;
           [Wb_commit] applies and drops them, in delivery order *)
-  directory : (Space_id.t * string) list Int_table.t;
+  directory : (Space_id.t * string) list ref Int_table.t;
       (** copy directory (delta coherency): own-heap datum address →
           per-peer encoding that peer's cached copy agrees with. It is
           both the base image a peer's byte-range delta patches against
@@ -223,20 +223,24 @@ let delta_on t = t.strategy.Strategy.delta_coherency
 
 (* A datum's directory rows, one per peer holding a copy: a short list,
    since few peers ever hold one datum. *)
-let dir_rows t addr = Option.value ~default:[] (Int_table.find_opt t.directory addr)
+let dir_rows t addr =
+  match Int_table.find t.directory addr with rows -> !rows | exception Not_found -> []
 
 let rec remove_row peer = function
   | [] -> []
   | ((p, _) as row) :: rest ->
     if Space_id.equal p peer then rest else row :: remove_row peer rest
 
-(* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. *)
+(* [peer]'s copy of our datum at [addr] is now byte-for-byte [image]. A
+   datum shipped out and written back in one session is recorded twice;
+   the second record updates its rows in place. *)
 let dir_record t ~peer ~addr image =
   (match Cache.scope t.cache with
   | Some sid -> Int_table.replace t.dir_owner addr sid
   | None -> ());
-  Int_table.replace t.directory addr
-    ((peer, image) :: remove_row peer (dir_rows t addr))
+  match Int_table.find t.directory addr with
+  | rows -> rows := (peer, image) :: remove_row peer !rows
+  | exception Not_found -> Int_table.add t.directory addr (ref [ (peer, image) ])
 
 let dir_base t ~peer ~addr =
   List.find_map
