@@ -31,7 +31,6 @@ val count_errors : t list -> int
 val compare : t -> t -> int
 
 val sort : t list -> t list
-val pp_severity : Format.formatter -> severity -> unit
 val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 

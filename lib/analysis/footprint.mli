@@ -77,6 +77,4 @@ val regions_overlap : region -> region -> bool
     footprints are disjoint and the sessions could safely overlap. *)
 val interferes : t -> t -> Diagnostic.t list
 
-val pp_mode : Format.formatter -> mode -> unit
-val pp_region : Format.formatter -> region -> unit
 val pp : Format.formatter -> t -> unit

@@ -21,9 +21,6 @@ val pp : Format.formatter -> t -> unit
 
 (** Helpers used by the script codec. *)
 
-val atom : t -> string
-(** @raise Parse_error when the node is a list. *)
-
 val to_int : t -> int
 val to_float : t -> float
 val int : int -> t

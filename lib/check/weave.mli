@@ -15,8 +15,6 @@ open Srpc_core
     (physically disjoint) sessions — exercising queue/drain/backoff. *)
 type variant = Disjoint | Conflicting
 
-val pp_variant : Format.formatter -> variant -> unit
-
 type failure = {
   fseed : int;
   fvariant : variant;
@@ -61,12 +59,6 @@ val run_pair_full :
   Script.t ->
   Script.t ->
   outcome
-
-(** Deterministic sweeps: even seeds are disjoint, odd conflicting;
-    seeds alternate queue / abort-retry policy in blocks of two. *)
-val variant_for : int -> variant
-
-val policy_for : int -> Strategy.admission_policy
 
 (** [check ~seeds ~depth ~faults ()] sweeps seeds 0..[seeds]-1 (odd
     seeds faulted when [faults > 0], as in {!Runner}); failures are

@@ -103,7 +103,6 @@ val mark_present : t -> entry -> unit
     All entries on the page are considered modified (page-grain). *)
 val mark_page_dirty : t -> page:int -> unit
 
-val is_page_dirty : t -> page:int -> bool
 val dirty_pages : t -> int list
 
 (** [pin t e] records the scope's session as a user of [e]'s copy; a

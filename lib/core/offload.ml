@@ -23,10 +23,6 @@ let op_name = function
   | Op_update _ -> "update"
   | Op_map _ -> "map"
 
-let is_update = function
-  | Op_update _ | Op_map _ -> true
-  | Op_sum | Op_visit | Op_find _ -> false
-
 let pp_plan ppf p =
   Format.fprintf ppf "%s over %s via [%s]/%s bound %d" (op_name p.op) p.root_ty
     (String.concat ";" p.hops) p.value_field p.hop_bound

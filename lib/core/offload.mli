@@ -34,11 +34,6 @@ type plan = {
   hop_bound : int;  (** maximum nodes visited; must be positive *)
 }
 
-val op_name : op -> string
-
-(** [is_update op] — does the plan write memory at the home? *)
-val is_update : op -> bool
-
 val pp_plan : Format.formatter -> plan -> unit
 
 (** {1 Wire form}

@@ -287,15 +287,3 @@ let step ?seconds t (summary : Profile.summary) =
   | Some s -> step_measured t summary s);
   let rules, cleared = step_rules t summary.Profile.edges in
   { budgets = budgets t; rules; cleared }
-
-let pp_decision ppf (d : decision) =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (ty, b) -> Format.fprintf ppf "budget %-16s %dB@," ty b) d.budgets;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "hint   %-16s follow=[%s]%s@," r.rule_ty
-        (String.concat ";" r.follow)
-        (if r.prune_others then " prune-others" else ""))
-    d.rules;
-  List.iter (fun ty -> Format.fprintf ppf "clear  %-16s@," ty) d.cleared;
-  Format.fprintf ppf "@]"

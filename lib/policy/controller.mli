@@ -84,5 +84,3 @@ val step : ?seconds:float -> t -> Profile.summary -> decision
 
 (** Per-type budgets currently in force, sorted by type name. *)
 val budgets : t -> (string * int) list
-
-val pp_decision : Format.formatter -> decision -> unit

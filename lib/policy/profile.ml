@@ -177,21 +177,3 @@ let summary t ~windows =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   { types = sorted_bindings types; edges = sorted_bindings edges }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (ty, ts) ->
-      Format.fprintf ppf
-        "%-16s prefetched=%dB touched=%dB wasted=%dB demand=%dB(%d) stall=%.6fs@,"
-        ty ts.ts_prefetched_bytes ts.ts_touched_bytes ts.ts_wasted_bytes
-        ts.ts_demand_bytes ts.ts_demand_count ts.ts_stall_seconds)
-    s.types;
-  List.iter
-    (fun ((ty, field), es) ->
-      Format.fprintf ppf
-        "%s.%s: prefetched=%d touched=%d demanded=%d avoided=%d wasted=%dB@,"
-        ty field es.es_prefetched es.es_touched es.es_demanded es.es_avoided
-        es.es_wasted_bytes)
-    s.edges;
-  Format.fprintf ppf "@]"

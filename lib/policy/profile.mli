@@ -82,5 +82,3 @@ val summary : t -> windows:int -> summary
 
 (** Closed windows currently held. *)
 val window_count : t -> int
-
-val pp_summary : Format.formatter -> summary -> unit

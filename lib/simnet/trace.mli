@@ -134,7 +134,6 @@ val clear : t -> unit
 val between : t -> src:string -> dst:string -> int
 
 val access_name : access -> string
-val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 
 (** Render the whole trace, one event per line. *)

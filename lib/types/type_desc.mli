@@ -20,7 +20,6 @@ type t =
 val prim_size : prim -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_prim : Format.formatter -> prim -> unit
 
 (** Common shorthands. *)
 

@@ -7,9 +7,6 @@
 
 open Srpc_core
 
-(** Maximum keys per node (3; order 4). *)
-val max_keys : int
-
 (** Registered node type name, ["bnode"]. *)
 val type_name : string
 

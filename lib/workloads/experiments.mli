@@ -215,8 +215,6 @@ type faults_summary = {
   f_seconds : float;  (** mean simulated seconds per completed session *)
 }
 
-val default_fault_drops : float list
-
 (** [faults_sweep ()] runs the seeded chaos matrix: for every drop rate
     (default 0, 1%, 10%) and every strategy (smart, lazy, eager) one
     cluster runs [sessions] tree searches under injected frame drops and
