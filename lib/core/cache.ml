@@ -346,7 +346,6 @@ let in_scope t e =
 
 let iter_scoped t f = iter_entries t (fun e -> if in_scope t e then f e)
 
-(* Whether one of [e]'s pages before [page] is dirty. *)
 let rec dirty_before t page = function
   | [] -> false
   | p :: rest -> p < page && (is_page_dirty t ~page:p || dirty_before t page rest)
