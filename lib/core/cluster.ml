@@ -37,6 +37,13 @@ let add_node ?(proc = 0) ?(arch = Arch.sparc32) ?(strategy = Strategy.smart ())
   let id = Space_id.make ~site ~proc in
   if List.exists (fun n -> Space_id.equal (Node.id n) id) t.nodes then
     invalid_arg (Printf.sprintf "Cluster.add_node: %s exists" (Space_id.to_string id));
+  (* only a delta node keeps the base images a delta write-back patches *)
+  (match t.nodes with
+  | n :: _
+    when (Node.strategy n).Strategy.delta_coherency
+         <> strategy.Strategy.delta_coherency ->
+    invalid_arg "Cluster.add_node: a cluster is all-delta or all-plain"
+  | _ -> ());
   let node =
     Node.create ?page_size ?validate ?retry ?reply_cache_cap ?policy:t.policy
       ~hints:t.hints ~id ~arch ~registry:t.registry ~transport:t.transport

@@ -22,7 +22,11 @@ val session : t -> Session.t
 (** [add_node t ~site ()] creates a node. [proc] defaults to 0, [arch]
     to the paper's SPARC, [strategy] to {!Strategy.smart}. [validate]
     is forwarded to {!Node.create}: when true, the shared registry is
-    linted against the node's architecture before the node comes up. *)
+    linted against the node's architecture before the node comes up.
+    @raise Invalid_argument if the cluster already has a node at [site]
+    and [proc], or if [strategy]'s [delta_coherency] differs from the
+    nodes already added: only a delta node keeps the base images that
+    a delta write-back patches (docs/DELTA.md). *)
 val add_node :
   ?proc:int ->
   ?arch:Arch.t ->

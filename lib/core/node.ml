@@ -56,12 +56,11 @@ type t = {
           [Wb_commit] applies and drops them, in delivery order *)
   directory : (Space_id.t * string) list ref Int_table.t;
       (** copy directory (delta coherency): own-heap datum address →
-          per-peer encoding that peer's cached copy agrees with. It is
-          both the base image a peer's byte-range delta patches against
-          and the record of who holds copies of our data. Maintained
-          regardless of the strategy flag so mixed clusters stay
-          coherent; cleared with the rest of the session state
-          ([drop_session]). *)
+          per-peer encoding that peer's cached copy agrees with, the
+          base image a peer's byte-range delta patches against. Kept
+          only under [delta_coherency], its one reader; a cluster is
+          all-delta or all-plain ([Cluster.add_node]). Cleared with the
+          rest of the session state ([drop_session]). *)
   sstash : (int, saved_sstate) Hashtbl.t;
       (** parked per-session runtime state of the admitted sessions held
           here other than the focused one. [shipped], [traveling] and
@@ -71,10 +70,6 @@ type t = {
   mutable focused : int option;
       (** the session whose state occupies the swappable fields; [None]
           when the node holds no session's state there *)
-  dir_owner : int Int_table.t;
-      (** datum address -> admitted session that recorded its
-          copy-directory rows, so that session's drop removes exactly
-          its rows. Empty while an unadmitted session owns the node. *)
   peer_eps : string Space_id.Table.t;
       (** other spaces' endpoint names, formatted once each: every
           request and trace note names one *)
@@ -235,9 +230,6 @@ let rec remove_row peer = function
    datum shipped out and written back in one session is recorded twice;
    the second record updates its rows in place. *)
 let dir_record t ~peer ~addr image =
-  (match Cache.scope t.cache with
-  | Some sid -> Int_table.replace t.dir_owner addr sid
-  | None -> ());
   match Int_table.find t.directory addr with
   | rows -> rows := (peer, image) :: remove_row peer !rows
   | exception Not_found -> Int_table.add t.directory addr (ref [ (peer, image) ])
@@ -283,7 +275,8 @@ let delta_wire_size ranges =
    space the item arrived from, which the delta bookkeeping needs: a
    write-back landing home updates the sender's directory base, and a
    cache copy installed straight from its home space leaves both sides
-   agreeing on the encoding (shadow synced). *)
+   agreeing on the encoding (shadow synced). Without delta coherency
+   neither base has a reader, so neither is kept. *)
 let install_item t ~src ~kind (item : Wire.item) =
   let lp = item.Wire.lp in
   let dirty = kind = `Writeback in
@@ -298,7 +291,7 @@ let install_item t ~src ~kind (item : Wire.item) =
       Long_pointer.Table.replace t.traveling lp ();
       (* the sender's copy now agrees with this encoding: it is the base
          its next byte-range delta patches *)
-      dir_record t ~peer:src ~addr:lp.addr item.Wire.data
+      if delta_on t then dir_record t ~peer:src ~addr:lp.addr item.Wire.data
     end
   end
   else begin
@@ -320,7 +313,8 @@ let install_item t ~src ~kind (item : Wire.item) =
          home may not know it, so the shadow goes stale and the next
          write-back falls back to the full item. *)
       Cache.bump_version e;
-      if Space_id.equal src lp.origin then Cache.sync_shadow e item.Wire.data
+      if delta_on t && Space_id.equal src lp.origin then
+        Cache.sync_shadow e item.Wire.data
     end;
     (* else: a clean copy we already hold; ours is authoritative *)
     if fresh then begin
@@ -511,7 +505,7 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
           note_datum t lp Trace.Acc_serve;
           (* closure provenance feeds the copy directory: [peer] will hold
              exactly this encoding *)
-          dir_record t ~peer ~addr:lp.addr data;
+          if delta_on t then dir_record t ~peer ~addr:lp.addr data;
           if not (spent ()) then List.iter push (children raw lp.ty)
         end
         else if Option.is_none per_type_budget then budget_exceeded := true
@@ -708,8 +702,9 @@ let record_outcomes t =
    node, so everything goes, under one wildcard drop mark. An admitted
    session's share goes and every other open session's stays: its
    pinned entries (per-datum drop marks; a wildcard would erase other
-   open sessions' access history in the race checker), its staged
-   write-backs and its copy-directory rows. A [closed] session is no
+   open sessions' access history in the race checker) and its staged
+   write-backs. It has no copy-directory rows, since admission refuses
+   delta coherency. A [closed] session is no
    longer in the registry and its drops are not marked: its access
    history ended with it. [outcomes] first closes the policy's book on
    the session's entries: at a session's normal end, not at an abort or
@@ -728,17 +723,7 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
     if not closed then
       Cache.iter_scoped t.cache (fun e -> note_datum t e.Cache.lp Trace.Acc_drop);
     Cache.invalidate_session t.cache ~session:sid;
-    Hashtbl.remove t.staged sid;
-    let owned =
-      Int_table.fold
-        (fun addr owner acc -> if owner = sid then addr :: acc else acc)
-        t.dir_owner []
-    in
-    List.iter
-      (fun addr ->
-        Int_table.remove t.directory addr;
-        Int_table.remove t.dir_owner addr)
-      owned);
+    Hashtbl.remove t.staged sid);
   (* only looked up, never folded: they keep the size they grew to *)
   Space_id.Table.iter (fun _ visits -> Int_table.clear visits) t.shipped;
   Long_pointer.Table.reset t.traveling;
@@ -1997,7 +1982,6 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       directory = Int_table.create 32;
       sstash = Hashtbl.create 4;
       focused = None;
-      dir_owner = Int_table.create 32;
       peer_eps = Space_id.Table.create 4;
       peer_ids = Registry.Names.create 4;
       walks = 0;

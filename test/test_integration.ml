@@ -978,6 +978,47 @@ let test_access_field_offsets_per_registry () =
   Alcotest.(check int) "b" 7 (Access.get_int a2 p2 ~field:"b");
   Alcotest.(check int) "first cluster's b" 5 (Access.get_int a1 p1 ~field:"b")
 
+(* --- delta-coherency base images --- *)
+
+(* The callee's cache entries after one fully eager call, each with
+   whether it keeps a shadow. Every entry comes straight from its home,
+   the caller. *)
+let callee_shadows ~delta =
+  let strategy = { Strategy.fully_eager with Strategy.delta_coherency = delta } in
+  let _, a, b = mk2 ~strategy () in
+  let root = mk_node a ~left:(leaf a 1) ~right:(leaf a 2) ~data:0 in
+  Node.register b "nop" (fun _ _ -> []);
+  Node.with_session a (fun () ->
+      ignore (Node.call a ~dst:(Node.id b) "nop" [ Access.to_value root ]);
+      let shadows = ref [] in
+      Cache.iter_entries (Node.cache b) (fun e ->
+          shadows := Option.is_some e.Cache.shadow :: !shadows);
+      !shadows)
+
+(* Shadows are base images for delta write-backs, so only a delta node
+   keeps them. *)
+let test_shadows_only_under_delta () =
+  Alcotest.(check (list bool)) "plain: no shadows" [ false; false; false ]
+    (callee_shadows ~delta:false);
+  Alcotest.(check (list bool)) "delta: every entry shadowed" [ true; true; true ]
+    (callee_shadows ~delta:true)
+
+(* A plain home keeps no base for a delta write-back to patch, so a
+   cluster is all-delta or all-plain. *)
+let test_cluster_all_delta_or_all_plain () =
+  let refused first second =
+    let cluster = Cluster.create ~cost:Cost_model.zero () in
+    ignore (Cluster.add_node cluster ~site:1 ~strategy:first ());
+    match Cluster.add_node cluster ~site:2 ~strategy:second () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let plain = Strategy.smart () and delta = Strategy.smart ~delta:true () in
+  Alcotest.(check bool) "delta node, plain cluster" true (refused plain delta);
+  Alcotest.(check bool) "plain node, delta cluster" true (refused delta plain);
+  Alcotest.(check bool) "delta node, delta cluster" false (refused delta delta);
+  Alcotest.(check bool) "plain node, plain cluster" false (refused plain plain)
+
 (* --- host cost of the untraced path --- *)
 
 (* Sessions over a depth-8 tree (255 nodes) in which the callee reads
@@ -1211,6 +1252,12 @@ let () =
           tc "null dereference rejected" `Quick test_access_null_deref_rejected;
           tc "field offsets are per registry" `Quick
             test_access_field_offsets_per_registry;
+        ] );
+      ( "delta-bases",
+        [
+          tc "shadows only under delta" `Quick test_shadows_only_under_delta;
+          tc "cluster is all-delta or all-plain" `Quick
+            test_cluster_all_delta_or_all_plain;
         ] );
       ( "host-cost",
         [
