@@ -42,8 +42,6 @@ val pp_plan : Format.formatter -> plan -> unit
     plan is a typed {!Srpc_xdr.Xdr.Decode_error} at the trust boundary,
     never a crash mid-walk. *)
 
-val max_hop_bound : int
-
 val encode_plan : Srpc_xdr.Xdr.Enc.t -> plan -> unit
 
 (** @raise Srpc_xdr.Xdr.Decode_error on a non-positive or oversized hop

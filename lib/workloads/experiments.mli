@@ -399,16 +399,14 @@ type offload_adaptive_point = {
   oa_choice : string;  (** {!Srpc_policy.Engine.offload_choice} at the end *)
 }
 
-(** The long-haul link the adaptive sweep runs over: real per-frame
-    latency, and a pipe where shipping the whole closure costs a
-    handful of round trips — the regime where the reuse count genuinely
-    decides between offloading and fetching. *)
-val offload_link : Srpc_simnet.Cost_model.t
-
 (** [offload_adaptive ~repeats ()] runs [sessions] sessions of
     [repeats] traversals each, letting the per-type two-arm learner
     pick each session's transfer mode and feeding back per-traversal
-    seconds; reports the learner's converged verdict. *)
+    seconds; reports the learner's converged verdict. [link_cost]
+    defaults to a long-haul link: real per-frame latency, and a pipe
+    where shipping the whole closure costs a handful of round trips —
+    the regime where the reuse count genuinely decides between
+    offloading and fetching. *)
 val offload_adaptive :
   ?depth:int ->
   ?sessions:int ->

@@ -8,14 +8,9 @@
 
 open Srpc_core
 
-(** Fixed bucket count (part of the registered table type). *)
-val bucket_count : int
-
-(** Registered names: ["htable"] (the bucket array) and ["hnode"]
-    (chain cells [{ next; key; value }]). *)
-val table_type : string
-
-val node_type : string
+(** [register_types cluster] registers ["htable"], a fixed array of 64
+    bucket pointers, and ["hnode"], the chain cells
+    [{ next; key; value }]. *)
 val register_types : Cluster.t -> unit
 
 (** [create node] allocates an empty table in [node]'s heap. *)

@@ -8,21 +8,17 @@
 
 open Srpc_core
 
-(** Elements per tile edge (32) and maximum tiles per grid (64, i.e. up
-    to 8×8 tiles = 256×256 elements). *)
+(** Elements per tile edge (32). *)
 val tile_edge : int
 
-val max_tiles : int
-
-(** Registered names: ["mtile"], ["mgrid"]. *)
-val tile_type : string
-
-val grid_type : string
+(** [register_types cluster] registers ["mtile"], one tile, and
+    ["mgrid"], an array of up to 64 tile pointers (8×8 tiles = 256×256
+    elements). *)
 val register_types : Cluster.t -> unit
 
 (** [create node ~tile_rows ~tile_cols] allocates a zeroed grid of
     [tile_rows × tile_cols] tiles.
-    @raise Invalid_argument beyond [max_tiles]. *)
+    @raise Invalid_argument beyond 64 tiles. *)
 val create : Node.t -> tile_rows:int -> tile_cols:int -> Access.ptr
 
 (** Element dimensions (rows, cols). *)
