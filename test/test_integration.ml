@@ -1047,20 +1047,24 @@ let tree_sessions ?(visit = Srpc_workloads.Tree.visit) strategy =
    runtime allocated when this guard was set (OCaml 5.1, no flambda).
    Formatting race-witness names and re-deriving layouts per datum once
    cost over six times this; a buffer and closures per scalar access,
-   boxed XDR integers and tuple-keyed lookups cost 139,036. *)
-let untraced_minor_words_bound = 71_610. *. 1.25
+   boxed XDR integers and tuple-keyed lookups cost 139,036; a shadow
+   per installed copy and a copy-directory row per shipped datum,
+   without delta coherency, cost 55,233. *)
+let untraced_minor_words_bound = 51_663. *. 1.25
 
 (* The same for a fully lazy session: 255 faults, each one fetch. Before
    the fault path stopped rebuilding codec contexts, frame buffers and
-   one-datum tables per fetch, it allocated 182,999. *)
-let untraced_lazy_minor_words_bound = 124_574. *. 1.25
+   one-datum tables per fetch, it allocated 182,999; before only delta
+   nodes kept base images, 121,872. *)
+let untraced_lazy_minor_words_bound = 118_302. *. 1.25
 
 (* The same for a session whose callee also increments every node under
    [Strategy.smart ()]: write faults, the modified data set shipped back
    on return and written back at the close. Before closure walks kept
    one row per datum and the cache's dirty set stopped building a table
-   per call, it allocated 89,415. *)
-let untraced_update_minor_words_bound = 85_201. *. 1.25
+   per call, it allocated 89,415; before only delta nodes kept base
+   images, 84,691. *)
+let untraced_update_minor_words_bound = 79_591. *. 1.25
 
 let check_untraced_allocation ?visit strategy ~bound =
   let _, session = tree_sessions ?visit strategy in
