@@ -704,11 +704,11 @@ let record_outcomes t =
    pinned entries (per-datum drop marks; a wildcard would erase other
    open sessions' access history in the race checker) and its staged
    write-backs. It has no copy-directory rows, since admission refuses
-   delta coherency. A [closed] session is no
-   longer in the registry and its drops are not marked: its access
-   history ended with it. [outcomes] first closes the policy's book on
-   the session's entries: at a session's normal end, not at an abort or
-   at the lazy purge of a node that missed its session's end. *)
+   delta coherency. A [closed] session is no longer in the registry and
+   its drops are not marked: its access history ended with it.
+   [outcomes] first closes the policy's book on the session's entries:
+   at a session's normal end, not at an abort or at the lazy purge of a
+   node that missed its session's end. *)
 let drop_session ?(outcomes = false) ?(closed = false) t sid =
   swap_focus t sid;
   if outcomes then record_outcomes t;
