@@ -262,6 +262,12 @@ let mk_cache ?(grouping = Strategy.By_origin) ?(grain = Strategy.Page_grain) () 
 
 let lp_at ?(origin = sid1) ?(ty = "node") addr = Long_pointer.make ~origin ~addr ~ty
 
+(* The 256-byte pages an entry's slot occupies. *)
+let pages (e : Cache.entry) =
+  let first = e.Cache.local_addr / 256
+  and last = (e.Cache.local_addr + e.Cache.size - 1) / 256 in
+  List.init (last - first + 1) (fun i -> first + i)
+
 let test_cache_allocate_maps_protected () =
   let space, cache = mk_cache () in
   let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
@@ -272,13 +278,13 @@ let test_cache_allocate_maps_protected () =
       Alcotest.(check (option bool))
         "no access" (Some false)
         (Option.map Prot.allows_read (Address_space.protection space ~page)))
-    e.Cache.pages
+    (pages e)
 
 let test_cache_same_origin_shares_page () =
   let _, cache = mk_cache () in
   let a = Cache.allocate cache (lp_at 0x100) ~size:16 in
   let b = Cache.allocate cache (lp_at 0x200) ~size:16 in
-  Alcotest.(check (list int)) "same page" a.Cache.pages b.Cache.pages;
+  Alcotest.(check (list int)) "same page" (pages a) (pages b);
   Alcotest.(check int) "packed" 16 (b.Cache.local_addr - a.Cache.local_addr)
 
 let test_cache_by_origin_separates_origins () =
@@ -288,7 +294,7 @@ let test_cache_by_origin_separates_origins () =
     Cache.allocate cache (lp_at ~origin:(Space_id.make ~site:9 ~proc:0) 0x100)
       ~size:16
   in
-  Alcotest.(check bool) "different pages" true (a.Cache.pages <> b.Cache.pages)
+  Alcotest.(check bool) "different pages" true (pages a <> pages b)
 
 let test_cache_sequential_mixes_origins () =
   let _, cache = mk_cache ~grouping:Strategy.Sequential () in
@@ -297,18 +303,18 @@ let test_cache_sequential_mixes_origins () =
     Cache.allocate cache (lp_at ~origin:(Space_id.make ~site:9 ~proc:0) 0x100)
       ~size:16
   in
-  Alcotest.(check (list int)) "same page" a.Cache.pages b.Cache.pages
+  Alcotest.(check (list int)) "same page" (pages a) (pages b)
 
 let test_cache_entry_per_page () =
   let _, cache = mk_cache ~grouping:Strategy.Entry_per_page () in
   let a = Cache.allocate cache (lp_at 0x100) ~size:16 in
   let b = Cache.allocate cache (lp_at 0x200) ~size:16 in
-  Alcotest.(check bool) "separate pages" true (a.Cache.pages <> b.Cache.pages)
+  Alcotest.(check bool) "separate pages" true (pages a <> pages b)
 
 let test_cache_large_entry_spans_pages () =
   let _, cache = mk_cache () in
   let e = Cache.allocate cache (lp_at 0x100 ~ty:"big") ~size:600 in
-  Alcotest.(check int) "three 256-byte pages" 3 (List.length e.Cache.pages)
+  Alcotest.(check int) "three 256-byte pages" 3 (List.length (pages e))
 
 let test_cache_duplicate_lp_rejected () =
   let _, cache = mk_cache () in
@@ -340,7 +346,7 @@ let test_cache_mark_present_unprotects () =
       Alcotest.(check (option string))
         "read-only" (Some "r--")
         (Option.map Prot.to_string (Address_space.protection space ~page)))
-    e.Cache.pages
+    (pages e)
 
 let test_cache_partial_presence_stays_protected () =
   let space, cache = mk_cache () in
@@ -353,13 +359,13 @@ let test_cache_partial_presence_stays_protected () =
       Alcotest.(check (option string))
         "no access" (Some "---")
         (Option.map Prot.to_string (Address_space.protection space ~page)))
-    a.Cache.pages
+    (pages a)
 
 let test_cache_dirty_cycle () =
   let space, cache = mk_cache () in
   let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
   Cache.mark_present cache e;
-  let page = List.hd e.Cache.pages in
+  let page = List.hd (pages e) in
   Cache.mark_page_dirty cache ~page;
   Alcotest.(check (option string))
     "read-write" (Some "rw-")
@@ -379,7 +385,7 @@ let test_cache_page_grain_ships_neighbours () =
   let b = Cache.allocate cache (lp_at 0x200) ~size:16 in
   Cache.mark_present cache a;
   Cache.mark_present cache b;
-  Cache.mark_page_dirty cache ~page:(List.hd a.Cache.pages);
+  Cache.mark_page_dirty cache ~page:(List.hd (pages a));
   (* page-grain: both entries of the dirty page ship *)
   Alcotest.(check int) "both ship" 2 (List.length (Cache.dirty_entries cache))
 
@@ -389,7 +395,7 @@ let test_cache_twin_diff_ships_changed_only () =
   let b = Cache.allocate cache (lp_at 0x200) ~size:16 in
   Cache.mark_present cache a;
   Cache.mark_present cache b;
-  Cache.mark_page_dirty cache ~page:(List.hd a.Cache.pages);
+  Cache.mark_page_dirty cache ~page:(List.hd (pages a));
   (* modify only b *)
   Address_space.write_unchecked space ~addr:b.Cache.local_addr
     (Bytes.of_string "modified");
@@ -476,10 +482,10 @@ let test_cache_dirty_entries_order () =
     in
     let entry n = List.assoc n entries in
     List.iter (fun (_, e) -> Cache.mark_present cache e) entries;
-    let p0 = List.hd (entry "s").Cache.pages in
+    let p0 = List.hd (pages (entry "s")) in
     Alcotest.(check (list int)) "l straddles P1 and P2" [ p0 + 1; p0 + 2 ]
-      (entry "l").Cache.pages;
-    Alcotest.(check (list int)) "x behind l" [ p0 + 2 ] (entry "x").Cache.pages;
+      (pages (entry "l"));
+    Alcotest.(check (list int)) "x behind l" [ p0 + 2 ] (pages (entry "x"));
     List.iter (fun k -> Cache.mark_page_dirty cache ~page:(p0 + k)) dirty;
     List.iter
       (fun (n, off) ->
@@ -519,15 +525,70 @@ let test_cache_invalidate () =
   let space, cache = mk_cache () in
   let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
   Cache.mark_present cache e;
+  let dropped = pages e in
   Cache.invalidate cache;
   Alcotest.(check int) "empty" 0 (Cache.entry_count cache);
   Alcotest.(check int) "bytes" 0 (Cache.allocated_bytes cache);
   List.iter
     (fun page ->
       Alcotest.(check bool) "unmapped" false (Address_space.is_mapped space ~page))
-    e.Cache.pages;
+    dropped;
   (* region is reusable afterwards *)
   ignore (Cache.allocate cache (lp_at 0x100) ~size:16)
+
+(* A dropped entry leaves nothing behind for the next allocation: one
+   after the whole-cache drop, and one after an admitted session's
+   drop, starts in the fresh state, and the dropped copy is not found
+   by its long pointer or its address. *)
+let test_cache_allocation_after_drop_is_fresh () =
+  let use cache e =
+    Cache.pin cache e;
+    Cache.mark_present cache e;
+    e.Cache.dirty <- true;
+    e.Cache.prefetched <- true;
+    e.Cache.touched <- true;
+    Cache.bump_version e;
+    Cache.sync_shadow e "image"
+  in
+  let gone what cache ~addr =
+    Alcotest.(check bool) (what ^ ": lp gone") true
+      (Cache.find_by_lp cache (lp_at 0x100) = None);
+    Alcotest.(check bool) (what ^ ": addr gone") true (Cache.find_by_addr cache addr = None)
+  in
+  let fresh what cache =
+    let e = Cache.allocate cache (lp_at 0x200) ~size:16 in
+    Alcotest.(check (list bool))
+      (what ^ ": present, dirty, prefetched, touched")
+      [ false; false; false; false ]
+      [ e.Cache.present; e.Cache.dirty; e.Cache.prefetched; e.Cache.touched ];
+    Alcotest.(check int) (what ^ ": version") 0 e.Cache.version;
+    Alcotest.(check (option string)) (what ^ ": shadow") None e.Cache.shadow;
+    Alcotest.(check (list int)) (what ^ ": pins") [] e.Cache.pins;
+    Alcotest.(check bool) (what ^ ": dropped lp still gone") true
+      (Cache.find_by_lp cache (lp_at 0x100) = None);
+    Alcotest.(check (result unit string)) (what ^ ": invariants") (Ok ())
+      (Cache.check_invariants cache)
+  in
+  let _, cache = mk_cache () in
+  Cache.set_scope cache (Some 1);
+  let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
+  use cache e;
+  let addr = e.Cache.local_addr in
+  Cache.set_scope cache None;
+  Cache.invalidate cache;
+  gone "invalidate" cache ~addr;
+  fresh "after invalidate" cache;
+  let _, cache = mk_cache () in
+  Cache.set_scope cache (Some 1);
+  let e = Cache.allocate cache (lp_at 0x100) ~size:16 in
+  use cache e;
+  let addr = e.Cache.local_addr in
+  Cache.invalidate_session cache ~session:1;
+  gone "invalidate_session" cache ~addr;
+  Cache.set_scope cache (Some 2);
+  fresh "after invalidate_session" cache;
+  Alcotest.(check bool) "dropped addr still gone" true
+    (Cache.find_by_addr cache addr = None)
 
 let test_cache_accounting () =
   let _, cache = mk_cache () in
@@ -806,6 +867,8 @@ let () =
             test_cache_find_containing_after_slot_reuse;
           tc "dirty entries order with a straddler" `Quick test_cache_dirty_entries_order;
           tc "invalidate" `Quick test_cache_invalidate;
+          tc "allocation after a drop is fresh" `Quick
+            test_cache_allocation_after_drop_is_fresh;
           tc "accounting" `Quick test_cache_accounting;
           tc "table rendering (Table 1)" `Quick test_cache_table_rendering;
         ] );

@@ -219,6 +219,32 @@ let test_closure_budget_limits_prefetch () =
 
 (* --- nested RPCs and callbacks --- *)
 
+(* Every session ships its closure afresh: the callee dropped its copies
+   at the previous close, so what was sent then counts for nothing. *)
+let test_eager_sessions_each_ship_the_closure () =
+  let cluster, a, b = mk2 ~strategy:Strategy.fully_eager () in
+  let t =
+    mk_node a ~left:(leaf a 2)
+      ~right:(mk_node a ~left:(leaf a 4) ~right:(leaf a 5) ~data:3)
+      ~data:1
+  in
+  Node.register b "held" (fun node _ -> [ Value.int (Node.cached_entries node) ]);
+  let session () =
+    Node.with_session a (fun () ->
+        let s0 = Cluster.snapshot cluster in
+        let held =
+          match Node.call a ~dst:(Node.id b) "held" [ Access.to_value t ] with
+          | [ v ] -> Value.to_int v
+          | _ -> Alcotest.fail "arity"
+        in
+        let d = Stats.diff (Cluster.snapshot cluster) s0 in
+        [ held; d.Stats.prefetched_bytes; d.Stats.bytes ])
+  in
+  let first = session () in
+  Alcotest.(check int) "the first session ships all five" 5 (List.hd first);
+  Alcotest.(check (list int)) "entries, prefetched and wire bytes again" first
+    (session ())
+
 let test_nested_rpc_three_sites () =
   let cluster = Cluster.create ~cost:Cost_model.zero () in
   let a = Cluster.add_node cluster ~site:1 () in
@@ -383,6 +409,81 @@ let test_two_sequential_sessions () =
   Node.with_session a (fun () ->
       ignore (Node.call a ~dst:(Node.id b) "bump" [ Access.to_value p ]));
   Alcotest.(check int) "both sessions applied" 3 (Access.get_int a p ~field:"data")
+
+(* Each admitted session keeps its own record, at a home, of what it
+   has been sent: sessions grounded at [b] and [c] each fetch a tree
+   homed at [a]; while [b]'s is parked at [a], [c]'s closes, and [b]'s
+   next fetch of its tree ships nothing [b] already holds. *)
+let test_admitted_sessions_keep_their_sent_sets () =
+  let cluster = Cluster.create ~cost:Cost_model.zero () in
+  let strategy = Strategy.fully_eager in
+  let a = Cluster.add_node cluster ~site:1 ~strategy () in
+  let b = Cluster.add_node cluster ~site:2 ~strategy () in
+  let c = Cluster.add_node cluster ~site:3 ~strategy () in
+  register_node_type cluster;
+  let roots =
+    Array.init 2 (fun i -> mk_node a ~left:(leaf a i) ~right:(leaf a i) ~data:i)
+  in
+  Node.register a "root" (fun _ args ->
+      [ Access.to_value roots.(Value.to_int (List.hd args)) ]);
+  let adm = Admission.create (Cluster.stats cluster) in
+  let admit ground label =
+    let footprint =
+      Srpc_analysis.Footprint.session ~label
+        [ { Srpc_analysis.Footprint.root = label; path = "*"; mode = Read } ]
+    in
+    let id = Node.reserve_session ground in
+    match Node.request_admission ground adm ~id ~footprint with
+    | Admission.Admitted -> ()
+    | _ -> Alcotest.fail "a disjoint session was not admitted"
+  in
+  let close ground =
+    match Node.end_session_validated ground adm with
+    | `Committed, [] -> ()
+    | _ -> Alcotest.fail "the close did not commit alone"
+  in
+  let fetch ground i =
+    let s0 = Cluster.snapshot cluster in
+    ignore (Node.call ground ~dst:(Node.id a) "root" [ Value.int i ]);
+    (Stats.diff (Cluster.snapshot cluster) s0).Stats.bytes
+  in
+  admit b "t0";
+  let first = fetch b 0 in
+  let again = fetch b 0 in
+  admit c "t1";
+  Alcotest.(check int) "the other session fetches its tree" first (fetch c 1);
+  close c;
+  let after = fetch b 0 in
+  close b;
+  Alcotest.(check bool) "the first fetch ships the tree" true (first > again);
+  Alcotest.(check int) "nothing is sent again after the other close" again after
+
+(* A datum the ground frees after a write-back brought it home stops
+   traveling: the next call moves as many write-back items as when the
+   freed datum was never modified. *)
+let test_freed_datum_stops_traveling () =
+  let writebacks ~free =
+    let cluster, a, b = mk2 () in
+    let p = leaf a 1 and q = leaf a 2 in
+    Node.register b "bump" (fun node args ->
+        List.iter
+          (fun v ->
+            let r = Access.of_value v in
+            Access.set_int node r ~field:"data" (Access.get_int node r ~field:"data" + 1))
+          args;
+        []);
+    Node.register b "nop" (fun _ _ -> []);
+    Node.with_session a (fun () ->
+        let bumped = if free then [ p; q ] else [ q ] in
+        ignore (Node.call a ~dst:(Node.id b) "bump" (List.map Access.to_value bumped));
+        if free then Node.extended_free a p.Access.addr;
+        let s0 = Cluster.snapshot cluster in
+        ignore (Node.call a ~dst:(Node.id b) "nop" []);
+        (Stats.diff (Cluster.snapshot cluster) s0).Stats.writebacks)
+  in
+  let expect = writebacks ~free:false in
+  Alcotest.(check bool) "the live datum travels" true (expect > 0);
+  Alcotest.(check int) "the freed datum does not" expect (writebacks ~free:true)
 
 (* --- remote allocation / release --- *)
 
@@ -1091,6 +1192,32 @@ let test_untraced_update_allocation () =
   check_untraced_allocation ~visit:Srpc_workloads.Tree.visit_update (Strategy.smart ())
     ~bound:untraced_update_minor_words_bound
 
+(* Per-datum state that outlives a session levels off: spare cache
+   entries are bounded by the peak entry count and shipped rows by the
+   data ever shipped to each peer. After 64 updating sessions over the
+   depth-8 tree, 64 more of the same size leave the live heap of the
+   cluster where it was. The words reachable from the cluster are what
+   a full major collection keeps of it, counted exactly: [Gc.stat]'s
+   live words, read once per batch, has come out lower after the second
+   batch than after the first even with the spare entries never reused
+   (OCaml 5.1). *)
+let test_recycled_state_levels_off () =
+  let cluster, session =
+    tree_sessions ~visit:Srpc_workloads.Tree.visit_update (Strategy.smart ())
+  in
+  let ok = ref true in
+  let live_after_batch () =
+    for _ = 1 to 64 do
+      ok := session () && !ok
+    done;
+    Obj.reachable_words (Obj.repr (cluster, session))
+  in
+  let first = live_after_batch () in
+  let second = live_after_batch () in
+  Alcotest.(check bool) "every session visits every node" true !ok;
+  if float_of_int second > float_of_int first *. 1.01 then
+    Alcotest.failf "live words grew from %d to %d over 64 more sessions" first second
+
 (* Tracing still witnesses every access: the race checker is fed as many
    [Trace.Access] marks for these sessions as before the untraced path
    stopped naming data. *)
@@ -1174,6 +1301,8 @@ let () =
         [
           tc "fully eager: no faults at all" `Quick test_fully_eager_no_faults;
           tc "closure budget limits prefetch" `Quick test_closure_budget_limits_prefetch;
+          tc "each eager session ships the closure" `Quick
+            test_eager_sessions_each_ship_the_closure;
         ] );
       ( "nesting",
         [
@@ -1193,6 +1322,9 @@ let () =
           tc "session end invalidates caches" `Quick
             test_session_end_invalidates_callee_cache;
           tc "two sequential sessions" `Quick test_two_sequential_sessions;
+          tc "admitted sessions keep their sent sets" `Quick
+            test_admitted_sessions_keep_their_sent_sets;
+          tc "a freed datum stops traveling" `Quick test_freed_datum_stops_traveling;
         ] );
       ( "remote-heap",
         [
@@ -1271,6 +1403,7 @@ let () =
             test_untraced_lazy_allocation;
           tc "untraced updating sessions stay within their allocation" `Quick
             test_untraced_update_allocation;
+          tc "recycled state levels off" `Quick test_recycled_state_levels_off;
           tc "traced sessions witness every access" `Quick test_traced_access_marks;
         ] );
       ( "misc",
