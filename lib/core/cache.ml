@@ -2,9 +2,8 @@ open Srpc_memory
 
 type entry = {
   mutable lp : Long_pointer.t;
-  local_addr : int;
-  size : int;
-  pages : int list;
+  mutable local_addr : int;
+  mutable size : int;
   mutable present : bool;
   mutable dirty : bool;
   mutable prefetched : bool;
@@ -32,9 +31,8 @@ type pool = {
   mutable cursors : (group * cursor) list;
       (** where each group's next entry goes: a handful, one per
           origin or type *)
-  free_slots : (int * int list) list ref Int_table.t;
-      (** rounded size -> freed (addr, pages) slots available for
-          reuse *)
+  free_slots : int list ref Int_table.t;
+      (** rounded size -> addresses of freed slots available for reuse *)
 }
 
 type t = {
@@ -55,6 +53,9 @@ type t = {
           leaves [by_addr] *)
   unscoped : pool;  (** scope [None] *)
   scoped : pool Int_table.t;  (** by session, for scope [Some session] *)
+  mutable spare : entry list;
+      (** dropped entries that [allocate] reuses: with the live ones they
+          never outnumber the peak entry count *)
   mutable next_page : int;
   mutable allocated_bytes : int;
   mutable scope : int option;
@@ -89,6 +90,7 @@ let create ~space ~base ~limit ~grouping ~grain =
     last_hit = None;
     unscoped = { cursors = []; free_slots = Int_table.create 8 };
     scoped = Int_table.create 8;
+    spare = [];
     next_page = base / psz;
     allocated_bytes = 0;
     scope = None;
@@ -100,6 +102,11 @@ let scope t = t.scope
 let in_region t addr = addr >= t.base && addr < t.limit
 
 let psz t = Address_space.page_size t.space
+
+(* A slot occupies the contiguous pages from its first to its last
+   byte's. *)
+let first_page t e = Address_space.page_of_addr t.space e.local_addr
+let last_page t e = Address_space.page_of_addr t.space (e.local_addr + e.size - 1)
 
 let fresh_pages t n =
   let first = t.next_page in
@@ -125,50 +132,50 @@ let pool t =
       Int_table.add t.scoped session p;
       p)
 
-let same_group a b =
-  match (a, b) with
-  | Origin x, Origin y -> Space_id.equal x y
-  | All, All -> true
-  | Of_type x, Of_type y -> String.equal x y
-  | (Origin _ | All | Of_type _), _ -> false
+(* A cache's cursors all group by its one grouping, so [lp]'s cursor is
+   found without building its group. *)
+let in_group (lp : Long_pointer.t) = function
+  | Origin x -> Space_id.equal x lp.origin
+  | All -> true
+  | Of_type x -> String.equal x lp.ty
 
-let rec cursor_of g = function
+let rec cursor_of lp = function
   | [] -> raise Not_found
-  | (g', c) :: rest -> if same_group g g' then c else cursor_of g rest
+  | (g, c) :: rest -> if in_group lp g then c else cursor_of lp rest
 
+(* The address of a freed slot in [size]'s class, or -1. *)
 let take_free_slot t ~size =
   let slots = (pool t).free_slots in
-  if Int_table.length slots = 0 then None
+  if Int_table.length slots = 0 then -1
   else
-    match Int_table.find_opt slots (round_up size) with
-    | Some ({ contents = slot :: rest } as r) ->
+    match Int_table.find slots (round_up size) with
+    | { contents = addr :: rest } as r ->
       r := rest;
-      Some slot
-    | Some { contents = [] } | None -> None
+      addr
+    | { contents = [] } -> -1
+    | exception Not_found -> -1
 
-let release_slot t ~addr ~size ~pages =
+let release_slot t ~addr ~size =
   let slots = (pool t).free_slots and key = round_up size in
-  match Int_table.find_opt slots key with
-  | Some r -> r := (addr, pages) :: !r
-  | None -> Int_table.add slots key (ref [ (addr, pages) ])
+  match Int_table.find slots key with
+  | r -> r := addr :: !r
+  | exception Not_found -> Int_table.add slots key (ref [ addr ])
 
-(* Pick the slot address for a new entry and return (addr, pages). *)
+(* Pick the slot address for a new entry. *)
 let place t lp ~size =
   let psz = psz t in
-  let pages_for first n = List.init n (fun i -> first + i) in
   match t.grouping with
   | Strategy.Entry_per_page ->
     let n = (size + psz - 1) / psz in
-    let first = fresh_pages t (max n 1) in
-    (first * psz, pages_for first (max n 1))
+    fresh_pages t (max n 1) * psz
   | Strategy.By_origin | Strategy.Sequential | Strategy.By_type ->
-    let pool = pool t and g = group_of t lp in
+    let pool = pool t in
     let cursor =
-      match cursor_of g pool.cursors with
+      match cursor_of lp pool.cursors with
       | c -> c
       | exception Not_found ->
         let c = { page = -1; off = 0 } in
-        pool.cursors <- (g, c) :: pool.cursors;
+        pool.cursors <- (group_of t lp, c) :: pool.cursors;
         c
     in
     if size > psz then begin
@@ -182,7 +189,7 @@ let place t lp ~size =
         cursor.page <- -1;
         cursor.off <- 0
       end;
-      (first * psz, pages_for first n)
+      first * psz
     end
     else begin
       if cursor.page < 0 || psz - cursor.off < size then begin
@@ -195,8 +202,7 @@ let place t lp ~size =
         cursor.page <- -1;
         cursor.off <- 0
       end;
-      let first = addr / psz and last = (addr + size - 1) / psz in
-      (addr, if first = last then [ first ] else [ first; last ])
+      addr
     end
 
 let entries_on_page t page =
@@ -226,38 +232,53 @@ let allocate t lp ~size =
   if Long_pointer.Lookup.mem t.by_lp lp then
     invalid_arg
       (Format.asprintf "Cache.allocate: %a already allocated" Long_pointer.pp lp);
-  let local_addr, pages =
-    match take_free_slot t ~size with Some slot -> slot | None -> place t lp ~size
+  let local_addr =
+    match take_free_slot t ~size with -1 -> place t lp ~size | addr -> addr
   in
   let entry =
-    {
-      lp;
-      local_addr;
-      size;
-      pages;
-      present = false;
-      dirty = false;
-      prefetched = false;
-      touched = false;
-      version = 0;
-      shadow = None;
-      shadow_version = -1;
-      pins = [];
-    }
+    match t.spare with
+    | [] ->
+      {
+        lp;
+        local_addr;
+        size;
+        present = false;
+        dirty = false;
+        prefetched = false;
+        touched = false;
+        version = 0;
+        shadow = None;
+        shadow_version = -1;
+        pins = [];
+      }
+    | e :: rest ->
+      t.spare <- rest;
+      e.lp <- lp;
+      e.local_addr <- local_addr;
+      e.size <- size;
+      e.present <- false;
+      e.dirty <- false;
+      e.prefetched <- false;
+      e.touched <- false;
+      e.version <- 0;
+      e.shadow <- None;
+      e.shadow_version <- -1;
+      e.pins <- [];
+      e
   in
   Long_pointer.Lookup.add t.by_lp lp entry;
   Int_table.replace t.by_addr local_addr entry;
-  List.iter
-    (fun page ->
-      (match Int_table.find_opt t.by_page page with
-      | Some p ->
-        p.on_page <- entry :: p.on_page;
-        p.absent <- p.absent + 1
-      | None -> Int_table.add t.by_page page { on_page = [ entry ]; absent = 1 });
-      (* the page now holds an absent entry: inaccessible, mapped on
-         first use *)
-      Address_space.map t.space ~page ~prot:Prot.No_access)
-    pages;
+  for page = first_page t entry to last_page t entry do
+    (match Int_table.find t.by_page page with
+    | p ->
+      p.on_page <- entry :: p.on_page;
+      p.absent <- p.absent + 1
+    | exception Not_found ->
+      Int_table.add t.by_page page { on_page = [ entry ]; absent = 1 });
+    (* the page now holds an absent entry: inaccessible, mapped on
+       first use *)
+    Address_space.map t.space ~page ~prot:Prot.No_access
+  done;
   t.allocated_bytes <- t.allocated_bytes + round_up size;
   entry
 
@@ -288,14 +309,13 @@ let entry_count t = Int_table.length t.by_addr
 let mark_present t e =
   let arrived = not e.present in
   e.present <- true;
-  List.iter
-    (fun page ->
-      match Int_table.find t.by_page page with
-      | p ->
-        if arrived then p.absent <- p.absent - 1;
-        protect_page t ~page ~absent:p.absent
-      | exception Not_found -> protect_page t ~page ~absent:0)
-    e.pages
+  for page = first_page t e to last_page t e do
+    match Int_table.find t.by_page page with
+    | p ->
+      if arrived then p.absent <- p.absent - 1;
+      protect_page t ~page ~absent:p.absent
+    | exception Not_found -> protect_page t ~page ~absent:0
+  done
 
 let mark_page_dirty t ~page =
   if not (is_page_dirty t ~page) then begin
@@ -322,18 +342,19 @@ let entry_range_on_page t e page =
   (start, stop - start)
 
 let entry_changed_vs_twin t e =
-  List.exists
-    (fun page ->
-      match Int_table.find_opt t.twins page with
-      | None -> false
-      | Some twin ->
-        let addr, len = entry_range_on_page t e page in
-        if len <= 0 then false
-        else
-          let current = Address_space.read_unchecked t.space ~addr ~len in
-          let off = addr - Address_space.page_base t.space page in
-          not (Bytes.equal current (Bytes.sub twin off len)))
-    e.pages
+  let changed_on page =
+    match Int_table.find_opt t.twins page with
+    | None -> false
+    | Some twin ->
+      let addr, len = entry_range_on_page t e page in
+      if len <= 0 then false
+      else
+        let current = Address_space.read_unchecked t.space ~addr ~len in
+        let off = addr - Address_space.page_base t.space page in
+        not (Bytes.equal current (Bytes.sub twin off len))
+  in
+  let rec from page = page <= last_page t e && (changed_on page || from (page + 1)) in
+  from (first_page t e)
 
 let pin t e =
   match t.scope with
@@ -346,9 +367,9 @@ let in_scope t e =
 
 let iter_scoped t f = iter_entries t (fun e -> if in_scope t e then f e)
 
-let rec dirty_before t page = function
-  | [] -> false
-  | p :: rest -> p < page && (is_page_dirty t ~page:p || dirty_before t page rest)
+(* Whether any page in [from, upto) is dirty. *)
+let rec dirty_in t ~from ~upto =
+  from < upto && (is_page_dirty t ~page:from || dirty_in t ~from:(from + 1) ~upto)
 
 (* The dirty pages are walked in ascending order, so an entry on several
    of them is taken at the first: the one none of its pages before is
@@ -359,7 +380,10 @@ let dirty_entries t =
     (fun page ->
       List.iter
         (fun e ->
-          if e.present && in_scope t e && not (dirty_before t page e.pages) then begin
+          if
+            e.present && in_scope t e
+            && not (dirty_in t ~from:(first_page t e) ~upto:page)
+          then begin
             let ship =
               match t.grain with
               | Strategy.Page_grain -> true
@@ -378,7 +402,7 @@ let dirty_entries t =
   iter_entries t (fun e ->
       if
         e.dirty && e.present && in_scope t e
-        && not (List.exists (fun page -> is_page_dirty t ~page) e.pages)
+        && not (dirty_in t ~from:(first_page t e) ~upto:(last_page t e + 1))
       then out := e :: !out);
   !out
 
@@ -452,16 +476,15 @@ let remove t e =
   Long_pointer.Lookup.remove t.by_lp e.lp;
   Int_table.remove t.by_addr e.local_addr;
   t.last_hit <- None;
-  List.iter
-    (fun page ->
-      match Int_table.find_opt t.by_page page with
-      | None -> ()
-      | Some p ->
-        p.on_page <- List.filter (fun e' -> e'.local_addr <> e.local_addr) p.on_page;
-        if not e.present then p.absent <- p.absent - 1;
-        refresh_protection t ~page)
-    e.pages;
-  release_slot t ~addr:e.local_addr ~size:e.size ~pages:e.pages;
+  for page = first_page t e to last_page t e do
+    match Int_table.find_opt t.by_page page with
+    | None -> ()
+    | Some p ->
+      p.on_page <- List.filter (fun e' -> e'.local_addr <> e.local_addr) p.on_page;
+      if not e.present then p.absent <- p.absent - 1;
+      refresh_protection t ~page
+  done;
+  release_slot t ~addr:e.local_addr ~size:e.size;
   t.allocated_bytes <- t.allocated_bytes - round_up e.size
 
 let invalidate_session t ~session =
@@ -481,16 +504,16 @@ let invalidate_session t ~session =
      Page numbers are never reused, so no later placement moves. *)
   List.iter
     (fun e ->
-      List.iter
-        (fun page ->
-          match Int_table.find_opt t.by_page page with
-          | Some { on_page = []; _ } ->
-            Int_table.remove t.by_page page;
-            Int_table.remove t.dirty_pages page;
-            Int_table.remove t.twins page;
-            Address_space.unmap t.space ~page
-          | Some _ | None -> ())
-        e.pages)
+      for page = first_page t e to last_page t e do
+        match Int_table.find_opt t.by_page page with
+        | Some { on_page = []; _ } ->
+          Int_table.remove t.by_page page;
+          Int_table.remove t.dirty_pages page;
+          Int_table.remove t.twins page;
+          Address_space.unmap t.space ~page
+        | Some _ | None -> ()
+      done;
+      t.spare <- e :: t.spare)
     !victims;
   (* The session's fill cursors and recycled slots die with it: its
      pages must not be refilled by a later session (page-grain fault
@@ -502,6 +525,7 @@ let invalidate_session t ~session =
    keep the size they grew to. *)
 let invalidate t =
   Int_table.iter (fun page _ -> Address_space.unmap t.space ~page) t.by_page;
+  Int_table.iter (fun _ e -> t.spare <- e :: t.spare) t.by_addr;
   Long_pointer.Lookup.clear t.by_lp;
   Int_table.reset t.by_addr;
   t.last_hit <- None;
@@ -542,19 +566,14 @@ let check_invariants t =
         then Ok ()
         else err "entry 0x%x outside region" e.local_addr
       in
-      let first = e.local_addr / psz t and last = (e.local_addr + e.size - 1) / psz t in
-      let* () =
-        if e.pages = List.init (last - first + 1) (fun i -> first + i) then Ok ()
-        else err "entry 0x%x has wrong page list" e.local_addr
+      let rec indexed page =
+        page > last_page t e
+        || List.exists (fun e' -> e' == e) (entries_on_page t page)
+           && Address_space.is_mapped t.space ~page
+           && indexed (page + 1)
       in
       let* () =
-        if
-          List.for_all
-            (fun page ->
-              List.exists (fun e' -> e' == e) (entries_on_page t page)
-              && Address_space.is_mapped t.space ~page)
-            e.pages
-        then Ok ()
+        if indexed (first_page t e) then Ok ()
         else err "entry 0x%x missing from a page index" e.local_addr
       in
       each rest

@@ -18,12 +18,16 @@
 
 open Srpc_memory
 
+(** An entry lives from the {!allocate} that returns it to the drop
+    that removes it ({!invalidate}, or {!invalidate_session} for its
+    last pin); a later {!allocate} then reuses the record, every field
+    reset. No caller keeps an entry past that drop. Its slot occupies
+    the contiguous pages from [local_addr] to [local_addr + size - 1]. *)
 type entry = {
   mutable lp : Long_pointer.t;
       (** current home; rebound when a provisional allocation resolves *)
-  local_addr : int;  (** swizzled address of the cached copy *)
-  size : int;  (** in-memory size on this architecture *)
-  pages : int list;  (** pages the slot occupies, ascending *)
+  mutable local_addr : int;  (** swizzled address of the cached copy *)
+  mutable size : int;  (** in-memory size on this architecture *)
   mutable present : bool;  (** false until the data transfer *)
   mutable dirty : bool;
   mutable prefetched : bool;
@@ -166,13 +170,14 @@ val rebind : t -> entry -> Long_pointer.t -> unit
 val remove : t -> entry -> unit
 
 (** [invalidate t] drops every entry, twin and page — the session-end
-    invalidation. *)
+    invalidation. The entries are kept for reuse. *)
 val invalidate : t -> unit
 
 (** [invalidate_session t ~session] is the variant for an admitted
     session: entries pinned only by [session] are removed (slots
     recycle), shared entries merely lose the pin, and other open
-    sessions' entries are untouched. *)
+    sessions' entries are untouched. The removed entries are kept for
+    reuse. *)
 val invalidate_session : t -> session:int -> unit
 
 (** [refresh_protection t ~page] recomputes the page's protection from
@@ -190,7 +195,7 @@ val used_pages : t -> int
 val pp_table : Format.formatter -> t -> unit
 
 (** Structural invariants, for tests: the lookup tables are mutually
-    consistent, entries lie inside the region on their recorded pages
-    without overlapping, page protection matches entry state, and byte
+    consistent, entries lie inside the region on the pages that index
+    them without overlapping, page protection matches entry state, and byte
     accounting adds up. *)
 val check_invariants : t -> (unit, string) result

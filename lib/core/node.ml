@@ -28,14 +28,17 @@ type t = {
   policy : Srpc_policy.Engine.t option;
   strategy : Strategy.t;
   procs : (string, proc) Hashtbl.t;
-  mutable shipped : visit Int_table.t Space_id.Table.t;
-      (** per peer, addresses of own data a closure walk to that peer
-          visited in this session, and whether each was sent *)
+  mutable shipped : shipped;
   mutable traveling : unit Long_pointer.Table.t;
       (** own data modified elsewhere this session: the paper's modified
           data set keeps traveling with the thread of control even after
           reaching home, so stale caches at other participants are
-          refreshed (section 3.4) *)
+          refreshed (section 3.4). Read only through [traveling_set]. *)
+  mutable landed : Long_pointer.t list;
+      (** own data that write-backs brought home since [traveling] was
+          last read, newest first: [traveling_set] adds them in arrival
+          order, so the table sees the operations it always saw, and a
+          session that never reads it never builds it *)
   mutable pending_allocs : pending_alloc list;
   mutable pending_frees : Long_pointer.t list;
   mutable prov_counter : int;
@@ -85,9 +88,20 @@ type t = {
 
 and proc = t -> Value.t list -> Value.t list
 
-(* One datum's row in a per-peer shipped table: the walk that visited it
-   last, and whether it has been sent to the peer. *)
-and visit = { mutable walk : int; mutable sent : bool }
+(* Per peer, a row for each own datum a closure walk to that peer has
+   visited. The rows outlive the session: its drop bumps [generation]
+   instead of clearing them, so a row records the generation in which
+   its datum was last sent, and [sent = generation] means the peer holds
+   it now. The rows are bounded by the own data ever shipped to each
+   peer. *)
+and shipped = {
+  peers : visit Int_table.t Space_id.Table.t;
+  mutable generation : int;
+}
+
+(* One datum's row: the walk that visited it last, and the generation in
+   which it was last sent to the peer. *)
+and visit = { mutable walk : int; mutable sent : int }
 and pending_alloc = { prov : Long_pointer.t; pa_entry : Cache.entry }
 and reply_slot = { rs_seq : int; rs_reply : string; mutable rs_used : int }
 
@@ -100,7 +114,7 @@ and batch = {
 }
 
 and saved_sstate = {
-  sv_shipped : visit Int_table.t Space_id.Table.t;
+  sv_shipped : shipped;
   sv_traveling : unit Long_pointer.Table.t;
   sv_allocs : pending_alloc list;
   sv_frees : Long_pointer.t list;
@@ -209,8 +223,7 @@ let unswizzle t ~ty addr =
 (* --- data transfer (paper, sections 3.2-3.4) --- *)
 
 let encode_item t ~(lp : Long_pointer.t) ~addr : Wire.item =
-  let raw = Address_space.read_unchecked t.space ~addr ~len:(sizeof t lp.ty) in
-  { lp; data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw }
+  { lp; data = Object_codec.encode_at t.enc_ctx ~ty:lp.ty t.space ~addr }
 
 (* --- delta coherency: copy directory and shadow bookkeeping --- *)
 
@@ -267,6 +280,17 @@ let delta_wire_size ranges =
     (fun acc (_, bytes) -> acc + 8 + padded4 (String.length bytes))
     (20 + 4 + 4) ranges
 
+(* The traveling set, once the write-backs that landed since it was last
+   read have joined it. *)
+let traveling_set t =
+  if t.landed <> [] then begin
+    List.iter
+      (fun lp -> Long_pointer.Table.replace t.traveling lp ())
+      (List.rev t.landed);
+    t.landed <- []
+  end;
+  t.traveling
+
 (* Install a transferred datum. [kind] is its provenance: [`Writeback]
    items overwrite our copy and keep traveling with the thread of
    control; [`Eager] items are speculative closure extras; [`Demand]
@@ -284,11 +308,10 @@ let install_item t ~src ~kind (item : Wire.item) =
     (* The datum came home: apply it to the original location. When it
        arrived dirty mid-session it stays in the traveling modified set
        so later control transfers refresh other participants' caches. *)
-    let raw = Object_codec.decode t.dec_ctx ~ty:lp.ty item.Wire.data in
-    Address_space.write_unchecked t.space ~addr:lp.addr raw;
+    Object_codec.decode_at t.dec_ctx ~ty:lp.ty item.Wire.data t.space ~addr:lp.addr;
     if dirty then begin
       note_datum t lp Trace.Acc_apply;
-      Long_pointer.Table.replace t.traveling lp ();
+      t.landed <- lp :: t.landed;
       (* the sender's copy now agrees with this encoding: it is the base
          its next byte-range delta patches *)
       if delta_on t then dir_record t ~peer:src ~addr:lp.addr item.Wire.data
@@ -304,8 +327,8 @@ let install_item t ~src ~kind (item : Wire.item) =
     let fresh = not e.Cache.present in
     if dirty || fresh then begin
       note_datum t lp Trace.Acc_install;
-      let raw = Object_codec.decode t.dec_ctx ~ty:lp.ty item.Wire.data in
-      Address_space.write_unchecked t.space ~addr:e.Cache.local_addr raw;
+      Object_codec.decode_at t.dec_ctx ~ty:lp.ty item.Wire.data t.space
+        ~addr:e.Cache.local_addr;
       if dirty then e.Cache.dirty <- true;
       Cache.mark_present t.cache e;
       (* A copy installed straight from its home is an encoding both
@@ -402,12 +425,27 @@ let apply_delta t ~src (d : Wire.delta) =
           Long_pointer.pp lp)
 
 let shipped_set t peer =
-  match Space_id.Table.find_opt t.shipped peer with
+  match Space_id.Table.find_opt t.shipped.peers peer with
   | Some s -> s
   | None ->
     let s = Int_table.create 64 in
-    Space_id.Table.add t.shipped peer s;
+    Space_id.Table.add t.shipped.peers peer s;
     s
+
+(* Push what the pointer [fields] of the datum at [base] in [raw] point
+   to; [push_children] reads our datum's pointer words where it lies. *)
+let rec push_pointees t push raw base = function
+  | [] -> ()
+  | (off, target) :: rest ->
+    let w = Mem.Codec.get_word (arch t) raw (base + off) in
+    (if w <> 0 then
+       match unswizzle t ~ty:target w with Some lp -> push lp | None -> ());
+    push_pointees t push raw base rest
+
+let push_children t push (lp : Long_pointer.t) ~size =
+  Address_space.access t.space ~addr:lp.addr ~len:size Address_space.Read ~check:false
+    (fun _ raw base (t, push, fields) -> push_pointees t push raw base fields)
+    (t, push, Hints.pointer_fields t.hints t.registry (arch t) ~ty:lp.ty)
 
 (* Bounded transitive closure from [seeds], in the configured traversal
    order (paper, section 3.3). Seeds are shipped unconditionally when
@@ -422,7 +460,7 @@ let shipped_set t peer =
    unbounded — the policy only retunes bounded shipping. *)
 let ship_closure t ~peer ~forced_seeds ~seeds =
   let strategy = t.strategy in
-  let shipped = shipped_set t peer in
+  let shipped = shipped_set t peer and generation = t.shipped.generation in
   t.walks <- t.walks + 1;
   let walk = t.walks in
   let out = ref [] in
@@ -465,19 +503,13 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
         stack := rest;
         Some lp)
   in
-  let children raw ty =
-    Hints.pointer_fields t.hints t.registry (arch t) ~ty
-    |> List.filter_map (fun (off, target) ->
-           let w = Mem.Codec.get_word (arch t) raw off in
-           if w = 0 then None else unswizzle t ~ty:target w)
-  in
   (* One probe per datum visit: its row says whether this walk has been
      there and whether the peer holds the datum already. *)
   let row addr =
     match Int_table.find shipped addr with
     | v -> v
     | exception Not_found ->
-      let v = { walk = 0; sent = false } in
+      let v = { walk = 0; sent = -1 } in
       Int_table.add shipped addr v;
       v
   in
@@ -487,10 +519,9 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
       if v.walk <> walk then begin
         v.walk <- walk;
         let size = sizeof t lp.ty in
-        let raw () = Address_space.read_unchecked t.space ~addr:lp.addr ~len:size in
-        if v.sent && not forced then begin
+        if v.sent = generation && not forced then begin
           (* peer caches it already; traverse through without re-sending *)
-          if not (spent ()) then List.iter push (children (raw ()) lp.ty)
+          if not (spent ()) then push_children t push lp ~size
         end
         else if forced || budget_allows ~ty:lp.ty ~extra:size then begin
           total := !total + size;
@@ -498,15 +529,14 @@ let ship_closure t ~peer ~forced_seeds ~seeds =
           | Some (used, _) ->
             Registry.Names.replace used lp.ty (used_by_ty used lp.ty + size)
           | None -> ());
-          let raw = raw () in
-          let data = Object_codec.encode t.enc_ctx ~ty:lp.ty raw in
+          let data = Object_codec.encode_at t.enc_ctx ~ty:lp.ty t.space ~addr:lp.addr in
           out := { Wire.lp; data } :: !out;
-          v.sent <- true;
+          v.sent <- generation;
           note_datum t lp Trace.Acc_serve;
           (* closure provenance feeds the copy directory: [peer] will hold
              exactly this encoding *)
           if delta_on t then dir_record t ~peer ~addr:lp.addr data;
-          if not (spent ()) then List.iter push (children raw lp.ty)
+          if not (spent ()) then push_children t push lp ~size
         end
         else if Option.is_none per_type_budget then budget_exceeded := true
         (* per-type budgets: this datum stays lazy, other types continue *)
@@ -597,7 +627,7 @@ let swap_focus t sid =
       Hashtbl.replace t.sstash old
         {
           sv_shipped = t.shipped;
-          sv_traveling = t.traveling;
+          sv_traveling = traveling_set t;
           sv_allocs = t.pending_allocs;
           sv_frees = t.pending_frees;
         }
@@ -608,6 +638,9 @@ let swap_focus t sid =
       Hashtbl.remove t.sstash sid;
       t.shipped <- sv.sv_shipped;
       t.traveling <- sv.sv_traveling;
+      (* empty unless [chaos_reorder_invalidate] let a session go
+         undropped; its log goes with its table *)
+      t.landed <- [];
       t.pending_allocs <- sv.sv_allocs;
       t.pending_frees <- sv.sv_frees;
       Cache.set_scope t.cache (Some sid)
@@ -615,7 +648,7 @@ let swap_focus t sid =
       (* first focus here; with nothing focused the swappable fields
          hold no session's state and are taken over as they are *)
       if Option.is_some focused then begin
-        t.shipped <- Space_id.Table.create 4;
+        t.shipped <- { peers = Space_id.Table.create 4; generation = 0 };
         t.traveling <- Long_pointer.Table.create 16;
         t.pending_allocs <- [];
         t.pending_frees <- []
@@ -724,9 +757,10 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
       Cache.iter_scoped t.cache (fun e -> note_datum t e.Cache.lp Trace.Acc_drop);
     Cache.invalidate_session t.cache ~session:sid;
     Hashtbl.remove t.staged sid);
-  (* only looked up, never folded: they keep the size they grew to *)
-  Space_id.Table.iter (fun _ visits -> Int_table.clear visits) t.shipped;
+  (* the shipped rows stay for the next session, which sends anew *)
+  t.shipped.generation <- t.shipped.generation + 1;
   Long_pointer.Table.reset t.traveling;
+  t.landed <- [];
   t.pending_allocs <- [];
   t.pending_frees <- [];
   t.focused <- None
@@ -1006,7 +1040,9 @@ let transfer_batch t ~delta ~dst =
   (* each frame format keeps its own order for the traveling data: the
      order decides the receiver's cache layout, and the coherency trace
      digests pin both *)
-  let travelers = Long_pointer.Table.fold (fun lp () acc -> lp :: acc) t.traveling [] in
+  let travelers =
+    Long_pointer.Table.fold (fun lp () acc -> lp :: acc) (traveling_set t) []
+  in
   let travelers = if delta then List.rev travelers else travelers in
   let full, deltas = encode t ~delta ~dst entries travelers in
   Cache.clean_after_flush t.cache;
@@ -1052,7 +1088,7 @@ let apply_frees t lps =
       (* a dead datum must stop traveling, and its directory row would
          otherwise invite a refresh delta to a space that dropped it *)
       note_datum t lp Trace.Acc_free;
-      Long_pointer.Table.remove t.traveling lp;
+      Long_pointer.Table.remove (traveling_set t) lp;
       Int_table.remove t.directory lp.addr;
       Allocator.free t.heap lp.addr)
     lps
@@ -1558,7 +1594,7 @@ let handle t src req =
       List.map
         (fun (addr, ty) ->
           let lp = Long_pointer.make ~origin:t.id ~addr ~ty in
-          Long_pointer.Table.replace t.traveling lp ();
+          Long_pointer.Table.replace (traveling_set t) lp ();
           lp)
         out.Offload.mutated
     in
@@ -1915,13 +1951,14 @@ let extended_free t addr =
         if not t.strategy.Strategy.batch_remote_ops then flush_remote_ops t
       end)
   else if in_heap t addr then begin
+    let traveling = traveling_set t in
     Long_pointer.Table.fold
       (fun lp () acc ->
         if lp.Long_pointer.addr = addr && Space_id.equal lp.origin t.id then
           lp :: acc
         else acc)
-      t.traveling []
-    |> List.iter (Long_pointer.Table.remove t.traveling);
+      traveling []
+    |> List.iter (Long_pointer.Table.remove traveling);
     Int_table.remove t.directory addr;
     note_own t addr Trace.Acc_free;
     Allocator.free t.heap addr
@@ -1967,8 +2004,9 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       policy;
       strategy;
       procs = Hashtbl.create 16;
-      shipped = Space_id.Table.create 4;
+      shipped = { peers = Space_id.Table.create 4; generation = 0 };
       traveling = Long_pointer.Table.create 16;
+      landed = [];
       pending_allocs = [];
       pending_frees = [];
       prov_counter = 0;

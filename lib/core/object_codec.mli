@@ -36,6 +36,16 @@ val encode : encode_ctx -> ty:string -> bytes -> string
     image for [ctx.dec_arch]. *)
 val decode : decode_ctx -> ty:string -> string -> bytes
 
+(** [encode_at ctx ~ty space ~addr] is [encode ctx ~ty] of the object at
+    [addr] in [space], read where it lies (system path). *)
+val encode_at : encode_ctx -> ty:string -> Address_space.t -> addr:int -> string
+
+(** [decode_at ctx ~ty data space ~addr] decodes [data] straight into the
+    object at [addr] in [space] (system path), leaving there what
+    {!decode} would return. *)
+val decode_at :
+  decode_ctx -> ty:string -> string -> Address_space.t -> addr:int -> unit
+
 (** [wire_size reg ~ty] is the canonical encoding's size upper bound for
     scalars (pointers are variable-width); exposed for tests. *)
 val scalar_leaf_count : Registry.t -> ty:string -> int

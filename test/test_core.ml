@@ -553,7 +553,8 @@ let test_cache_allocation_after_drop_is_fresh () =
   let gone what cache ~addr =
     Alcotest.(check bool) (what ^ ": lp gone") true
       (Cache.find_by_lp cache (lp_at 0x100) = None);
-    Alcotest.(check bool) (what ^ ": addr gone") true (Cache.find_by_addr cache addr = None)
+    Alcotest.(check bool) (what ^ ": addr gone") true
+      (Cache.find_by_addr cache addr = None)
   in
   let fresh what cache =
     let e = Cache.allocate cache (lp_at 0x200) ~size:16 in

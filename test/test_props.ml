@@ -643,7 +643,8 @@ let cache_invariants_random =
               let e = List.nth !live (i mod List.length !live) in
               (* dirtying requires presence, like a real write fault *)
               if e.Cache.present then
-                Cache.mark_page_dirty cache ~page:(List.hd e.Cache.pages)
+                Cache.mark_page_dirty cache
+                  ~page:(Address_space.page_of_addr space e.Cache.local_addr)
             end
           | CRemove i ->
             if !live <> [] then begin
