@@ -217,8 +217,6 @@ let test_closure_budget_limits_prefetch () =
       Alcotest.(check bool) "more than one fetch" true (d.Stats.callbacks > 1);
       Alcotest.(check bool) "fewer than ten" true (d.Stats.callbacks < 10))
 
-(* --- nested RPCs and callbacks --- *)
-
 (* Every session ships its closure afresh: the callee dropped its copies
    at the previous close, so what was sent then counts for nothing. *)
 let test_eager_sessions_each_ship_the_closure () =
@@ -244,6 +242,8 @@ let test_eager_sessions_each_ship_the_closure () =
   Alcotest.(check int) "the first session ships all five" 5 (List.hd first);
   Alcotest.(check (list int)) "entries, prefetched and wire bytes again" first
     (session ())
+
+(* --- nested RPCs and callbacks --- *)
 
 let test_nested_rpc_three_sites () =
   let cluster = Cluster.create ~cost:Cost_model.zero () in
@@ -1201,11 +1201,10 @@ let test_untraced_update_allocation () =
    entries are bounded by the peak entry count and shipped rows by the
    data ever shipped to each peer. After 64 updating sessions over the
    depth-8 tree, 64 more of the same size leave the live heap of the
-   cluster where it was. The words reachable from the cluster are what
-   a full major collection keeps of it, counted exactly: [Gc.stat]'s
-   live words, read once per batch, has come out lower after the second
-   batch than after the first even with the spare entries never reused
-   (OCaml 5.1). *)
+   cluster where it was. It is counted as the words reachable from the
+   cluster, exactly: on OCaml 5.1 [Gc.stat]'s live words, read once per
+   batch, came out lower after the second batch even with the spare
+   entries never reused. *)
 let test_recycled_state_levels_off () =
   let cluster, session =
     tree_sessions ~visit:Srpc_workloads.Tree.visit_update (Strategy.smart ())
