@@ -18,8 +18,9 @@ type decode_ctx = {
    itself, since unswizzling a pointer encodes nothing. *)
 let scratch = Xdr.Enc.create ~initial:1024 ()
 
-(* The leaf loops read and write the object at [base] in [raw]: a
-   buffer of its own, or its page frame in place. *)
+(* The encoder reads the object at [base] in [raw]: a buffer of its
+   own, or its page frame in place. The decoder writes a buffer of its
+   own from offset 0. *)
 let rec encode_leaves ctx raw base = function
   | [] -> ()
   | { Layout.leaf_offset; kind } :: rest ->
@@ -39,10 +40,10 @@ let rec encode_leaves ctx raw base = function
       Long_pointer.encode ~reg:ctx.enc_reg scratch lp);
     encode_leaves ctx raw base rest
 
-let rec decode_leaves ctx dec raw base = function
+let rec decode_leaves ctx dec raw = function
   | [] -> ()
-  | { Layout.leaf_offset; kind } :: rest ->
-    let off = base + leaf_offset and endian = ctx.dec_arch.Arch.endian in
+  | { Layout.leaf_offset = off; kind } :: rest ->
+    let endian = ctx.dec_arch.Arch.endian in
     (match kind with
     | Layout.Scalar p -> (
       match (p : Type_desc.prim) with
@@ -55,7 +56,7 @@ let rec decode_leaves ctx dec raw base = function
     | Layout.Ptr _ ->
       let lp = Long_pointer.decode ~reg:ctx.dec_reg dec in
       Mem.Codec.set_word ctx.dec_arch raw off (ctx.swizzle lp));
-    decode_leaves ctx dec raw base rest
+    decode_leaves ctx dec raw rest
 
 let encode_in _ raw base (ctx, leaves) =
   Xdr.Enc.clear scratch;
@@ -63,11 +64,19 @@ let encode_in _ raw base (ctx, leaves) =
   Xdr.Enc.to_string scratch
 
 (* Padding is zero after a decode, as in a fresh image. *)
-let decode_in _ raw base (ctx, size, leaves, data) =
-  Bytes.fill raw base size '\000';
+let decode_into ctx data raw size leaves =
+  Bytes.fill raw 0 size '\000';
   let dec = Xdr.Dec.of_string data in
-  decode_leaves ctx dec raw base leaves;
+  decode_leaves ctx dec raw leaves;
   Xdr.Dec.check_end dec
+
+(* A datum is decoded whole before its destination changes, so an item
+   that fails to decode leaves the datum as it was. One staging buffer
+   serves every datum: a decoding never re-enters itself, since
+   swizzling a pointer decodes nothing. *)
+let staging = ref (Bytes.create 1024)
+
+let blit_staged _ raw base size = Bytes.blit !staging 0 raw base size
 
 let encode ctx ~ty raw =
   let shape = Layout.shape ctx.enc_reg ctx.enc_arch ty in
@@ -88,15 +97,16 @@ let decode ctx ~ty data =
   let shape = Layout.shape ctx.dec_reg ctx.dec_arch ty in
   let size = shape.Layout.layout.Layout.size in
   let raw = Bytes.create size in
-  decode_in () raw 0 (ctx, size, Lazy.force shape.Layout.leaves, data);
+  decode_into ctx data raw size (Lazy.force shape.Layout.leaves);
   raw
 
 let decode_at ctx ~ty data space ~addr =
   let shape = Layout.shape ctx.dec_reg ctx.dec_arch ty in
   let size = shape.Layout.layout.Layout.size in
+  if Bytes.length !staging < size then staging := Bytes.create size;
+  decode_into ctx data !staging size (Lazy.force shape.Layout.leaves);
   Address_space.access space ~addr ~len:size Address_space.Write ~check:false
-    decode_in
-    (ctx, size, Lazy.force shape.Layout.leaves, data)
+    blit_staged size
 
 let scalar_leaf_count reg ~ty =
   (* Leaf structure is arch-independent; any arch will do for counting. *)

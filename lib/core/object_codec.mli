@@ -40,9 +40,10 @@ val decode : decode_ctx -> ty:string -> string -> bytes
     [addr] in [space], read where it lies (system path). *)
 val encode_at : encode_ctx -> ty:string -> Address_space.t -> addr:int -> string
 
-(** [decode_at ctx ~ty data space ~addr] decodes [data] straight into the
-    object at [addr] in [space] (system path), leaving there what
-    {!decode} would return. *)
+(** [decode_at ctx ~ty data space ~addr] writes what [decode ctx ~ty
+    data] would return to the object at [addr] in [space] (system path),
+    through a staging buffer it reuses. When [data] fails to decode, the
+    object's bytes are left as they were. *)
 val decode_at :
   decode_ctx -> ty:string -> string -> Address_space.t -> addr:int -> unit
 

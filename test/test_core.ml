@@ -663,6 +663,58 @@ let test_codec_wrong_size_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* An item that fails to decode leaves the destination datum's bytes
+   as they were, on one page and across two: truncated, with bytes left
+   over, and with a pointer naming an unknown type. A good item then
+   lands in place. *)
+let test_codec_failed_decode_at_leaves_datum () =
+  let reg = mk_reg () in
+  let enc_ctx, dec_ctx =
+    codec_ctxs reg ~enc_arch:Arch.sparc32 ~dec_arch:Arch.sparc32
+      ~unswizzle:(fun ~ty w -> Some (Long_pointer.make ~origin:sid1 ~addr:w ~ty))
+      ~swizzle:(function Some lp -> lp.Long_pointer.addr | None -> 0)
+  in
+  let image = Bytes.make 16 '\000' in
+  Mem.Codec.set_word Arch.sparc32 image 0 0x120;
+  Mem.Codec.set_i64 Arch.Big image 8 77L;
+  let good = Object_codec.encode enc_ctx ~ty:"node" image in
+  let bad_ptr =
+    let e = Srpc_xdr.Xdr.Enc.create () in
+    Srpc_xdr.Xdr.Enc.bool e true;
+    Srpc_xdr.Xdr.Enc.uint32 e 0x10000;
+    Srpc_xdr.Xdr.Enc.hyper e 0x120;
+    Srpc_xdr.Xdr.Enc.uint32 e 999;
+    Srpc_xdr.Xdr.Enc.to_string e ^ String.sub good 20 (String.length good - 20)
+  in
+  let space = Address_space.create ~page_size:256 ~id:sid2 ~arch:Arch.sparc32 () in
+  Address_space.map space ~page:0 ~prot:Prot.Read_write;
+  Address_space.map space ~page:1 ~prot:Prot.Read_write;
+  let before = Bytes.make 16 '\xab' in
+  List.iter
+    (fun addr ->
+      Address_space.write_unchecked space ~addr before;
+      List.iter
+        (fun (what, data) ->
+          Alcotest.(check bool) (what ^ " raises") true
+            (match Object_codec.decode_at dec_ctx ~ty:"node" data space ~addr with
+            | () -> false
+            | exception (Srpc_xdr.Xdr.Decode_error _ | Registry.Unknown_type _) -> true);
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s at 0x%x: datum unchanged" what addr)
+            before
+            (Address_space.read_unchecked space ~addr ~len:16))
+        [
+          ("truncated", String.sub good 0 (String.length good - 4));
+          ("bytes left over", good ^ "\000\000\000\000");
+          ("unknown pointer type", bad_ptr);
+        ];
+      Object_codec.decode_at dec_ctx ~ty:"node" good space ~addr;
+      Alcotest.(check bytes)
+        (Printf.sprintf "good at 0x%x" addr)
+        image
+        (Address_space.read_unchecked space ~addr ~len:16))
+    [ 0x40; 0xf8 ]
+
 let test_codec_scalar_leaf_count () =
   let reg = mk_reg () in
   Alcotest.(check int) "node" 1 (Object_codec.scalar_leaf_count reg ~ty:"node");
@@ -879,6 +931,8 @@ let () =
           tc "cross-arch translation" `Quick test_codec_cross_arch_translation;
           tc "wrong size rejected" `Quick test_codec_wrong_size_rejected;
           tc "scalar leaf count" `Quick test_codec_scalar_leaf_count;
+          tc "failed decode_at leaves the datum" `Quick
+            test_codec_failed_decode_at_leaves_datum;
         ] );
       ( "hints",
         [
