@@ -36,23 +36,18 @@ let encode ~reg enc = function
     Xdr.Enc.hyper enc t.addr;
     Xdr.Enc.uint32 enc (Srpc_types.Registry.id_of_name reg t.ty)
 
-(* A frame's pointers mostly name one or two spaces, so the space id
-   last decoded is shared while its packed form repeats. *)
-let last_packed = ref (-1)
-let last_origin = ref (Space_id.make ~site:0 ~proc:0)
-
 let decode ~reg dec =
   if not (Xdr.Dec.bool dec) then None
   else
     let packed = Xdr.Dec.uint32 dec in
-    if packed <> !last_packed then begin
-      last_origin := Space_id.make ~site:(packed lsr 16) ~proc:(packed land 0xffff);
-      last_packed := packed
-    end;
-    let origin = !last_origin in
     let addr = Xdr.Dec.hyper dec in
     let ty = Srpc_types.Registry.name_of_id reg (Xdr.Dec.uint32 dec) in
-    Some { origin; addr; ty }
+    Some
+      {
+        origin = Space_id.make ~site:(packed lsr 16) ~proc:(packed land 0xffff);
+        addr;
+        ty;
+      }
 
 module Table = Hashtbl.Make (struct
   type nonrec t = t
