@@ -14,6 +14,38 @@ type retry = { max_attempts : int; base_backoff : float; max_backoff : float }
 let default_retry =
   { max_attempts = 8; base_backoff = 2.5e-4; max_backoff = 8.0e-3 }
 
+(* The traveling set: own data modified elsewhere this session. The
+   write-backs that land home are logged apart from the table, and
+   [table] adds them in arrival order before it hands the table out, so
+   the table sees the operations it always saw and its fold order holds.
+   A session whose landings are never read before its drop never builds
+   the table. The type is abstract, so nothing reads the table past the
+   log. *)
+module Traveling : sig
+  type t
+
+  val create : unit -> t
+  val land_home : t -> Long_pointer.t -> unit
+  val table : t -> unit Long_pointer.Table.t
+  val reset : t -> unit
+end = struct
+  type t = { set : unit Long_pointer.Table.t; mutable landed : Long_pointer.t list }
+
+  let create () = { set = Long_pointer.Table.create 16; landed = [] }
+  let land_home t lp = t.landed <- lp :: t.landed
+
+  let table t =
+    if t.landed <> [] then begin
+      List.iter (fun lp -> Long_pointer.Table.replace t.set lp ()) (List.rev t.landed);
+      t.landed <- []
+    end;
+    t.set
+
+  let reset t =
+    Long_pointer.Table.reset t.set;
+    t.landed <- []
+end
+
 type t = {
   id : Space_id.t;
   ep : string;  (** [id] as a transport endpoint name *)
@@ -29,16 +61,11 @@ type t = {
   strategy : Strategy.t;
   procs : (string, proc) Hashtbl.t;
   mutable shipped : shipped;
-  mutable traveling : unit Long_pointer.Table.t;
+  mutable traveling : Traveling.t;
       (** own data modified elsewhere this session: the paper's modified
           data set keeps traveling with the thread of control even after
           reaching home, so stale caches at other participants are
-          refreshed (section 3.4). Read only through [traveling_set]. *)
-  mutable landed : Long_pointer.t list;
-      (** own data that write-backs brought home since [traveling] was
-          last read, newest first: [traveling_set] adds them in arrival
-          order, so the table sees the operations it always saw, and a
-          session that never reads it never builds it *)
+          refreshed (section 3.4) *)
   mutable pending_allocs : pending_alloc list;
   mutable pending_frees : Long_pointer.t list;
   mutable prov_counter : int;
@@ -115,7 +142,7 @@ and batch = {
 
 and saved_sstate = {
   sv_shipped : shipped;
-  sv_traveling : unit Long_pointer.Table.t;
+  sv_traveling : Traveling.t;
   sv_allocs : pending_alloc list;
   sv_frees : Long_pointer.t list;
 }
@@ -280,17 +307,6 @@ let delta_wire_size ranges =
     (fun acc (_, bytes) -> acc + 8 + padded4 (String.length bytes))
     (20 + 4 + 4) ranges
 
-(* The traveling set, once the write-backs that landed since it was last
-   read have joined it. *)
-let traveling_set t =
-  if t.landed <> [] then begin
-    List.iter
-      (fun lp -> Long_pointer.Table.replace t.traveling lp ())
-      (List.rev t.landed);
-    t.landed <- []
-  end;
-  t.traveling
-
 (* Install a transferred datum. [kind] is its provenance: [`Writeback]
    items overwrite our copy and keep traveling with the thread of
    control; [`Eager] items are speculative closure extras; [`Demand]
@@ -311,7 +327,7 @@ let install_item t ~src ~kind (item : Wire.item) =
     Object_codec.decode_at t.dec_ctx ~ty:lp.ty item.Wire.data t.space ~addr:lp.addr;
     if dirty then begin
       note_datum t lp Trace.Acc_apply;
-      t.landed <- lp :: t.landed;
+      Traveling.land_home t.traveling lp;
       (* the sender's copy now agrees with this encoding: it is the base
          its next byte-range delta patches *)
       if delta_on t then dir_record t ~peer:src ~addr:lp.addr item.Wire.data
@@ -627,7 +643,7 @@ let swap_focus t sid =
       Hashtbl.replace t.sstash old
         {
           sv_shipped = t.shipped;
-          sv_traveling = traveling_set t;
+          sv_traveling = t.traveling;
           sv_allocs = t.pending_allocs;
           sv_frees = t.pending_frees;
         }
@@ -638,9 +654,6 @@ let swap_focus t sid =
       Hashtbl.remove t.sstash sid;
       t.shipped <- sv.sv_shipped;
       t.traveling <- sv.sv_traveling;
-      (* empty unless [chaos_reorder_invalidate] let a session go
-         undropped; its log goes with its table *)
-      t.landed <- [];
       t.pending_allocs <- sv.sv_allocs;
       t.pending_frees <- sv.sv_frees;
       Cache.set_scope t.cache (Some sid)
@@ -649,7 +662,7 @@ let swap_focus t sid =
          hold no session's state and are taken over as they are *)
       if Option.is_some focused then begin
         t.shipped <- { peers = Space_id.Table.create 4; generation = 0 };
-        t.traveling <- Long_pointer.Table.create 16;
+        t.traveling <- Traveling.create ();
         t.pending_allocs <- [];
         t.pending_frees <- []
       end;
@@ -759,8 +772,7 @@ let drop_session ?(outcomes = false) ?(closed = false) t sid =
     Hashtbl.remove t.staged sid);
   (* the shipped rows stay for the next session, which sends anew *)
   t.shipped.generation <- t.shipped.generation + 1;
-  Long_pointer.Table.reset t.traveling;
-  t.landed <- [];
+  Traveling.reset t.traveling;
   t.pending_allocs <- [];
   t.pending_frees <- [];
   t.focused <- None
@@ -1041,7 +1053,7 @@ let transfer_batch t ~delta ~dst =
      order decides the receiver's cache layout, and the coherency trace
      digests pin both *)
   let travelers =
-    Long_pointer.Table.fold (fun lp () acc -> lp :: acc) (traveling_set t) []
+    Long_pointer.Table.fold (fun lp () acc -> lp :: acc) (Traveling.table t.traveling) []
   in
   let travelers = if delta then List.rev travelers else travelers in
   let full, deltas = encode t ~delta ~dst entries travelers in
@@ -1088,7 +1100,7 @@ let apply_frees t lps =
       (* a dead datum must stop traveling, and its directory row would
          otherwise invite a refresh delta to a space that dropped it *)
       note_datum t lp Trace.Acc_free;
-      Long_pointer.Table.remove (traveling_set t) lp;
+      Long_pointer.Table.remove (Traveling.table t.traveling) lp;
       Int_table.remove t.directory lp.addr;
       Allocator.free t.heap lp.addr)
     lps
@@ -1594,7 +1606,7 @@ let handle t src req =
       List.map
         (fun (addr, ty) ->
           let lp = Long_pointer.make ~origin:t.id ~addr ~ty in
-          Long_pointer.Table.replace (traveling_set t) lp ();
+          Long_pointer.Table.replace (Traveling.table t.traveling) lp ();
           lp)
         out.Offload.mutated
     in
@@ -1951,7 +1963,7 @@ let extended_free t addr =
         if not t.strategy.Strategy.batch_remote_ops then flush_remote_ops t
       end)
   else if in_heap t addr then begin
-    let traveling = traveling_set t in
+    let traveling = Traveling.table t.traveling in
     Long_pointer.Table.fold
       (fun lp () acc ->
         if lp.Long_pointer.addr = addr && Space_id.equal lp.origin t.id then
@@ -2005,8 +2017,7 @@ let create ?(page_size = 4096) ?(heap_base = 0x10000) ?(heap_limit = 0x4000000)
       strategy;
       procs = Hashtbl.create 16;
       shipped = { peers = Space_id.Table.create 4; generation = 0 };
-      traveling = Long_pointer.Table.create 16;
-      landed = [];
+      traveling = Traveling.create ();
       pending_allocs = [];
       pending_frees = [];
       prov_counter = 0;
