@@ -92,6 +92,7 @@ type outcome = {
   o_committed_b : bool;
   o_aborted_a : string option;
   o_aborted_b : string option;
+  o_trace : Trace.t;
 }
 
 (* One weave execution. Returns the failure description, if any, plus
@@ -321,6 +322,7 @@ let run_pair_full ?(policy = Strategy.Queue_conflicts) ?(variant = Disjoint)
     o_committed_b = side_b.s_committed;
     o_aborted_a = side_a.s_aborted;
     o_aborted_b = side_b.s_aborted;
+    o_trace = trace;
   }
 
 let run_pair ?policy ?variant sa sb =

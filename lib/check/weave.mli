@@ -51,6 +51,7 @@ type outcome = {
   o_committed_b : bool;
   o_aborted_a : string option;
   o_aborted_b : string option;
+  o_trace : Srpc_simnet.Trace.t;  (** both sessions' combined trace *)
 }
 
 val run_pair_full :

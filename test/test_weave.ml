@@ -59,6 +59,33 @@ let test_weave_sweep () =
   if report.Weave.serialized_runs = 0 then
     Alcotest.fail "sweep never exercised a conflicting pair"
 
+(* Digest of the per-seed [Trace.pp] digests of seeds 0-199 at depth 8,
+   each seed run with the fault, variant and policy [Weave.check] gives
+   it. The sweep above only asks that the oracles pass; this fixes every
+   frame, mark and timestamp of both interleaved sessions, so a change
+   that moves the weave's schedule is caught here. *)
+let pinned_weave_traces = "4a1fe1cb731b3b14df76168cbb97d922"
+
+let test_weave_traces_pinned () =
+  let buf = Buffer.create 8192 in
+  for seed = 0 to 199 do
+    let fault = Runner.fault_for ~faults:0.02 ~seed in
+    let variant = if seed mod 2 = 0 then Weave.Disjoint else Weave.Conflicting in
+    let policy =
+      if seed / 2 mod 2 = 0 then Strategy.Queue_conflicts
+      else Strategy.Abort_retry
+    in
+    let sa, sb = Gen.pair ~seed ~depth:8 ~fault in
+    let o = Weave.run_pair_full ~policy ~variant sa sb in
+    Buffer.add_string buf
+      (Digest.to_hex
+         (Digest.string
+            (Format.asprintf "%a" Srpc_simnet.Trace.pp o.Weave.o_trace)));
+    Buffer.add_char buf '\n'
+  done;
+  Alcotest.(check string) "weave traces of seeds 0-199" pinned_weave_traces
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_conflicting_serializes () =
   (* a conflicting pair under the queue policy really goes through the
      queue: the stats counters prove a session waited *)
@@ -159,6 +186,7 @@ let () =
       ( "weave",
         [
           tc "500-seed sweep is clean" `Slow test_weave_sweep;
+          tc "traces of 200 seeds pinned" `Quick test_weave_traces_pinned;
           tc "conflicting pairs serialize" `Quick test_conflicting_serializes;
           tc "crash/revive mid-weave" `Quick test_crash_mid_weave;
         ] );
