@@ -1,37 +1,7 @@
+(* Counter sets and snapshots are copies of one record; the interface
+   keeps [t] abstract and [snapshot] private, so only this module writes
+   a field. *)
 type snapshot = {
-  messages : int;
-  bytes : int;
-  faults : int;
-  callbacks : int;
-  writebacks : int;
-  remote_allocs : int;
-  remote_frees : int;
-  prefetched_bytes : int;
-  wasted_prefetch_bytes : int;
-  stall_ns : int;
-  retries : int;
-  timeouts : int;
-  duplicates : int;
-  writeback_bytes : int;
-  delta_bytes_saved : int;
-  full_fallbacks : int;
-  invalidations_skipped : int;
-  sessions_admitted : int;
-  sessions_queued : int;
-  sessions_aborted : int;
-  sessions_retried : int;
-  validations_failed : int;
-  heartbeats_sent : int;
-  suspicions : int;
-  sheds : int;
-  breaker_trips : int;
-  recoveries : int;
-  offload_calls : int;
-  offload_nodes : int;
-  offload_wset : int;
-}
-
-type t = {
   mutable messages : int;
   mutable bytes : int;
   mutable faults : int;
@@ -64,7 +34,9 @@ type t = {
   mutable offload_wset : int;
 }
 
-let create () =
+type t = snapshot
+
+let zero : snapshot =
   {
     messages = 0;
     bytes = 0;
@@ -97,6 +69,8 @@ let create () =
     offload_nodes = 0;
     offload_wset = 0;
   }
+
+let create () = { zero with messages = 0 }
 
 let incr_messages t = t.messages <- t.messages + 1
 let add_bytes t n = t.bytes <- t.bytes + n
@@ -135,71 +109,7 @@ let incr_offload_calls t = t.offload_calls <- t.offload_calls + 1
 let add_offload_nodes t n = t.offload_nodes <- t.offload_nodes + n
 let add_offload_wset t n = t.offload_wset <- t.offload_wset + n
 
-let snapshot t : snapshot =
-  {
-    messages = t.messages;
-    bytes = t.bytes;
-    faults = t.faults;
-    callbacks = t.callbacks;
-    writebacks = t.writebacks;
-    remote_allocs = t.remote_allocs;
-    remote_frees = t.remote_frees;
-    prefetched_bytes = t.prefetched_bytes;
-    wasted_prefetch_bytes = t.wasted_prefetch_bytes;
-    stall_ns = t.stall_ns;
-    retries = t.retries;
-    timeouts = t.timeouts;
-    duplicates = t.duplicates;
-    writeback_bytes = t.writeback_bytes;
-    delta_bytes_saved = t.delta_bytes_saved;
-    full_fallbacks = t.full_fallbacks;
-    invalidations_skipped = t.invalidations_skipped;
-    sessions_admitted = t.sessions_admitted;
-    sessions_queued = t.sessions_queued;
-    sessions_aborted = t.sessions_aborted;
-    sessions_retried = t.sessions_retried;
-    validations_failed = t.validations_failed;
-    heartbeats_sent = t.heartbeats_sent;
-    suspicions = t.suspicions;
-    sheds = t.sheds;
-    breaker_trips = t.breaker_trips;
-    recoveries = t.recoveries;
-    offload_calls = t.offload_calls;
-    offload_nodes = t.offload_nodes;
-    offload_wset = t.offload_wset;
-  }
-
-let reset t =
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.faults <- 0;
-  t.callbacks <- 0;
-  t.writebacks <- 0;
-  t.remote_allocs <- 0;
-  t.remote_frees <- 0;
-  t.prefetched_bytes <- 0;
-  t.wasted_prefetch_bytes <- 0;
-  t.stall_ns <- 0;
-  t.retries <- 0;
-  t.timeouts <- 0;
-  t.duplicates <- 0;
-  t.writeback_bytes <- 0;
-  t.delta_bytes_saved <- 0;
-  t.full_fallbacks <- 0;
-  t.invalidations_skipped <- 0;
-  t.sessions_admitted <- 0;
-  t.sessions_queued <- 0;
-  t.sessions_aborted <- 0;
-  t.sessions_retried <- 0;
-  t.validations_failed <- 0;
-  t.heartbeats_sent <- 0;
-  t.suspicions <- 0;
-  t.sheds <- 0;
-  t.breaker_trips <- 0;
-  t.recoveries <- 0;
-  t.offload_calls <- 0;
-  t.offload_nodes <- 0;
-  t.offload_wset <- 0
+let snapshot t : snapshot = { t with messages = t.messages }
 
 let diff (a : snapshot) (b : snapshot) : snapshot =
   {
@@ -233,40 +143,6 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
     offload_calls = a.offload_calls - b.offload_calls;
     offload_nodes = a.offload_nodes - b.offload_nodes;
     offload_wset = a.offload_wset - b.offload_wset;
-  }
-
-let zero : snapshot =
-  {
-    messages = 0;
-    bytes = 0;
-    faults = 0;
-    callbacks = 0;
-    writebacks = 0;
-    remote_allocs = 0;
-    remote_frees = 0;
-    prefetched_bytes = 0;
-    wasted_prefetch_bytes = 0;
-    stall_ns = 0;
-    retries = 0;
-    timeouts = 0;
-    duplicates = 0;
-    writeback_bytes = 0;
-    delta_bytes_saved = 0;
-    full_fallbacks = 0;
-    invalidations_skipped = 0;
-    sessions_admitted = 0;
-    sessions_queued = 0;
-    sessions_aborted = 0;
-    sessions_retried = 0;
-    validations_failed = 0;
-    heartbeats_sent = 0;
-    suspicions = 0;
-    sheds = 0;
-    breaker_trips = 0;
-    recoveries = 0;
-    offload_calls = 0;
-    offload_nodes = 0;
-    offload_wset = 0;
   }
 
 let pp_snapshot ppf (s : snapshot) =

@@ -1,79 +1,83 @@
 (** Event counters for a simulated world.
 
     Counters accumulate across a run; experiment harnesses snapshot and
-    subtract to attribute traffic to a measured region. *)
+    subtract to attribute traffic to a measured region. A counter set
+    and its snapshots are copies of one record; [snapshot] is private,
+    so only this module writes a field or builds a record. *)
 
 type t
 
-type snapshot = {
-  messages : int;  (** transport frames sent (requests and replies) *)
-  bytes : int;  (** payload bytes over the wire *)
-  faults : int;  (** page faults serviced by the runtime *)
-  callbacks : int;  (** fetch round-trips issued by the lazy path *)
-  writebacks : int;  (** dirty data items shipped by the coherency protocol *)
-  remote_allocs : int;  (** batched remote allocation requests *)
-  remote_frees : int;  (** batched remote release requests *)
-  prefetched_bytes : int;
+type snapshot = private {
+  mutable messages : int;  (** transport frames sent (requests and replies) *)
+  mutable bytes : int;  (** payload bytes over the wire *)
+  mutable faults : int;  (** page faults serviced by the runtime *)
+  mutable callbacks : int;  (** fetch round-trips issued by the lazy path *)
+  mutable writebacks : int;
+      (** dirty data items shipped by the coherency protocol *)
+  mutable remote_allocs : int;  (** batched remote allocation requests *)
+  mutable remote_frees : int;  (** batched remote release requests *)
+  mutable prefetched_bytes : int;
       (** in-memory bytes of data installed speculatively by the closure
           engine (eager items the receiver never asked for) *)
-  wasted_prefetch_bytes : int;
+  mutable wasted_prefetch_bytes : int;
       (** the subset of [prefetched_bytes] never touched by the program
           before its cache entry was invalidated *)
-  stall_ns : int;
+  mutable stall_ns : int;
       (** simulated nanoseconds the program spent blocked on lazy fetch
           round trips (fault-time callbacks) *)
-  retries : int;
+  mutable retries : int;
       (** request re-sends by the retry envelope after a timeout *)
-  timeouts : int;  (** frames the fault plan lost (sender waited in vain) *)
-  duplicates : int;
+  mutable timeouts : int;
+      (** frames the fault plan lost (sender waited in vain) *)
+  mutable duplicates : int;
       (** duplicate requests suppressed by the receiver's reply cache *)
-  writeback_bytes : int;
+  mutable writeback_bytes : int;
       (** wire bytes of modified-data-set payload (full items and
           deltas), the delta-coherency win's denominator *)
-  delta_bytes_saved : int;
+  mutable delta_bytes_saved : int;
       (** wire bytes the delta encoding avoided versus shipping the
           full item for the same entries *)
-  full_fallbacks : int;
+  mutable full_fallbacks : int;
       (** delta-eligible entries shipped full anyway: stale or missing
           shadow, or the delta would not have been smaller *)
-  invalidations_skipped : int;
+  mutable invalidations_skipped : int;
       (** session participants spared an invalidation message because
           the copy directory showed they cached nothing *)
-  sessions_admitted : int;
+  mutable sessions_admitted : int;
       (** sessions the admission controller let begin (immediately or
           after queueing) *)
-  sessions_queued : int;
+  mutable sessions_queued : int;
       (** admission requests deferred because their footprint conflicted
           with a session already open *)
-  sessions_aborted : int;
+  mutable sessions_aborted : int;
       (** admission requests denied outright under the abort-and-retry
           policy (the caller backs off and retries) *)
-  sessions_retried : int;
+  mutable sessions_retried : int;
       (** previously deferred sessions that were eventually admitted *)
-  validations_failed : int;
+  mutable validations_failed : int;
       (** sessions whose optimistic validation at close detected a
           conflicting foreign write (the loser retries) *)
-  heartbeats_sent : int;
+  mutable heartbeats_sent : int;
       (** liveness probes the failure detector put on the wire *)
-  suspicions : int;
+  mutable suspicions : int;
       (** peers the failure detector marked suspected after consecutive
           missed heartbeats *)
-  sheds : int;
+  mutable sheds : int;
       (** admission requests shed with a typed [Overloaded] rejection
           (conflict queue full or retry budget exhausted) *)
-  breaker_trips : int;
+  mutable breaker_trips : int;
       (** admission requests refused because the session would touch a
           suspected- or confirmed-dead peer *)
-  recoveries : int;
+  mutable recoveries : int;
       (** crash-aborted sessions transparently replayed to completion
           after the dead peer revived *)
-  offload_calls : int;
+  mutable offload_calls : int;
       (** traversal plans shipped to a datum's home ([Offload_call]
           frames issued) *)
-  offload_nodes : int;
+  mutable offload_nodes : int;
       (** nodes visited by home-side plan walks (work that stayed off
           the wire) *)
-  offload_wset : int;
+  mutable offload_wset : int;
       (** home-heap data mutated by offloaded update plans (the write
           sets [Offload_return] reported) *)
 }
@@ -110,7 +114,6 @@ val incr_offload_calls : t -> unit
 val add_offload_nodes : t -> int -> unit
 val add_offload_wset : t -> int -> unit
 val snapshot : t -> snapshot
-val reset : t -> unit
 
 (** [diff later earlier] is the per-field difference, for attributing
     counts to a region of a run. *)

@@ -89,14 +89,26 @@ let test_stats_prefetch_counters () =
   in
   Alcotest.(check bool) "pp mentions waste" true (contains rendered "wasted")
 
-let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.incr_messages s;
-  Stats.reset s;
-  Alcotest.(check int) "messages" 0 (Stats.snapshot s).Stats.messages
-
 let test_stats_zero () =
   Alcotest.(check int) "zero" 0 Stats.zero.Stats.messages
+
+(* Counter sets, [zero] and snapshots are copies of one record: moving
+   one counter set must move none of the others. *)
+let test_stats_copies () =
+  let a = Stats.create () and b = Stats.create () in
+  Stats.incr_messages a;
+  Stats.add_bytes a 7;
+  Alcotest.(check (pair int int)) "second set untouched" (0, 0)
+    (let s = Stats.snapshot b in
+     (s.Stats.messages, s.Stats.bytes));
+  let before = Stats.snapshot a in
+  Stats.incr_messages a;
+  Stats.add_bytes a 5;
+  Stats.incr_messages b;
+  Alcotest.(check (pair int int)) "zero still reads 0" (0, 0)
+    (Stats.zero.Stats.messages, Stats.zero.Stats.bytes);
+  Alcotest.(check (pair int int)) "snapshot keeps its values" (1, 7)
+    (before.Stats.messages, before.Stats.bytes)
 
 (* --- Cost model --- *)
 
@@ -445,8 +457,8 @@ let () =
           tc "counters" `Quick test_stats_counts;
           tc "diff" `Quick test_stats_diff;
           tc "prefetch counters" `Quick test_stats_prefetch_counters;
-          tc "reset" `Quick test_stats_reset;
           tc "zero" `Quick test_stats_zero;
+          tc "copies are independent" `Quick test_stats_copies;
         ] );
       ( "cost-model",
         [
