@@ -26,10 +26,8 @@ val make :
 val is_error : t -> bool
 val count_errors : t list -> int
 
-(** Orders by (space, rule id, location) — deterministic across runs and
-    OCaml versions; severity only tie-breaks identical loci. *)
-val compare : t -> t -> int
-
+(** [sort ds] orders by (space, rule id, location) — deterministic across
+    runs and OCaml versions; severity only tie-breaks identical loci. *)
 val sort : t list -> t list
 val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
@@ -38,7 +36,6 @@ val pp_list : Format.formatter -> t list -> unit
 
 type rule = { id : string; default_severity : severity; title : string }
 
-val rules : rule list
 val find_rule : string -> rule option
 
 (** Render the whole catalogue, one rule per line. *)

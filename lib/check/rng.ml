@@ -27,8 +27,3 @@ let bool t = Int64.logand (next64 t) 1L = 1L
 
 let float t =
   Int64.to_float (Int64.shift_right_logical (next64 t) 11) /. 9007199254740992.0
-
-let pick t xs =
-  match xs with
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | _ -> List.nth xs (int t (List.length xs))

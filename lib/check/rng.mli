@@ -19,6 +19,3 @@ val bool : t -> bool
 
 (** [float t] is in [\[0, 1)]. *)
 val float : t -> float
-
-(** [pick t xs] chooses one element of the non-empty list [xs]. *)
-val pick : t -> 'a list -> 'a

@@ -30,9 +30,6 @@ val pp_failure : Format.formatter -> failure -> unit
     run satisfied every oracle. *)
 val run_script : Script.t -> failure option
 
-(** [fails s] is the shrinking predicate: does [s] violate any oracle? *)
-val fails : Script.t -> bool
-
 type stats = {
   runs : int;
   completed : int;

@@ -62,7 +62,6 @@ let create ?(policy = Strategy.Queue_conflicts) ?(queue_cap = max_int)
     attempts = Hashtbl.create 16;
   }
 
-let policy t = t.policy
 let open_count t = Hashtbl.length t.open_tbl
 let queue_length t = List.length t.queue
 

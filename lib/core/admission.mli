@@ -66,8 +66,6 @@ val create :
   Srpc_simnet.Stats.t ->
   t
 
-val policy : t -> Strategy.admission_policy
-
 (** [request t ~session fp] decides admission for [session] with
     footprint [fp]. [?force] bypasses the conflict check (the
     [chaos_admit_conflicting] mutation hook) — the session is recorded

@@ -64,11 +64,8 @@ let validate t =
   in
   Srpc_analysis.Desc_lint.validate ~arches ~hints t.registry
 
-let node t id = List.find_opt (fun n -> Space_id.equal (Node.id n) id) t.nodes
-let nodes t = List.rev t.nodes
 let register_type t name desc = Srpc_types.Registry.register t.registry name desc
 let hints t = t.hints
-let policy t = t.policy
 let set_closure_hint t ~ty rule = Hints.set t.hints ~ty rule
 let now t = Clock.now t.clock
 let snapshot t = Stats.snapshot t.stats

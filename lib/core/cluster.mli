@@ -48,19 +48,12 @@ val add_node :
     @raise Srpc_analysis.Desc_lint.Invalid_registry on error findings. *)
 val validate : t -> unit
 
-val node : t -> Space_id.t -> Node.t option
-val nodes : t -> Node.t list
-
 (** [register_type t name desc] publishes a type on the name server. *)
 val register_type : t -> string -> Srpc_types.Type_desc.t -> unit
 
 (** Cluster-wide closure-shape hints (paper, section 6: programmer
     suggestions for the closure's shape). *)
 val hints : t -> Hints.t
-
-(** The shared adaptive policy engine, when the cluster was created with
-    one. *)
-val policy : t -> Srpc_policy.Engine.t option
 
 (** [set_closure_hint t ~ty rule] installs a hint for [ty] on every
     node. *)

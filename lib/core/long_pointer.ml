@@ -9,14 +9,6 @@ let is_provisional t = t.addr < 0
 let equal a b =
   a.addr = b.addr && Space_id.equal a.origin b.origin && String.equal a.ty b.ty
 
-let compare a b =
-  match Space_id.compare a.origin b.origin with
-  | 0 -> (
-    match Int.compare a.addr b.addr with
-    | 0 -> String.compare a.ty b.ty
-    | c -> c)
-  | c -> c
-
 (* [String.hash] is [Hashtbl.hash]'s value on every string, without the
    generic traversal: [Table]'s fold order, which frames carry, holds. *)
 let hash t = (Space_id.hash t.origin * 31) + (t.addr * 7) + String.hash t.ty

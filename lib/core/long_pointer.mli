@@ -18,7 +18,6 @@ type t = { origin : Space_id.t; addr : int; ty : string }
 val make : origin:Space_id.t -> addr:int -> ty:string -> t
 val is_provisional : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 

@@ -63,7 +63,6 @@ let create ?(page_size = 4096) ~id ~arch () =
     spare = [];
   }
 
-let id t = t.id
 let arch t = t.arch
 let page_size t = t.page_size
 let page_of_addr t addr = addr lsr t.page_shift

@@ -30,7 +30,6 @@ type t
     power of two (default 4096). *)
 val create : ?page_size:int -> id:Space_id.t -> arch:Arch.t -> unit -> t
 
-val id : t -> Space_id.t
 val arch : t -> Arch.t
 val page_size : t -> int
 

@@ -6,9 +6,6 @@ let sparc32 = { name = "sparc32"; word_size = 4; endian = Big }
 let lp64_le = { name = "lp64-le"; word_size = 8; endian = Little }
 let lp64_be = { name = "lp64-be"; word_size = 8; endian = Big }
 
-let equal a b =
-  a.name = b.name && a.word_size = b.word_size && a.endian = b.endian
-
 let pp ppf a =
   let e = match a.endian with Little -> "le" | Big -> "be" in
   Format.fprintf ppf "%s(word=%d,%s)" a.name a.word_size e

@@ -25,5 +25,4 @@ val lp64_le : t
 (** 64-bit big-endian (e.g. SPARC V9). *)
 val lp64_be : t
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

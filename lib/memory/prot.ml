@@ -9,4 +9,3 @@ let to_string = function
   | Read_only -> "r--"
   | Read_write -> "rw-"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -10,5 +10,4 @@ type t = No_access | Read_only | Read_write
 val allows_read : t -> bool
 val allows_write : t -> bool
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

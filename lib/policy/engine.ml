@@ -14,7 +14,6 @@ type offload_stat = {
 type t = {
   profile : Profile.t;
   controller : Controller.t;
-  mutable sessions : int;
   offloads : (string, offload_stat) Hashtbl.t;
 }
 
@@ -24,21 +23,16 @@ let create ?config ?(cost = Srpc_simnet.Cost_model.sparc_10mbps) () =
   {
     profile = Profile.create ~max_windows ();
     controller;
-    sessions = 0;
     offloads = Hashtbl.create 8;
   }
 
 let profile t = t.profile
-let controller t = t.controller
 let budget_for t ~ty = Controller.budget_for t.controller ~ty
 
 let session_end ?seconds t =
   Profile.end_window t.profile;
-  t.sessions <- t.sessions + 1;
   let windows = (Controller.config t.controller).Controller.windows in
   Controller.step ?seconds t.controller (Profile.summary t.profile ~windows)
-
-let sessions t = t.sessions
 
 let budgets t = Controller.budgets t.controller
 
@@ -90,10 +84,3 @@ let offload_choice t ~ty =
          && s.o_remote.o_samples >= offload_min_samples ->
     if remote_wins s then "offload" else "local"
   | Some _ | None -> "unsampled"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>adaptive policy after %d session(s):@," t.sessions;
-  List.iter
-    (fun (ty, b) -> Format.fprintf ppf "  %-16s budget %dB@," ty b)
-    (budgets t);
-  Format.fprintf ppf "@]"

@@ -15,7 +15,6 @@ val create :
   ?config:Controller.config -> ?cost:Srpc_simnet.Cost_model.t -> unit -> t
 
 val profile : t -> Profile.t
-val controller : t -> Controller.t
 
 (** Current closure budget (bytes) for transfers seeded by a pointer to
     [ty]. *)
@@ -26,9 +25,6 @@ val budget_for : t -> ty:string -> int
     [seconds] — the session's measured (simulated) duration — switches
     the controller to its hill-climbing mode (see {!Controller.step}). *)
 val session_end : ?seconds:float -> t -> Controller.decision
-
-(** Sessions observed so far (controller steps taken). *)
-val sessions : t -> int
 
 (** Per-type budgets currently in force. *)
 val budgets : t -> (string * int) list
@@ -55,5 +51,3 @@ val offload_feedback : t -> ty:string -> offloaded:bool -> seconds:float -> unit
     ["offload"], ["local"], or ["unsampled"] while either arm lacks
     samples. Read-only (no decision is recorded). *)
 val offload_choice : t -> ty:string -> string
-
-val pp : Format.formatter -> t -> unit

@@ -11,8 +11,7 @@ let profile ?(drop = 0.0) ?(duplicate = 0.0) ?(latency = 0.0) () =
   { drop; duplicate; latency }
 
 type t = {
-  seed : int;
-  mutable rng : Random.State.t;
+  rng : Random.State.t;
   timeout : float;
   mutable global : profile;
   links : (endpoint * endpoint, profile) Hashtbl.t;
@@ -24,7 +23,6 @@ type t = {
 let create ?(seed = 0) ?(timeout = 2.0e-3) () =
   if timeout < 0.0 then invalid_arg "Fault_plan.create: negative timeout";
   {
-    seed;
     rng = Random.State.make [| seed |];
     timeout;
     global = zero_profile;
@@ -35,11 +33,6 @@ let create ?(seed = 0) ?(timeout = 2.0e-3) () =
   }
 
 let timeout t = t.timeout
-let seed t = t.seed
-
-let reset t =
-  t.rng <- Random.State.make [| t.seed |];
-  t.forced_drops <- 0
 let set_global t p = t.global <- p
 let set_link t ~src ~dst p = Hashtbl.replace t.links (src, dst) p
 

@@ -32,15 +32,6 @@ val create : ?seed:int -> ?timeout:float -> unit -> t
 
 val timeout : t -> float
 
-(** The seed [create] was given. *)
-val seed : t -> int
-
-(** [reset t] rewinds the PRNG to its initial state and clears any
-    pending {!drop_next} debt, so the same plan object replays the
-    identical fault schedule across repeated runs (profiles, partitions
-    and crash marks are left as configured). *)
-val reset : t -> unit
-
 (** [set_global t p] applies [p] to every link without its own profile. *)
 val set_global : t -> profile -> unit
 

@@ -7,9 +7,6 @@
 
 open Srpc_core
 
-(** Registered node type name, ["bnode"]. *)
-val type_name : string
-
 val register_types : Cluster.t -> unit
 
 (** [create node] allocates an empty tree and returns its handle (a

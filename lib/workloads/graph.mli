@@ -4,9 +4,6 @@
 
 open Srpc_core
 
-(** Registered name, ["gnode"]: 4 out-edges plus a 64-bit payload. *)
-val type_name : string
-
 val register_types : Cluster.t -> unit
 
 (** [edges ~nodes ~seed] is the pure edge relation [build] materializes:

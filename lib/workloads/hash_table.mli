@@ -26,5 +26,4 @@ val lookup : Node.t -> Access.ptr -> key:int -> int option
     returns whether a binding existed. *)
 val remove : Node.t -> Access.ptr -> key:int -> bool
 
-val iter : Node.t -> Access.ptr -> (key:int -> value:int -> unit) -> unit
 val population : Node.t -> Access.ptr -> int
