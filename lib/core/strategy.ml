@@ -12,12 +12,11 @@ type t = {
   grain : writeback_grain;
   batch_remote_ops : bool;
   delta_coherency : bool;
-  admission : admission_policy;
   offload : offload_mode;
 }
 
-let smart ?(closure_size = 8192) ?(delta = false)
-    ?(admission = Queue_conflicts) ?(offload = Offload_never) () =
+let smart ?(closure_size = 8192) ?(delta = false) ?(offload = Offload_never)
+    () =
   {
     budget = Bytes closure_size;
     grouping = By_origin;
@@ -25,7 +24,6 @@ let smart ?(closure_size = 8192) ?(delta = false)
     grain = Page_grain;
     batch_remote_ops = true;
     delta_coherency = delta;
-    admission;
     offload;
   }
 
@@ -37,7 +35,6 @@ let fully_eager =
     grain = Page_grain;
     batch_remote_ops = true;
     delta_coherency = false;
-    admission = Queue_conflicts;
     offload = Offload_never;
   }
 
@@ -49,7 +46,6 @@ let fully_lazy =
     grain = Page_grain;
     batch_remote_ops = true;
     delta_coherency = false;
-    admission = Queue_conflicts;
     offload = Offload_never;
   }
 
@@ -66,10 +62,6 @@ let pp ppf t =
   in
   let order = function Breadth_first -> "bfs" | Depth_first -> "dfs" in
   let grain = function Page_grain -> "page" | Twin_diff -> "twin-diff" in
-  let admission = function
-    | Queue_conflicts -> "queue"
-    | Abort_retry -> "abort-retry"
-  in
   (* The suffix is elided at [Offload_never] so every pre-offload
      strategy renders byte-identically (trace fingerprints). *)
   let offload = function
@@ -78,10 +70,9 @@ let pp ppf t =
     | Offload_always -> ";off=always"
   in
   Format.fprintf ppf
-    "{closure=%a;group=%s;order=%s;grain=%s;batch=%b;delta=%b;adm=%s%s}" budget
+    "{closure=%a;group=%s;order=%s;grain=%s;batch=%b;delta=%b%s}" budget
     t.budget (grouping t.grouping) (order t.order) (grain t.grain)
-    t.batch_remote_ops t.delta_coherency
-    (admission t.admission) (offload t.offload)
+    t.batch_remote_ops t.delta_coherency (offload t.offload)
 
 let budget_allows t ~total ~extra =
   match t.budget with

@@ -74,26 +74,16 @@ type t = {
           data (see docs/DELTA.md); [false] reproduces the paper's
           full-item write-back + cluster-wide invalidation multicast,
           byte-identical on the wire to the pre-delta runtime *)
-  admission : admission_policy;
-      (** conflict policy when concurrent admission is enabled; inert
-          (and defaulted to [Queue_conflicts]) otherwise *)
   offload : offload_mode;
       (** traversal-offloading mode (default [Offload_never], which
           leaves the wire byte-identical to the pre-offload runtime) *)
 }
 
 (** The proposed method; [closure_size] in bytes defaults to the paper's
-    8192. [delta] turns on delta coherency (default off); [admission]
-    picks the concurrent-admission conflict policy (default
-    [Queue_conflicts]); [offload] picks the traversal-offloading mode
-    (default [Offload_never]). *)
+    8192. [delta] turns on delta coherency (default off); [offload]
+    picks the traversal-offloading mode (default [Offload_never]). *)
 val smart :
-  ?closure_size:int ->
-  ?delta:bool ->
-  ?admission:admission_policy ->
-  ?offload:offload_mode ->
-  unit ->
-  t
+  ?closure_size:int -> ?delta:bool -> ?offload:offload_mode -> unit -> t
 
 (** Whole closure shipped with the pointer; no faults afterwards. *)
 val fully_eager : t
