@@ -23,47 +23,76 @@ module Int_table = Srpc_memory.Int_table
    the conflicting session ([Session_queued]) until the holder closes,
    so a violation witnesses a mis-admission. *)
 
+(* Endpoints and labels are the trace's ordinals; names are looked up
+   only for a diagnostic. *)
 type sess = {
   id : int;
-  ground : string;
+  ground : int;
   admitted : bool;  (* began under a Session_admit mark *)
-  mutable holder : string;  (* endpoint currently holding the thread *)
-  mutable stack : (string * string * string) list;
+  mutable holder : int;  (* endpoint currently holding the thread *)
+  mutable stack : (int * int * int) list;
       (* outstanding (src, dst, request label) *)
   mutable wb_seen : bool;  (* write-back phase started *)
   mutable inv_seen : bool;  (* invalidation multicast started *)
   mutable aborted : bool;  (* the session carries an abort mark *)
-  copy_dsts : (string, unit) Hashtbl.t;
+  copy_dsts : unit Int_table.t;
       (* endpoints that received a data copy (Copy notes) *)
-  inval_dsts : (string, unit) Hashtbl.t;
+  inval_dsts : unit Int_table.t;
       (* endpoints the ground sent (or attempted) an invalidation to *)
-  mutable writes : (string * unit Int_table.t) list;
+  mutable writes : (int * unit Int_table.t) list;
       (* datums written so far: per home endpoint, their addresses *)
-  mutable touched : string list;
+  mutable touched : int list;
       (* spaces whose data the session's footprint covers, harvested
          from the homes of its Access marks — the set an offload-call
          may legitimately target (SP010) *)
-  dead_at_begin : (string, unit) Hashtbl.t;
+  dead_at_begin : unit Int_table.t;
       (* endpoints already past their crash mark when the session
          began *)
 }
 
+(* What the machine needs to know of a frame label, decided once per
+   label the trace holds. *)
+type role =
+  | Heartbeat  (* the failure detector's, no session's *)
+  | Offload_call
+  | Inv_delta  (* a delta write-back carrying the invalidation *)
+  | Staged  (* phase one of a staged close *)
+  | Commit
+  | Other
+
+let role = function
+  | "hb" | "hb-ack" -> Heartbeat
+  | "offload-call" -> Offload_call
+  | "wb-delta+inv" -> Inv_delta
+  | "wb-stage" | "wb-stage-delta" -> Staged
+  | "wb-commit" -> Commit
+  | _ -> Other
+
 type state = {
+  trace : Trace.t;
+  roles : role array;  (* by label *)
+  reply_to : int array;
+      (* by request label, the label its reply must carry: [-1] when the
+         trace holds no such label, so any labeled reply mismatches, and
+         [any_reply] when any will do *)
+  error : int;  (* the error reply's label, [-1] when absent *)
   opened : (int, sess) Hashtbl.t;
   admit_marks : (int, unit) Hashtbl.t;  (* ids carrying a Session_admit mark *)
   shed : (int, unit) Hashtbl.t;
       (* ids whose latest admission outcome was a typed shed: terminal
          until a fresh Session_admit (SP009) *)
-  crashed : (string, unit) Hashtbl.t;  (* endpoints past their crash mark *)
+  crashed : unit Int_table.t;  (* endpoints past their crash mark *)
   mutable out : Diagnostic.t list;
 }
 
-(* The runtime names each endpoint by a few shared strings, so these
-   small lists are searched with [String.equal], which settles equal
-   pointers without reading a byte. *)
-let rec addrs_of home = function
+let name st ep = Trace.endpoint st.trace ep
+let label_name st l = Trace.label_name st.trace l
+
+(* A session writes under few homes and touches few spaces, so these
+   are short lists. *)
+let rec addrs_of (home : int) = function
   | [] -> raise Not_found
-  | (h, addrs) :: rest -> if String.equal h home then addrs else addrs_of home rest
+  | (h, addrs) :: rest -> if h = home then addrs else addrs_of home rest
 
 let wrote s ~home ~addr =
   match addrs_of home s.writes with
@@ -78,9 +107,9 @@ let note_write s ~home ~addr =
     Int_table.add addrs addr ();
     s.writes <- (home, addrs) :: s.writes
 
-let rec mem_endpoint ep = function
+let rec mem_endpoint (ep : int) = function
   | [] -> false
-  | h :: rest -> String.equal h ep || mem_endpoint ep rest
+  | h :: rest -> h = ep || mem_endpoint ep rest
 
 let touched s ep = mem_endpoint ep s.touched
 
@@ -105,15 +134,18 @@ let expected_reply = function
     Some "ack"
   | _ -> None
 
+(* A [reply_to] entry for a request any reply answers. *)
+let any_reply = -2
+
 let check_pairing st idx ~rq_lbl ~rep_lbl =
-  if not (String.equal rep_lbl "error") then
-    match expected_reply rq_lbl with
-    | Some want
-      when not (String.equal rep_lbl "") && not (String.equal rep_lbl want) ->
-      emit st idx "SP002"
-        (Printf.sprintf "%s request answered by %s, expected %s" rq_lbl rep_lbl
-           want)
-    | Some _ | None -> ()
+  let want = st.reply_to.(rq_lbl) in
+  if want <> any_reply && rep_lbl <> want && rep_lbl <> 0 && rep_lbl <> st.error
+  then
+    let rq = label_name st rq_lbl in
+    emit st idx "SP002"
+      (Printf.sprintf "%s request answered by %s, expected %s" rq
+         (label_name st rep_lbl)
+         (Option.get (expected_reply rq)))
 
 (* Frame-level close ordering (the delta-era SP004): a [Wb_delta] frame
    carrying the targeted invalidation belongs to the invalidation phase
@@ -121,49 +153,51 @@ let check_pairing st idx ~rq_lbl ~rep_lbl =
    phase one and must precede the commit point; a commit frame must
    follow it. *)
 let check_close_order st idx ~space s lbl =
-  match lbl with
-  | "wb-delta+inv" when not s.wb_seen ->
+  match st.roles.(lbl) with
+  | Inv_delta when not s.wb_seen ->
     emit ~space st idx "SP004"
       "invalidate-carrying delta frame before the write-back phase started"
-  | ("wb-stage" | "wb-stage-delta") when s.wb_seen ->
+  | Staged when s.wb_seen ->
     emit ~space st idx "SP004"
-      (lbl ^ " frame after the commit point: staged data can no longer be atomic")
-  | "wb-commit" when not s.wb_seen ->
+      (label_name st lbl
+      ^ " frame after the commit point: staged data can no longer be atomic")
+  | Commit when not s.wb_seen ->
     emit ~space st idx "SP004"
       "commit frame before the commit-point write-back mark"
   | _ -> ()
 
-let pp_ev e = Format.asprintf "%a" Trace.pp_event e
+let pp_ev st idx = Format.asprintf "%a" Trace.pp_event (Trace.event st.trace idx)
 
 (* Heartbeat exchanges belong to the failure detector, not to any
    session: they are exempt from session attribution, thread-of-control
    and pairing checks. A live trace only ever carries them between live
    endpoints (the transport raises before recording a frame that names a
    crashed peer). *)
-let is_hb_label lbl = String.equal lbl "hb" || String.equal lbl "hb-ack"
+let is_hb st lbl = match st.roles.(lbl) with Heartbeat -> true | _ -> false
 
 (* SP006: a crashed endpoint neither sends nor receives — any frame
    naming it between its crash and revive marks is a violation. *)
-let check_crashed st idx (e : Trace.event) =
-  let bad ep =
-    if Hashtbl.mem st.crashed ep then
-      emit ~space:ep st idx "SP006"
-        (Printf.sprintf "frame involves crashed endpoint %s: %s" ep (pp_ev e))
-  in
-  bad e.Trace.src;
-  if not (String.equal e.Trace.dst e.Trace.src) then bad e.Trace.dst
+let check_crashed_ep st idx ep =
+  if Int_table.mem st.crashed ep then
+    emit ~space:(name st ep) st idx "SP006"
+      (Printf.sprintf "frame involves crashed endpoint %s: %s" (name st ep)
+         (pp_ev st idx))
+
+let check_crashed st idx ~src ~dst =
+  check_crashed_ep st idx src;
+  if dst <> src then check_crashed_ep st idx dst
 
 (* SP003: a frame — delivered, dropped or duplicated — while no session
    is open. *)
-let check_some_open st idx (e : Trace.event) =
+let check_some_open st idx ~src =
   if Hashtbl.length st.opened = 0 then
-    emit ~space:e.Trace.src st idx "SP003"
-      ("traffic outside an open session: " ^ pp_ev e)
+    emit ~space:(name st src) st idx "SP003"
+      ("traffic outside an open session: " ^ pp_ev st idx)
 
 (* The open session whose thread of control rests at [ep], if unique. *)
 let holder_session st ep =
   Hashtbl.fold
-    (fun _ s acc -> if String.equal s.holder ep then s :: acc else acc)
+    (fun _ s acc -> if s.holder = ep then s :: acc else acc)
     st.opened []
   |> function
   | [ s ] -> Some s
@@ -180,31 +214,31 @@ let find_sess st idx id what =
 let close_sess st idx s =
   List.iter
     (fun (src, dst, _) ->
-      emit ~space:src st idx "SP002"
-        (Printf.sprintf "request %s -> %s never replied before session end" src
-           dst))
+      emit ~space:(name st src) st idx "SP002"
+        (Printf.sprintf "request %s -> %s never replied before session end"
+           (name st src) (name st dst)))
     s.stack;
   if s.aborted then begin
     if s.wb_seen then
-      emit ~space:s.ground st idx "SP005"
+      emit ~space:(name st s.ground) st idx "SP005"
         (Printf.sprintf "aborted session #%d has a write-back mark" s.id);
     if not s.inv_seen then
-      emit ~space:s.ground st idx "SP005"
+      emit ~space:(name st s.ground) st idx "SP005"
         (Printf.sprintf "aborted session #%d ended without invalidation" s.id)
   end;
   (* SP007 applies only to sessions that recorded copy provenance
      (delta-coherency senders emit Copy notes); an aborted session
      invalidates by other means (the Abort frame) and is exempt. *)
-  if (not s.aborted) && Hashtbl.length s.copy_dsts > 0 then begin
+  if (not s.aborted) && Int_table.length s.copy_dsts > 0 then begin
     let missed =
-      Hashtbl.fold
+      Int_table.fold
         (fun dst () acc ->
-          if Hashtbl.mem s.inval_dsts dst then acc else dst :: acc)
+          if Int_table.mem s.inval_dsts dst then acc else name st dst :: acc)
         s.copy_dsts []
     in
     List.iter
       (fun dst ->
-        emit ~space:s.ground st idx "SP007"
+        emit ~space:(name st s.ground) st idx "SP007"
           (Printf.sprintf
              "session #%d ends without invalidating %s, which received a data \
               copy"
@@ -213,7 +247,7 @@ let close_sess st idx s =
   end;
   Hashtbl.remove st.opened s.id
 
-let begin_sess st idx (e : Trace.event) id =
+let begin_sess st idx ~src id =
   if Hashtbl.mem st.opened id then
     emit st idx "SP003"
       (Printf.sprintf "session #%d begins but is already open" id)
@@ -233,203 +267,214 @@ let begin_sess st idx (e : Trace.event) id =
               "session #%d begins while #%d is still open (no admission mark)"
               id open_id)
        | None -> ());
-    let dead = Hashtbl.create 4 in
-    Hashtbl.iter (fun ep () -> Hashtbl.replace dead ep ()) st.crashed;
+    let dead = Int_table.create 4 in
+    Int_table.iter (fun ep () -> Int_table.replace dead ep ()) st.crashed;
     Hashtbl.replace st.opened id
       {
         id;
-        ground = e.Trace.src;
+        ground = src;
         admitted;
-        holder = e.Trace.src;
+        holder = src;
         stack = [];
         wb_seen = false;
         inv_seen = false;
         aborted = false;
-        copy_dsts = Hashtbl.create 4;
-        inval_dsts = Hashtbl.create 4;
+        copy_dsts = Int_table.create 4;
+        inval_dsts = Int_table.create 4;
         writes = [];
         (* the ground space's own heap is always in the footprint *)
-        touched = [ e.Trace.src ];
+        touched = [ src ];
         dead_at_begin = dead;
       }
   end
 
-let request st idx (e : Trace.event) =
-  check_crashed st idx e;
-  match holder_session st e.Trace.src with
+let request st idx =
+  let src = Trace.src st.trace idx and dst = Trace.dst st.trace idx in
+  check_crashed st idx ~src ~dst;
+  match holder_session st src with
   | None ->
-    check_some_open st idx e;
+    check_some_open st idx ~src;
     if Hashtbl.length st.opened > 0 then
-      emit ~space:e.Trace.src st idx "SP001"
+      emit ~space:(name st src) st idx "SP001"
         (Printf.sprintf
            "request from %s, which holds no open session's thread of control"
-           e.Trace.src)
+           (name st src))
   | Some s ->
+    let lbl = Trace.label st.trace idx in
     let dead_since_begin =
-      Hashtbl.mem s.dead_at_begin e.Trace.dst && Hashtbl.mem st.crashed e.Trace.dst
+      Int_table.mem s.dead_at_begin dst && Int_table.mem st.crashed dst
     in
     (* SP009 (breaker): an admitted session targets a peer that was
        already crashed when it began and has not revived since —
        admission should have refused it. A mid-session crash is SP006's
        territory, not a breaker failure. *)
     if s.admitted && dead_since_begin then
-      emit ~space:e.Trace.dst st idx "SP009"
+      emit ~space:(name st dst) st idx "SP009"
         (Printf.sprintf
            "session #%d targets %s, which was crashed when the session \
             began: the circuit breaker must hold until revival"
-           s.id e.Trace.dst);
+           s.id (name st dst));
     (* SP010: a traversal plan may only be shipped to a space whose data
        the session has already touched (the client marks the root datum
        before framing the call), and never to a peer that was dead
        before the session began and has not revived. *)
-    if String.equal e.Trace.label "offload-call" then begin
+    (match st.roles.(lbl) with
+    | Offload_call ->
       if dead_since_begin then
-        emit ~space:e.Trace.dst st idx "SP010"
+        emit ~space:(name st dst) st idx "SP010"
           (Printf.sprintf
              "session #%d offload-call targets %s, which was crashed when \
               the session began"
-             s.id e.Trace.dst)
-      else if
-        (not (String.equal e.Trace.dst s.ground))
-        && not (touched s e.Trace.dst)
-      then
-        emit ~space:e.Trace.dst st idx "SP010"
+             s.id (name st dst))
+      else if dst <> s.ground && not (touched s dst) then
+        emit ~space:(name st dst) st idx "SP010"
           (Printf.sprintf
              "session #%d offload-call into %s but the session holds no \
               footprint there (no datum of that space was touched)"
-             s.id e.Trace.dst)
-    end;
-    check_close_order st idx ~space:e.Trace.src s e.Trace.label;
-    s.stack <- (e.Trace.src, e.Trace.dst, e.Trace.label) :: s.stack;
-    s.holder <- e.Trace.dst
+             s.id (name st dst))
+    | _ -> ());
+    check_close_order st idx ~space:(name st src) s lbl;
+    s.stack <- (src, dst, lbl) :: s.stack;
+    s.holder <- dst
 
-let reply st idx (e : Trace.event) =
-  check_crashed st idx e;
-  match holder_session st e.Trace.src with
+let reply st idx =
+  let src = Trace.src st.trace idx and dst = Trace.dst st.trace idx in
+  check_crashed st idx ~src ~dst;
+  match holder_session st src with
   | None ->
-    check_some_open st idx e;
+    check_some_open st idx ~src;
     if Hashtbl.length st.opened > 0 then
-      emit ~space:e.Trace.src st idx "SP001"
-        ("reply with no outstanding request: " ^ pp_ev e)
+      emit ~space:(name st src) st idx "SP001"
+        ("reply with no outstanding request: " ^ pp_ev st idx)
   | Some s -> (
     match s.stack with
     | [] ->
-      emit ~space:e.Trace.src st idx "SP001"
-        ("reply with no outstanding request: " ^ pp_ev e)
+      emit ~space:(name st src) st idx "SP001"
+        ("reply with no outstanding request: " ^ pp_ev st idx)
     | (rq_src, rq_dst, rq_lbl) :: rest ->
-      if String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src
-      then begin
-        check_pairing st idx ~rq_lbl ~rep_lbl:e.Trace.label;
+      if src = rq_dst && dst = rq_src then begin
+        check_pairing st idx ~rq_lbl ~rep_lbl:(Trace.label st.trace idx);
         s.stack <- rest;
         s.holder <- rq_src
       end
       else
-        emit ~space:e.Trace.src st idx "SP001"
+        emit ~space:(name st src) st idx "SP001"
           (Printf.sprintf
              "reply %s -> %s does not match the innermost request %s -> %s"
-             e.Trace.src e.Trace.dst rq_src rq_dst))
+             (name st src) (name st dst) (name st rq_src) (name st rq_dst)))
 
-let step st idx (e : Trace.event) =
-  match e.Trace.kind with
-  | (Trace.Message _ | Trace.Dropped _ | Trace.Dup _)
-    when is_hb_label e.Trace.label ->
+let step st idx =
+  let t = st.trace in
+  match Trace.tag t idx with
+  | (Trace.Tag.Message _ | Trace.Tag.Dropped _ | Trace.Tag.Dup _)
+    when is_hb st (Trace.label t idx) ->
     ()
-  | Trace.Session_admit id ->
+  | Trace.Tag.Session_admit ->
+    let id = Trace.session t idx in
     Hashtbl.replace st.admit_marks id ();
     Hashtbl.remove st.shed id
-  | Trace.Session_queued _ ->
+  | Trace.Tag.Session_queued ->
     (* a deferral: the session is not open, nothing to track — its later
        admission carries its own Session_admit mark *)
     ()
-  | Trace.Session_shed id ->
+  | Trace.Tag.Session_shed ->
     (* the typed rejection: terminal for this attempt. A shed of an open
        session is nonsense — the controller refused something it had
        already admitted. *)
+    let id = Trace.session t idx in
     if Hashtbl.mem st.opened id then
       emit st idx "SP009" (Printf.sprintf "session #%d shed while it is open" id);
     Hashtbl.replace st.shed id ();
     Hashtbl.remove st.admit_marks id
-  | Trace.Session_begin id -> begin_sess st idx e id
-  | Trace.Session_end id ->
-    Option.iter (close_sess st idx) (find_sess st idx id "session end")
-  | Trace.Message Trace.Request -> request st idx e
-  | Trace.Message Trace.Reply -> reply st idx e
-  | Trace.Write_back id -> (
-    match find_sess st idx id "write-back mark" with
+  | Trace.Tag.Session_begin ->
+    begin_sess st idx ~src:(Trace.src t idx) (Trace.session t idx)
+  | Trace.Tag.Session_end ->
+    Option.iter (close_sess st idx)
+      (find_sess st idx (Trace.session t idx) "session end")
+  | Trace.Tag.Message Trace.Request -> request st idx
+  | Trace.Tag.Message Trace.Reply -> reply st idx
+  | Trace.Tag.Write_back -> (
+    match find_sess st idx (Trace.session t idx) "write-back mark" with
     | None -> ()
     | Some s ->
       if s.inv_seen then
-        emit ~space:s.ground st idx "SP004"
+        emit ~space:(name st s.ground) st idx "SP004"
           "write-back phase after the invalidation multicast already started";
       if s.aborted then
-        emit ~space:s.ground st idx "SP005"
+        emit ~space:(name st s.ground) st idx "SP005"
           "write-back phase after the session was aborted";
       s.wb_seen <- true)
-  | Trace.Invalidate id -> (
-    match find_sess st idx id "invalidation mark" with
+  | Trace.Tag.Invalidate -> (
+    match find_sess st idx (Trace.session t idx) "invalidation mark" with
     | None -> ()
     | Some s ->
       if (not s.wb_seen) && not s.aborted then
-        emit ~space:s.ground st idx "SP004"
+        emit ~space:(name st s.ground) st idx "SP004"
           "invalidation multicast not preceded by the ground space's write-back";
       s.inv_seen <- true)
-  | Trace.Session_abort id -> (
+  | Trace.Tag.Session_abort -> (
+    let id = Trace.session t idx in
     match find_sess st idx id "abort mark" with
     | None -> ()
     | Some s ->
       if s.wb_seen then
-        emit ~space:s.ground st idx "SP005"
+        emit ~space:(name st s.ground) st idx "SP005"
           (Printf.sprintf "session #%d aborted after its write-back began" id);
       s.aborted <- true)
-  | Trace.Dropped Trace.Request ->
+  | Trace.Tag.Dropped Trace.Request ->
     (* a lost request never moved the thread of control *)
-    check_crashed st idx e;
-    check_some_open st idx e
-  | Trace.Dropped Trace.Reply -> (
+    let src = Trace.src t idx in
+    check_crashed st idx ~src ~dst:(Trace.dst t idx);
+    check_some_open st idx ~src
+  | Trace.Tag.Dropped Trace.Reply -> (
     (* the callee finished but the sender never learned: the thread of
        control is back at the requester, who will retry or give up *)
-    check_crashed st idx e;
-    check_some_open st idx e;
-    match holder_session st e.Trace.src with
+    let src = Trace.src t idx and dst = Trace.dst t idx in
+    check_crashed st idx ~src ~dst;
+    check_some_open st idx ~src;
+    match holder_session st src with
     | Some ({ stack = (rq_src, rq_dst, _) :: rest; _ } as s)
-      when String.equal e.Trace.src rq_dst && String.equal e.Trace.dst rq_src ->
+      when src = rq_dst && dst = rq_src ->
       s.stack <- rest;
       s.holder <- rq_src
     | Some _ | None -> ())
-  | Trace.Dup _ ->
+  | Trace.Tag.Dup _ ->
     (* the duplicate copy of an already-counted exchange; the receiver's
        reply cache absorbs it *)
-    check_crashed st idx e;
-    check_some_open st idx e
-  | Trace.Copy id -> (
+    let src = Trace.src t idx in
+    check_crashed st idx ~src ~dst:(Trace.dst t idx);
+    check_some_open st idx ~src
+  | Trace.Tag.Copy -> (
     (* provenance note: [dst] received a copy of some datum. The ground
        endpoint invalidates itself locally at close, so it is never owed
        a message. No crash check: the note witnesses bookkeeping at the
        sender, not a frame on the wire. *)
-    match find_sess st idx id "copy note" with
+    match find_sess st idx (Trace.session t idx) "copy note" with
     | None -> ()
     | Some s ->
-      if not (String.equal e.Trace.dst s.ground) then
-        Hashtbl.replace s.copy_dsts e.Trace.dst ())
-  | Trace.Inval_sent id -> (
+      let dst = Trace.dst t idx in
+      if dst <> s.ground then Int_table.replace s.copy_dsts dst ())
+  | Trace.Tag.Inval_sent -> (
     (* send-attempt semantics: the ground addressed an invalidation at
        [dst]; under faults the frame itself may still be lost, which is
        the retry envelope's problem, not a directory omission. *)
-    match find_sess st idx id "invalidation-sent note" with
+    match find_sess st idx (Trace.session t idx) "invalidation-sent note" with
     | None -> ()
-    | Some s -> Hashtbl.replace s.inval_dsts e.Trace.dst ())
-  | Trace.Crash ep ->
+    | Some s -> Int_table.replace s.inval_dsts (Trace.dst t idx) ())
+  | Trace.Tag.Crash ->
     (* crash marks may appear outside sessions (planned chaos) *)
-    Hashtbl.replace st.crashed ep ()
-  | Trace.Revive ep -> Hashtbl.remove st.crashed ep
-  | Trace.Access { session; home; addr; akind } -> (
+    Int_table.replace st.crashed (Trace.home t idx) ()
+  | Trace.Tag.Revive -> Int_table.remove st.crashed (Trace.home t idx)
+  | Trace.Tag.Access akind -> (
     (* datum-granular race analysis belongs to Race_lint; the protocol
        machine harvests the footprint (SP010) and, since a write names
        its session, detects overlapping writes exactly (SP008). Aborted
        sessions discard their writes and are exempt. *)
+    let session = Trace.session t idx in
     match Hashtbl.find st.opened session with
     | exception Not_found -> ()
     | s -> (
+      let home = Trace.home t idx and addr = Trace.addr t idx in
       if addr <> Trace.every_datum && not (touched s home) then
         s.touched <- home :: s.touched;
       match akind with
@@ -443,41 +488,55 @@ let step st idx (e : Trace.event) =
                 && (not other.aborted)
                 && wrote other ~home ~addr
               then
-                emit ~space:e.Trace.src st idx "SP008"
+                emit ~space:(name st (Trace.src t idx)) st idx "SP008"
                   (Printf.sprintf
                      "sessions #%d and #%d are concurrently open and both \
                       wrote %s/%d (conflicting admission: no queue/abort \
                       separates them)"
-                     other_id session home addr))
+                     other_id session (name st home) addr))
             st.opened
       | Trace.Acc_read | Trace.Acc_serve | Trace.Acc_apply | Trace.Acc_install
       | Trace.Acc_free | Trace.Acc_alloc | Trace.Acc_drop ->
         ()))
 
-let check_events events =
+let check trace =
+  let labels = Array.init (Trace.label_count trace) (Trace.label_name trace) in
   let st =
     {
+      trace;
+      roles = Array.map role labels;
+      reply_to =
+        Array.map
+          (fun l ->
+            match expected_reply l with
+            | Some want -> Trace.find_label trace want
+            | None -> any_reply)
+          labels;
+      error = Trace.find_label trace "error";
       opened = Hashtbl.create 8;
       admit_marks = Hashtbl.create 8;
       shed = Hashtbl.create 8;
-      crashed = Hashtbl.create 4;
+      crashed = Int_table.create 4;
       out = [];
     }
   in
-  List.iteri (fun idx e -> step st idx e) events;
+  let n = Trace.length trace in
+  for idx = 0 to n - 1 do
+    step st idx
+  done;
   (* a trace may stop mid-session (e.g. a live inspection), but every
      request must have been replied by the time recording stopped; the
      locus is one past the last event: the violation is the absence of a
      reply, not any recorded frame *)
-  let n = List.length events in
   Hashtbl.iter
     (fun _ s ->
       List.iter
         (fun (src, dst, _) ->
-          emit ~space:src st n "SP002"
-            (Printf.sprintf "request %s -> %s never replied" src dst))
+          emit ~space:(name st src) st n "SP002"
+            (Printf.sprintf "request %s -> %s never replied" (name st src)
+               (name st dst)))
         s.stack)
     st.opened;
   Diagnostic.sort (List.rev st.out)
 
-let check trace = check_events (Trace.events trace)
+let check_events events = check (Trace.of_events events)

@@ -46,10 +46,10 @@
 
 open Srpc_simnet
 
-(** [check trace] replays the whole trace and returns the violations,
-    sorted errors-first. An empty list means the trace is a valid
-    witness of the protocol. *)
+(** [check trace] replays the whole trace, reading its columns by
+    index, and returns the violations, sorted errors-first. An empty
+    list means the trace is a valid witness of the protocol. *)
 val check : Trace.t -> Diagnostic.t list
 
-(** [check_events events] is {!check} on an explicit event list. *)
+(** [check_events events] is [check (Trace.of_events events)]. *)
 val check_events : Trace.event list -> Diagnostic.t list

@@ -1,8 +1,8 @@
 open Srpc_simnet
 module Int_table = Srpc_memory.Int_table
 
-(* Every endpoint a trace names is interned once per check as a [space]
-   with an ordinal. Its vector clock is an int array indexed by ordinal
+(* Each endpoint the trace names is a [space], indexed by the trace's own
+   endpoint ordinal. Its vector clock is an int array indexed by ordinal
    (entries past the end are 0): entry [k] counts the local steps of
    space [k] known to have happened-before this point. The data homed
    in a space hang off it by heap address, so the per-datum state is
@@ -43,17 +43,10 @@ and datum = {
    while [purge] is the holder's [purges] *)
 and copy = { holder : int; mutable installed : int; mutable purge : int }
 
-(* The space a lookup site returned last. The runtime names a space by
-   one shared string per recording node, so runs of events from one node
-   match it by [==] before any hashing. *)
-type memo = { mutable last : space }
-
 type state = {
-  by_name : (string, space) Hashtbl.t;
-  mutable spaces : space array;  (* by ordinal *)
-  mutable count : int;
-  srcs : memo;  (* event sources *)
-  peers : memo;  (* frame destinations and datum homes *)
+  spaces : space array;  (* by the trace's endpoint ordinal *)
+  hb : int;  (* the heartbeat labels' ordinals, -1 when absent *)
+  hb_ack : int;
   pending_in : datum list Int_table.t;
       (* per session, the data a foreign write of it left pending (a
          datum may repeat) *)
@@ -64,32 +57,6 @@ type state = {
          lost updates are abort semantics, not races *)
   mutable out : Diagnostic.t list;
 }
-
-let new_space st name =
-  let sp =
-    { name; ord = st.count; clock = [||]; data = Int_table.create 64; purges = 0 }
-  in
-  if st.count = Array.length st.spaces then
-    st.spaces <-
-      Array.init (max 8 (2 * st.count)) (fun i ->
-          if i < st.count then st.spaces.(i) else sp);
-  st.spaces.(st.count) <- sp;
-  st.count <- st.count + 1;
-  Hashtbl.add st.by_name name sp;
-  sp
-
-let intern st name =
-  match Hashtbl.find_opt st.by_name name with
-  | Some sp -> sp
-  | None -> new_space st name
-
-let lookup st memo name =
-  if memo.last.name == name then memo.last
-  else begin
-    let sp = intern st name in
-    memo.last <- sp;
-    sp
-  end
 
 let datum_of home addr =
   match Int_table.find home.data addr with
@@ -127,7 +94,7 @@ let reserve (sp : space) n =
 
 (* A local step of [sp]. *)
 let tick st (sp : space) =
-  reserve sp st.count;
+  reserve sp (Array.length st.spaces);
   sp.clock.(sp.ord) <- sp.clock.(sp.ord) + 1
 
 (* [dst] learns everything [src] knew. *)
@@ -240,7 +207,7 @@ let track_pending st idx ~(space : space) d ~session akind =
   | _ -> ()
 
 let access st idx ~src ~session ~home ~addr akind =
-  let space = lookup st st.srcs src in
+  let space = st.spaces.(src) in
   if addr = Trace.every_datum then begin
     (* a cache purge: every copy this space held is gone *)
     match akind with
@@ -248,7 +215,7 @@ let access st idx ~src ~session ~home ~addr akind =
     | _ -> ()
   end
   else begin
-    let d = datum_of (lookup st st.peers home) addr in
+    let d = datum_of st.spaces.(home) addr in
     check_freed st idx ~space d akind;
     (match akind with
     | Trace.Acc_free -> d.freed <- idx
@@ -301,52 +268,54 @@ let session_close st idx id ~committed =
                    id writer.name (name d) widx));
   st.aborted <- false
 
-let step st idx (e : Trace.event) =
-  match e.Trace.kind with
-  | (Trace.Message _ | Trace.Dup _ | Trace.Dropped _)
-    when String.equal e.Trace.label "hb" || String.equal e.Trace.label "hb-ack"
-    ->
+let step st trace idx =
+  match Trace.tag trace idx with
+  | (Trace.Tag.Message _ | Trace.Tag.Dup _ | Trace.Tag.Dropped _)
+    when let l = Trace.label trace idx in
+         l = st.hb || l = st.hb_ack ->
     (* failure-detector heartbeats synchronize nothing the program can
        observe — giving them happens-before edges could mask a genuine
        race between sessions, so they are invisible here *)
     ()
-  | Trace.Message _ | Trace.Dup _ ->
+  | Trace.Tag.Message _ | Trace.Tag.Dup _ ->
     (* a duplicate still carries the sender's knowledge; the receiver's
        reply cache suppresses re-execution but the join is sound *)
-    let src = lookup st st.srcs e.Trace.src in
-    frame_edge st ~src ~dst:(lookup st st.peers e.Trace.dst)
-  | Trace.Dropped _ -> drop_edge st ~src:(lookup st st.srcs e.Trace.src)
-  | Trace.Session_begin _ ->
+    frame_edge st
+      ~src:st.spaces.(Trace.src trace idx)
+      ~dst:st.spaces.(Trace.dst trace idx)
+  | Trace.Tag.Dropped _ -> drop_edge st ~src:st.spaces.(Trace.src trace idx)
+  | Trace.Tag.Session_begin ->
     st.aborted <- false;
     st.session_crashes <- []
-  | Trace.Session_abort _ -> st.aborted <- true
-  | Trace.Session_end id -> session_close st idx id ~committed:(not st.aborted)
-  | Trace.Crash ep ->
+  | Trace.Tag.Session_abort -> st.aborted <- true
+  | Trace.Tag.Session_end ->
+    session_close st idx (Trace.session trace idx) ~committed:(not st.aborted)
+  | Trace.Tag.Crash ->
     (* the space's memory is gone with it *)
-    let sp = intern st ep in
+    let sp = st.spaces.(Trace.home trace idx) in
     sp.purges <- sp.purges + 1;
     st.session_crashes <- sp.ord :: st.session_crashes
-  | Trace.Revive ep ->
+  | Trace.Tag.Revive ->
     (* it restarts empty-handed *)
-    let sp = intern st ep in
+    let sp = st.spaces.(Trace.home trace idx) in
     sp.purges <- sp.purges + 1
-  | Trace.Access { session; home; addr; akind } ->
-    access st idx ~src:e.Trace.src ~session ~home ~addr akind
-  | Trace.Write_back _ | Trace.Invalidate _ | Trace.Copy _
-  | Trace.Inval_sent _ | Trace.Session_admit _ | Trace.Session_queued _
-  | Trace.Session_shed _ ->
+  | Trace.Tag.Access akind ->
+    access st idx ~src:(Trace.src trace idx) ~session:(Trace.session trace idx)
+      ~home:(Trace.home trace idx) ~addr:(Trace.addr trace idx) akind
+  | Trace.Tag.Write_back | Trace.Tag.Invalidate | Trace.Tag.Copy
+  | Trace.Tag.Inval_sent | Trace.Tag.Session_admit | Trace.Tag.Session_queued
+  | Trace.Tag.Session_shed ->
     ()
 
-let check_events events =
-  (* its name is this module's own string, so no event's matches by [==] *)
-  let none = { name = "(none)"; ord = -1; clock = [||]; data = Int_table.create 1; purges = 0 } in
+let check trace =
   let st =
     {
-      by_name = Hashtbl.create 16;
-      spaces = [||];
-      count = 0;
-      srcs = { last = none };
-      peers = { last = none };
+      spaces =
+        Array.init (Trace.endpoint_count trace) (fun ord ->
+            { name = Trace.endpoint trace ord; ord; clock = [||];
+              data = Int_table.create 64; purges = 0 });
+      hb = Trace.find_label trace "hb";
+      hb_ack = Trace.find_label trace "hb-ack";
       pending_in = Int_table.create 16;
       closed = Int_table.create 16;
       aborted = false;
@@ -354,7 +323,9 @@ let check_events events =
       out = [];
     }
   in
-  List.iteri (fun idx e -> step st idx e) events;
+  for idx = 0 to Trace.length trace - 1 do
+    step st trace idx
+  done;
   Diagnostic.sort (List.rev st.out)
 
-let check trace = check_events (Trace.events trace)
+let check_events events = check (Trace.of_events events)

@@ -21,13 +21,14 @@
     - [CC103] access to a freed datum's region before any
       reallocation.
 
-    The checker is a pure function of the event list: it never talks to
-    the runtime, so committed repro traces can be replayed offline. *)
+    The checker is a pure function of the trace: it never talks to the
+    runtime, so committed repro traces can be replayed offline. It
+    reads the trace's columns by index, and its spaces are the trace's
+    endpoint ordinals. *)
 
 open Srpc_simnet
 
-(** Check an explicit event list (chronological order). *)
-val check_events : Trace.event list -> Diagnostic.t list
-
-(** [check trace] = [check_events (Trace.events trace)]. *)
 val check : Trace.t -> Diagnostic.t list
+
+(** [check_events events] is [check (Trace.of_events events)]. *)
+val check_events : Trace.event list -> Diagnostic.t list

@@ -109,21 +109,23 @@ let probe t ep =
   p.p_state
 
 (* Fold the simulator's ground-truth crash/revive marks recorded since
-   [from] (an event index; returns the new cursor). Only the events
-   after the cursor are read, so an armed soak that observes on every
-   admission stays linear in its horizon. The cursor is taken before
-   the fold: frames a revival probe records are the next call's. *)
+   [from] (an event index; returns the new cursor). Only the kinds of the
+   events after the cursor are read, so an armed soak that observes on
+   every admission stays linear in its horizon. The cursor is taken
+   before the scan: frames a revival probe records are the next call's. *)
 let observe t trace ~from =
-  let n = Srpc_simnet.Trace.length trace in
-  List.iter
-    (fun (e : Srpc_simnet.Trace.event) ->
-      match e.Srpc_simnet.Trace.kind with
-      | Srpc_simnet.Trace.Crash ep ->
-        if Hashtbl.mem t.peers ep then mark_dead t (watched t ep)
-      | Srpc_simnet.Trace.Revive ep ->
-        (* the orchestrator restarted it; let a probe confirm before
-           sessions flow again *)
-        if Hashtbl.mem t.peers ep then ignore (probe t ep)
-      | _ -> ())
-    (Srpc_simnet.Trace.since trace from);
+  let module Trace = Srpc_simnet.Trace in
+  let n = Trace.length trace in
+  for i = max 0 from to n - 1 do
+    match Trace.tag trace i with
+    | Trace.Tag.Crash ->
+      let ep = Trace.endpoint trace (Trace.home trace i) in
+      if Hashtbl.mem t.peers ep then mark_dead t (watched t ep)
+    | Trace.Tag.Revive ->
+      (* the orchestrator restarted it; let a probe confirm before
+         sessions flow again *)
+      let ep = Trace.endpoint trace (Trace.home trace i) in
+      if Hashtbl.mem t.peers ep then ignore (probe t ep)
+    | _ -> ()
+  done;
   n

@@ -196,8 +196,9 @@ let in_heap t addr = addr >= Allocator.base t.heap && addr < Allocator.limit t.h
    "B/66560". The marks are only witnesses for [Srpc_analysis.Race_lint];
    they move no bytes, charge no time, and are skipped entirely when no
    trace is attached or no session is open (setup-time touches cannot
-   race). A mark carries the endpoint string the node already holds, so
-   it formats nothing, and the home is looked up only once a trace is
+   race). A mark hands the transport its fields, with the endpoint string
+   the node already holds, so it formats and builds nothing; the trace
+   interns the string. The home is looked up only once a trace is
    known to be attached: the untraced path touches every datum and must
    not pay for it. *)
 let note_access t ~home ~addr akind =
@@ -205,8 +206,8 @@ let note_access t ~home ~addr akind =
     match Session.current t.session with
     | None -> ()
     | Some info ->
-      Transport.mark t.transport ~src:t.ep
-        (Trace.Access { session = info.Session.id; home; addr; akind })
+      Transport.access t.transport ~src:t.ep ~session:info.Session.id ~home
+        ~addr akind
 
 (* Provisional pointers are renamed when the allocation batch resolves,
    so marks under the provisional name would never pair up with the

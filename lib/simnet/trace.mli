@@ -88,6 +88,24 @@ type event = {
           transport has a frame labeler installed; [""] otherwise *)
 }
 
+(** {1 Recording}
+
+    A trace stores each event as one fixed-width row of unboxed fields
+    (kind, time, endpoint and label ordinals, bytes, session,
+    address), in fixed-size chunks. Each endpoint and label is interned
+    once per trace, as it is first recorded, so a row holds no pointer
+    and a long trace gives the collector nothing to scan or promote.
+
+    The columns bound what a trace can hold, and recording past a bound
+    raises [Invalid_argument] naming the field, before anything is
+    recorded:
+    - at most 65,536 distinct endpoints (ordinals are 16 bits);
+    - at most 256 distinct labels, [""] included (8 bits);
+    - [bytes] in [[0, 4_294_967_295]] (32 bits, unsigned);
+    - a session id in [[-2_147_483_648, 2_147_483_647]] (32 bits).
+
+    Times and addresses are stored whole. *)
+
 type t
 
 val create : unit -> t
@@ -103,38 +121,120 @@ val record :
   bytes:int ->
   unit
 
-(** [record_kind t ~at ~src ~dst ~kind ~bytes] records an arbitrary
-    event — used by the fault layer for dropped and duplicate frames. *)
+(** [record_kind t ~at ~src ~dst ~kind ~label ~bytes] records an
+    arbitrary event — used by the transport for frames, dropped and
+    duplicate frames, and protocol notes. *)
 val record_kind :
-  ?label:string ->
   t ->
   at:float ->
   src:string ->
   dst:string ->
   kind:kind ->
+  label:string ->
   bytes:int ->
   unit
 
 (** [mark t ~at ~src kind] records a zero-byte protocol mark. *)
 val mark : t -> at:float -> src:string -> kind -> unit
 
-(** Events in chronological (= recording) order. *)
+(** [access t ~at ~src ~session ~home ~addr akind] records the mark
+    [Access { session; home; addr; akind }] from [src] without building
+    it. *)
+val access :
+  t ->
+  at:float ->
+  src:string ->
+  session:int ->
+  home:string ->
+  addr:int ->
+  access ->
+  unit
+
+(** [of_events events] is a fresh trace holding [events], in order. *)
+val of_events : event list -> t
+
+(** Events in chronological (= recording) order, rebuilt from the
+    rows. *)
 val events : t -> event list
 
 val length : t -> int
 
-(** [since t n] is the events after the first [n], in chronological
-    order: [events t] without its first [n]. It walks only those
-    events, so a consumer that keeps a cursor pays for what is new. *)
-val since : t -> int -> event list
-
+(** [clear t] forgets every event and interned name, and keeps the
+    chunks for the events recorded next. *)
 val clear : t -> unit
-
-(** [between t ~src ~dst] counts request frames from [src] to [dst]. *)
-val between : t -> src:string -> dst:string -> int
 
 val access_name : access -> string
 val pp_event : Format.formatter -> event -> unit
 
 (** Render the whole trace, one event per line. *)
 val pp : Format.formatter -> t -> unit
+
+(** {1 Reading by index}
+
+    A consumer that walks a long trace reads each event's fields by its
+    index (0-based, in recording order, below {!length}) and rebuilds
+    no record. Endpoints and labels read as this trace's ordinals:
+    small ints, numbered from 0 in the order they were first recorded,
+    equal exactly when the names are. A field the event's kind does not
+    carry reads as documented per accessor. An index out of range
+    raises [Invalid_argument]. *)
+
+(** An event's {!kind} without its payload. *)
+module Tag : sig
+  type t =
+    | Message of direction
+    | Dropped of direction
+    | Dup of direction
+    | Session_begin
+    | Session_end
+    | Session_admit
+    | Session_queued
+    | Session_shed
+    | Write_back
+    | Invalidate
+    | Session_abort
+    | Crash
+    | Revive
+    | Copy
+    | Inval_sent
+    | Access of access
+end
+
+val tag : t -> int -> Tag.t
+
+(** The source's endpoint ordinal. *)
+val src : t -> int -> int
+
+(** The destination's endpoint ordinal; a mark's is its source's. *)
+val dst : t -> int -> int
+
+(** An [Access] mark's home, or a [Crash] or [Revive] mark's endpoint,
+    as an endpoint ordinal; any other event's source. *)
+val home : t -> int -> int
+
+(** The label's ordinal; [""] is 0. *)
+val label : t -> int -> int
+
+(** The session a session mark, a [Copy] or [Inval_sent] note or an
+    [Access] mark names; 0 for any other event. *)
+val session : t -> int -> int
+
+(** An [Access] mark's address; 0 for any other event. *)
+val addr : t -> int -> int
+
+(** [event t i] rebuilds event [i]'s record. *)
+val event : t -> int -> event
+
+(** The number of endpoints interned: ordinals are below it. *)
+val endpoint_count : t -> int
+
+val endpoint : t -> int -> string
+
+(** The number of labels interned: ordinals are below it. *)
+val label_count : t -> int
+
+val label_name : t -> int -> string
+
+(** [find_label t name] is [name]'s ordinal, or [-1] when no event
+    recorded it ([""] is always 0). *)
+val find_label : t -> string -> int

@@ -69,7 +69,14 @@ let mark t ~src kind =
 let note t ~src ~dst kind =
   match t.trace with
   | Some trace ->
-    Trace.record_kind trace ~at:(Clock.now t.clock) ~src ~dst ~kind ~bytes:0
+    Trace.record_kind trace ~at:(Clock.now t.clock) ~src ~dst ~kind ~label:""
+      ~bytes:0
+  | None -> ()
+
+let access t ~src ~session ~home ~addr akind =
+  match t.trace with
+  | Some trace ->
+    Trace.access trace ~at:(Clock.now t.clock) ~src ~session ~home ~addr akind
   | None -> ()
 
 let crash t ep =
@@ -107,7 +114,7 @@ let record_frame t ~src ~dst ~kind frame =
         (try f ~dir frame with _ -> "")
       | _ -> ""
     in
-    Trace.record_kind ~label trace ~at:(Clock.now t.clock) ~src ~dst ~kind
+    Trace.record_kind trace ~at:(Clock.now t.clock) ~src ~dst ~kind ~label
       ~bytes
   | None -> ());
   Clock.advance t.clock (Cost_model.frame_cost (link_cost t ~src ~dst) ~bytes)

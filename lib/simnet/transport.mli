@@ -78,6 +78,18 @@ val mark : t -> src:endpoint -> Trace.kind -> unit
     bookkeeping, not traffic. *)
 val note : t -> src:endpoint -> dst:endpoint -> Trace.kind -> unit
 
+(** [access t ~src ~session ~home ~addr akind] records the datum-granular
+    mark [Trace.Access { session; home; addr; akind }] at the current
+    simulated time, if a trace is attached, without building it. *)
+val access :
+  t ->
+  src:endpoint ->
+  session:int ->
+  home:endpoint ->
+  addr:int ->
+  Trace.access ->
+  unit
+
 (** [crash t ep] marks [ep] dead in the installed fault plan and records
     the [Crash] trace mark (once). Raises [Invalid_argument] when no
     fault plan is installed. *)

@@ -265,9 +265,17 @@ let test_trace_records_frames () =
   ignore (Transport.rpc t ~src:"a" ~dst:"b" "req");
   ignore (Transport.rpc t ~src:"a" ~dst:"c" "req2");
   Alcotest.(check int) "four frames" 4 (Trace.length trace);
-  Alcotest.(check int) "a->b requests" 1 (Trace.between trace ~src:"a" ~dst:"b");
+  let requests ~src ~dst =
+    List.length
+      (List.filter
+         (fun e ->
+           e.Trace.kind = Trace.Message Trace.Request
+           && String.equal e.Trace.src src && String.equal e.Trace.dst dst)
+         (Trace.events trace))
+  in
+  Alcotest.(check int) "a->b requests" 1 (requests ~src:"a" ~dst:"b");
   Alcotest.(check int) "b->a replies are not requests" 0
-    (Trace.between trace ~src:"b" ~dst:"a");
+    (requests ~src:"b" ~dst:"a");
   (match Trace.events trace with
   | { Trace.src = "a"; dst = "b"; kind = Trace.Message Trace.Request; bytes = 3; _ }
     :: { Trace.src = "b"; dst = "a"; kind = Trace.Message Trace.Reply; bytes = 6; _ }
@@ -285,6 +293,191 @@ let test_trace_pp () =
   Trace.record trace ~at:0.5 ~src:"a" ~dst:"b" ~dir:Trace.Request ~bytes:10;
   let s = Format.asprintf "%a" Trace.pp trace in
   Alcotest.(check bool) "rendered" true (String.length s > 10)
+
+(* One event of every kind, each field distinct from its neighbours'. *)
+let every_kind =
+  let ev ?(dst = "b") ?(bytes = 0) ?(label = "") i kind =
+    { Trace.at = 0.125 *. float_of_int i; src = "a"; dst; kind; bytes; label }
+  in
+  let frames =
+    List.concat_map
+      (fun dir ->
+        [ Trace.Message dir; Trace.Dropped dir; Trace.Dup dir ])
+      [ Trace.Request; Trace.Reply ]
+    |> List.mapi (fun i kind -> ev ~bytes:(100 + i) ~label:"call" i kind)
+  in
+  let marks =
+    [
+      Trace.Session_begin 7; Trace.Session_end 7; Trace.Session_admit 8;
+      Trace.Session_queued 9; Trace.Session_shed 10; Trace.Write_back 11;
+      Trace.Invalidate 12; Trace.Session_abort 13; Trace.Crash "c";
+      Trace.Revive "c";
+    ]
+    |> List.mapi (fun i kind -> ev ~dst:"a" (10 + i) kind)
+  in
+  let notes =
+    [ ev 20 (Trace.Copy 14); ev ~dst:"c" 21 (Trace.Inval_sent 15) ]
+  in
+  let accesses =
+    [
+      Trace.Acc_read; Trace.Acc_write; Trace.Acc_serve; Trace.Acc_apply;
+      Trace.Acc_install; Trace.Acc_free; Trace.Acc_alloc; Trace.Acc_drop;
+    ]
+    |> List.mapi (fun i akind ->
+           ev ~dst:"a" (30 + i)
+             (Trace.Access
+                { session = 16 + i; home = "b"; addr = 4096 * (i + 1); akind }))
+  in
+  let purge =
+    ev ~dst:"a" 40
+      (Trace.Access
+         { session = 24; home = ""; addr = Trace.every_datum; akind = Trace.Acc_drop })
+  in
+  frames @ marks @ notes @ accesses @ [ purge ]
+
+let test_trace_rows_round_trip () =
+  let trace = Trace.of_events every_kind in
+  Alcotest.(check int) "length" (List.length every_kind) (Trace.length trace);
+  Alcotest.(check bool) "events rebuilt" true (Trace.events trace = every_kind);
+  List.iteri
+    (fun i (e : Trace.event) ->
+      Alcotest.(check string) "src" e.Trace.src
+        (Trace.endpoint trace (Trace.src trace i));
+      Alcotest.(check string) "dst" e.Trace.dst
+        (Trace.endpoint trace (Trace.dst trace i));
+      Alcotest.(check string) "label" e.Trace.label
+        (Trace.label_name trace (Trace.label trace i));
+      match (e.Trace.kind, Trace.tag trace i) with
+      | Trace.Access { session; home; addr; akind }, Trace.Tag.Access a ->
+        Alcotest.(check bool) "access kind" true (a = akind);
+        Alcotest.(check int) "session" session (Trace.session trace i);
+        Alcotest.(check string) "home" home
+          (Trace.endpoint trace (Trace.home trace i));
+        Alcotest.(check int) "addr" addr (Trace.addr trace i)
+      | (Trace.Crash ep | Trace.Revive ep), (Trace.Tag.Crash | Trace.Tag.Revive)
+        ->
+        Alcotest.(check string) "endpoint" ep
+          (Trace.endpoint trace (Trace.home trace i))
+      | _ -> ())
+    every_kind;
+  Alcotest.(check int) "\"\" is label 0" 0 (Trace.find_label trace "");
+  Alcotest.(check int) "an absent label" (-1) (Trace.find_label trace "fetch")
+
+(* Each column's bound holds exactly: a value at it records and reads
+   back, one past it raises naming the field and records nothing. *)
+let test_trace_column_bounds () =
+  let past what f =
+    let trace = Trace.create () in
+    Alcotest.check_raises what (Invalid_argument what) (fun () -> f trace);
+    trace
+  in
+  let frame ?(src = "a") ?(dst = "b") ?(label = "") ?(bytes = 0) trace =
+    Trace.record ~label trace ~at:0.0 ~src ~dst ~dir:Trace.Request ~bytes
+  in
+  let begin_ trace id = Trace.mark trace ~at:0.0 ~src:"a" (Trace.Session_begin id) in
+  (* bytes: 32 bits, unsigned *)
+  let trace = Trace.create () in
+  frame trace ~bytes:0xFFFF_FFFF;
+  Alcotest.(check int) "bytes at the bound" 0xFFFF_FFFF
+    (List.hd (Trace.events trace)).Trace.bytes;
+  let trace =
+    past "Trace: bytes 4294967296 outside [0, 4294967295]" (frame ~bytes:0x1_0000_0000)
+  in
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length trace);
+  ignore (past "Trace: bytes -1 outside [0, 4294967295]" (frame ~bytes:(-1)));
+  (* sessions: 32 bits, signed *)
+  let trace = Trace.create () in
+  begin_ trace 0x7FFF_FFFF;
+  begin_ trace (-0x8000_0000);
+  Alcotest.(check (list int)) "sessions at the bounds" [ 0x7FFF_FFFF; -0x8000_0000 ]
+    [ Trace.session trace 0; Trace.session trace 1 ];
+  ignore
+    (past "Trace: session 2147483648 outside [-2147483648, 2147483647]"
+       (fun t -> begin_ t 0x8000_0000));
+  ignore
+    (past "Trace: session -2147483649 outside [-2147483648, 2147483647]"
+       (fun t -> begin_ t (-0x8000_0001)));
+  (* labels: 8 bits, "" included *)
+  let trace = Trace.create () in
+  for i = 1 to 255 do
+    frame trace ~label:(string_of_int i)
+  done;
+  Alcotest.(check int) "256 labels" 256 (Trace.label_count trace);
+  Alcotest.check_raises "label 257" (Invalid_argument "Trace: more than 256 labels")
+    (fun () -> frame trace ~label:"256");
+  Alcotest.(check int) "label 257 recorded nothing" 255 (Trace.length trace);
+  frame trace ~label:"255";
+  (* endpoints: 16 bits *)
+  let trace = Trace.create () in
+  for i = 0 to 0xFFFF do
+    Trace.mark trace ~at:0.0 ~src:(string_of_int i) (Trace.Session_end 1)
+  done;
+  Alcotest.(check int) "65536 endpoints" 0x1_0000 (Trace.endpoint_count trace);
+  Alcotest.(check string) "the last ordinal names its endpoint" "65535"
+    (Trace.endpoint trace (Trace.src trace 0xFFFF));
+  Alcotest.check_raises "endpoint 65537"
+    (Invalid_argument "Trace: more than 65536 endpoints")
+    (fun () -> frame trace ~src:"0" ~dst:"65536");
+  Alcotest.(check int) "endpoint 65537 recorded nothing" 0x1_0000
+    (Trace.length trace)
+
+(* Recording through the transport allocates nothing per event but the
+   time stamp [Clock.now] boxes (2 words) and a share of the chunk
+   array's growth; the chunks themselves are allocated outside the minor
+   heap. A list of records cost 14 words per frame and 17 per access
+   mark. *)
+let test_trace_recording_allocation () =
+  let run traced =
+    let t, clock, _ = mk_transport ~cost:Cost_model.sparc_10mbps () in
+    Transport.register t "b" (fun _ _ -> "reply");
+    if traced then Transport.set_trace t (Some (Trace.create ()));
+    Transport.access t ~src:"a" ~session:1 ~home:"b" ~addr:64 Trace.Acc_read;
+    let before = Gc.minor_words () in
+    for i = 1 to 2_500 do
+      Transport.access t ~src:"a" ~session:1 ~home:"b" ~addr:(64 * i) Trace.Acc_read;
+      Transport.access t ~src:"b" ~session:1 ~home:"b" ~addr:(64 * i) Trace.Acc_write;
+      ignore (Transport.rpc t ~src:"a" ~dst:"b" "request")
+    done;
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity clock);
+    words
+  in
+  let per_event = (run true -. run false) /. 10_000.0 in
+  if per_event > 2.1 then
+    Alcotest.failf "recording allocates %.2f words per event" per_event
+
+(* A cleared trace keeps its chunks but forgets its names: what is
+   recorded next prints, reads and lints as in a fresh trace. *)
+let test_trace_clear_reuses_chunks () =
+  let batch ~sites n =
+    List.init n (fun i ->
+        let src = Printf.sprintf "s%d" (i mod sites) in
+        if i mod 3 = 0 then
+          { Trace.at = float_of_int i; src; dst = "hub"; kind = Trace.Message Trace.Request;
+            bytes = i; label = (if i mod 2 = 0 then "call" else "") }
+        else
+          { Trace.at = float_of_int i; src; dst = src;
+            kind =
+              Trace.Access
+                { session = i; home = "hub"; addr = 8 * i;
+                  akind = (if i mod 2 = 0 then Trace.Acc_read else Trace.Acc_write) };
+            bytes = 0; label = "" })
+  in
+  let first = batch ~sites:7 3_000 and second = batch ~sites:3 2_500 in
+  let reused = Trace.of_events first in
+  Trace.clear reused;
+  Alcotest.(check int) "cleared" 0 (Trace.length reused);
+  List.iter
+    (fun e ->
+      Trace.record_kind reused ~at:e.Trace.at ~src:e.Trace.src ~dst:e.Trace.dst
+        ~kind:e.Trace.kind ~label:e.Trace.label ~bytes:e.Trace.bytes)
+    second;
+  let fresh = Trace.of_events second in
+  let print t = Format.asprintf "%a" Trace.pp t in
+  Alcotest.(check string) "printed alike" (print fresh) (print reused);
+  Alcotest.(check int) "endpoints of the second batch only" 4
+    (Trace.endpoint_count reused);
+  Alcotest.(check bool) "events alike" true (Trace.events reused = second)
 
 let test_transport_endpoints_list () =
   let t, _, _ = mk_transport () in
@@ -495,5 +688,10 @@ let () =
         [
           tc "records frames" `Quick test_trace_records_frames;
           tc "pretty printing" `Quick test_trace_pp;
+          tc "rows round-trip every kind" `Quick test_trace_rows_round_trip;
+          tc "column bounds" `Quick test_trace_column_bounds;
+          tc "recording allocates only the time stamp" `Quick
+            test_trace_recording_allocation;
+          tc "clear keeps chunks, forgets names" `Quick test_trace_clear_reuses_chunks;
         ] );
     ]
