@@ -206,7 +206,7 @@ let final_read ground kind ptr =
         int_of_float (Matrix.get ground ptr ~row:(i / e) ~col:(i mod e)))
 
 (* The per-op execution environment: the weave and traffic harnesses
-   build their own clusters (several grounds, shared workers) and run
+   run several grounds on one [cluster], sharing its workers, and run
    resolved ops through the very same code path as the single-session
    checker, so the two can never diverge on op semantics. *)
 type env = {
@@ -389,30 +389,36 @@ let exec_rop env rop =
     end;
     []
 
-let run plan =
-  let cluster = Cluster.create ~cost:Cost_model.zero () in
-  let strategy = strategy_table.(plan.p_strategy) in
-  let ground = Cluster.add_node cluster ~site:1 ~strategy () in
+let cluster ?cost ?fault ~grounds ~arches ~strategy () =
+  let cluster = Cluster.create ?cost () in
+  let add ?arch site = Cluster.add_node cluster ~site ?arch ~strategy () in
+  let grounds = List.init grounds (fun i -> add (i + 1)) in
+  let first = List.length grounds + 1 in
   let workers =
-    List.mapi
-      (fun i a ->
-        Cluster.add_node cluster ~site:(i + 2) ~arch:arch_table.(a) ~strategy ())
-      plan.p_arches
+    List.mapi (fun i a -> add ~arch:arch_table.(a) (first + i)) arches
   in
   Linked_list.register_types cluster;
   Tree.register_types cluster;
   Graph.register_types cluster;
   Matrix.register_types cluster;
-  register_procs ~ground workers;
+  List.iter (fun ground -> register_procs ~ground workers) grounds;
   let trace = Trace.create () in
   Transport.set_trace (Cluster.transport cluster) (Some trace);
-  (match plan.p_fault with
+  (match fault with
   | None -> ()
   | Some f ->
     let fp = Fault_plan.create ~seed:f.fseed () in
     Fault_plan.set_global fp
       (Fault_plan.profile ~drop:f.drop ~duplicate:f.dup ());
     Cluster.install_faults cluster fp);
+  (cluster, grounds, workers, trace)
+
+let run plan =
+  let cluster, grounds, workers, trace =
+    cluster ~cost:Cost_model.zero ?fault:plan.p_fault ~grounds:1
+      ~arches:plan.p_arches ~strategy:strategy_table.(plan.p_strategy) ()
+  in
+  let ground = List.hd grounds in
   let env = make_env ~cluster ~ground ~workers in
   let wid i = Node.id (List.nth workers i) in
   let get id = Hashtbl.find env.e_objs id in

@@ -16,17 +16,27 @@ val arch_table : Srpc_memory.Arch.t array
     harnesses exclude them (see [Node.reserve_session]). *)
 val strategy_table : Strategy.t array
 
-(** [register_procs ~ground workers] installs the checker's remote
-    procedures on [ground] and every worker. The weave and traffic
-    harnesses call it once per ground node. *)
-val register_procs : ground:Node.t -> Node.t list -> unit
+(** [cluster ?cost ?fault ~grounds ~arches ~strategy ()] builds the
+    checker's installation: [grounds] ground nodes at sites 1.., then a
+    worker per {!arch_table} index in [arches], all on [strategy], with
+    the workload types and the checker's procedures registered, a trace
+    attached and [fault]'s plan installed. Returns the cluster, the
+    grounds, the workers and the trace. *)
+val cluster :
+  ?cost:Cost_model.t ->
+  ?fault:Script.fault ->
+  grounds:int ->
+  arches:int list ->
+  strategy:Strategy.t ->
+  unit ->
+  Cluster.t * Node.t list * Node.t list * Trace.t
 
 (** [final_read ground kind ptr] reads an object's observable state
     through the access layer (used for phase A/B verification). *)
 val final_read : Node.t -> Script.kind -> Access.ptr -> int list
 
 (** The per-op execution environment. The weave and traffic harnesses
-    build their own clusters (several grounds, shared workers) and run
+    run several grounds on one {!cluster}, sharing its workers, and run
     resolved ops through {!exec_rop} — the very same code path as the
     single-session checker — so the harnesses can never diverge from
     the checker on op semantics. *)

@@ -40,36 +40,62 @@ let pp_failure ppf = function
   | Not_reusable ->
     Format.fprintf ppf "nodes were not reusable after the run"
 
-(* Compare one interpreter outcome against the oracle. Completion must
-   match the model everywhere; an abort is acceptable only under a fault
-   schedule, and then every observation made before the abort must still
-   match (a wrong answer is never excused by a later abort). *)
-let judge plan (model : Model.result) (out : Interp.outcome) =
+let first_failure checks =
+  List.fold_left
+    (fun acc check -> match acc with Some _ -> acc | None -> check ())
+    None checks
+
+let compare_final phase expected got =
+  List.fold_left
+    (fun acc (id, got_vs) ->
+      match acc with
+      | Some _ -> acc
+      | None -> (
+        match List.assoc_opt id expected with
+        | Some exp_vs when exp_vs <> got_vs ->
+          Some (Final_mismatch { phase; id; expected = exp_vs; got = got_vs })
+        | _ -> None))
+    None got
+
+(* Completion must match the model everywhere; an abort is acceptable
+   only under a fault schedule, and then every observation made before
+   the abort must still match (a wrong answer is never excused by a
+   later abort). *)
+let judge_session ~faulted (model : Model.result) ?final_a ~obs ~aborted
+    ~final_b () =
+  let missing () =
+    Some
+      (Obs_missing
+         { expected = List.length model.m_obs; got = List.length obs })
+  in
   let rec obs_prefix i expected got =
     match (expected, got) with
     | _, [] -> None
     | e :: es, g :: gs ->
       if e <> g then Some (Obs_mismatch { step = i; expected = e; got = g })
       else obs_prefix (i + 1) es gs
-    | [], _ :: _ ->
-      Some
-        (Obs_missing
-           { expected = List.length model.m_obs; got = List.length out.obs })
+    | [], _ :: _ -> missing ()
   in
-  let compare_final phase expected got =
-    List.fold_left
-      (fun acc (id, got_vs) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match List.assoc_opt id expected with
-          | Some exp_vs when exp_vs <> got_vs ->
-            Some
-              (Final_mismatch { phase; id; expected = exp_vs; got = got_vs })
-          | _ -> None))
-      None got
-  in
-  let checks =
+  first_failure
+    [
+      (fun () -> obs_prefix 0 model.m_obs obs);
+      (fun () -> Option.bind final_a (compare_final "A" model.m_final));
+      (fun () ->
+        match aborted with
+        | Some reason when not faulted -> Some (Unexpected_abort reason)
+        | _ -> None);
+      (fun () ->
+        if aborted = None && List.length obs <> List.length model.m_obs then
+          missing ()
+        else None);
+      (fun () ->
+        if aborted = None then compare_final "B" model.m_final final_b
+        else None);
+    ]
+
+(* Compare one interpreter outcome against the oracle. *)
+let judge plan model (out : Interp.outcome) =
+  first_failure
     [
       (* the race checker judges first: a coherency defect usually also
          desynchronizes the model, and "stale read" names the disease
@@ -78,25 +104,10 @@ let judge plan (model : Model.result) (out : Interp.outcome) =
         match Race_lint.check out.trace with
         | [] -> None
         | ds -> Some (Race (Format.asprintf "%a" Diagnostic.pp_list ds)));
-      (fun () -> obs_prefix 0 model.m_obs out.obs);
       (fun () ->
-        if out.phase_a_done then compare_final "A" model.m_final out.final_a
-        else None);
-      (fun () ->
-        match out.aborted with
-        | Some reason when plan.Script.p_fault = None ->
-          Some (Unexpected_abort reason)
-        | _ -> None);
-      (fun () ->
-        if out.aborted = None && List.length out.obs <> List.length model.m_obs
-        then
-          Some
-            (Obs_missing
-               { expected = List.length model.m_obs; got = List.length out.obs })
-        else None);
-      (fun () ->
-        if out.aborted = None then compare_final "B" model.m_final out.final_b
-        else None);
+        judge_session ~faulted:(plan.Script.p_fault <> None) model
+          ?final_a:(if out.phase_a_done then Some out.final_a else None)
+          ~obs:out.obs ~aborted:out.aborted ~final_b:out.final_b ());
       (fun () -> if out.reusable then None else Some Not_reusable);
       (fun () ->
         match Proto_lint.check out.trace with
@@ -104,10 +115,6 @@ let judge plan (model : Model.result) (out : Interp.outcome) =
         | ds ->
           Some (Protocol (Format.asprintf "%a" Diagnostic.pp_list ds)));
     ]
-  in
-  List.fold_left
-    (fun acc check -> match acc with Some _ -> acc | None -> check ())
-    None checks
 
 let run_script script =
   let plan = Script.resolve script in

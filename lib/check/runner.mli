@@ -26,6 +26,22 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
+(** [judge_session ~faulted model ?final_a ~obs ~aborted ~final_b ()]
+    judges one session's run against its [model]: the observations
+    [obs] must be a prefix of the model's, and all of them unless the
+    session aborted; an abort is excused only on a [faulted] run; and
+    the final-state reads [final_a] (inside the final session) and
+    [final_b] (after a committed close) must match the model's. *)
+val judge_session :
+  faulted:bool ->
+  Model.result ->
+  ?final_a:(int * int list) list ->
+  obs:int list list ->
+  aborted:string option ->
+  final_b:(int * int list) list ->
+  unit ->
+  failure option
+
 (** [run_script s] resolves, models and interprets [s]; [None] means the
     run satisfied every oracle. *)
 val run_script : Script.t -> failure option

@@ -175,9 +175,7 @@ let validate t ~session =
   | Some snap ->
     List.for_all (fun (root, v) -> root_version t root = v) snap
 
-let fail_validation t ~session =
-  Srpc_simnet.Stats.incr_validations_failed t.stats;
-  Hashtbl.replace t.deferred session ()
+let fail_validation t = Srpc_simnet.Stats.incr_validations_failed t.stats
 
 (* Drain the FIFO after [close]: a waiter is admitted when it conflicts
    with neither the (updated) open set nor any waiter still ahead of it
@@ -208,6 +206,10 @@ let close ?(committed = true) t ~session =
   | _ -> ());
   Hashtbl.remove t.open_tbl session;
   Hashtbl.remove t.snaps session;
+  (* a session retired before admission (a client gave up) leaves its
+     deferrals behind otherwise, one entry per abandoned id *)
+  Hashtbl.remove t.deferred session;
+  Hashtbl.remove t.attempts session;
   drain t
 
 (* Deterministic jitter: splitmix64 over (session, attempt), mapped to a

@@ -77,8 +77,9 @@ val request :
   ?force:bool -> ?peers:string list -> t -> session:int -> Footprint.t ->
   decision
 
-(** [close t ~session] retires an open session — [~committed:false] for
-    aborts (its writes bump no root versions) — and drains the FIFO:
+(** [close t ~session] retires a session — [~committed:false] for
+    aborts (its writes bump no root versions) and for sessions given up
+    before admission — forgets its deferrals, and drains the FIFO:
     returns the waiters admitted now, in queue order, already recorded
     as open. The caller begins them (emitting their admit marks). *)
 val close : ?committed:bool -> t -> session:int -> (int * Footprint.t) list
@@ -88,8 +89,8 @@ val close : ?committed:bool -> t -> session:int -> (int * Footprint.t) list
 val validate : t -> session:int -> bool
 
 (** Record a validation failure in [Stats] (the caller then aborts the
-    session and re-requests admission). *)
-val fail_validation : t -> session:int -> unit
+    session and retries it under a fresh id). *)
+val fail_validation : t -> unit
 
 val open_count : t -> int
 val queue_length : t -> int

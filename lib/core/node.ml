@@ -1904,7 +1904,7 @@ let end_session_validated t adm =
     (`Committed, Admission.close adm ~session:sid)
   end
   else begin
-    Admission.fail_validation adm ~session:sid;
+    Admission.fail_validation adm;
     (try abort_session t ~reason:"admission validation failed"
      with Session.Session_aborted _ -> ());
     (`Validation_failed, Admission.close ~committed:false adm ~session:sid)

@@ -150,36 +150,22 @@ let build_setup ?(arming = unarmed) ~name cfg =
   if cfg.clients < 1 then invalid_arg (who ^ ": clients must be >= 1");
   if cfg.servers < 2 || cfg.servers > 8 then
     invalid_arg (who ^ ": servers must be in 2..8");
-  let cluster = Cluster.create () in
   let strats = Gen.concurrent_strategies in
-  let strategy =
-    Interp.strategy_table.(strats.(abs cfg.seed mod Array.length strats))
+  let cluster, grounds, servers, trace =
+    Interp.cluster ~grounds:cfg.clients
+      ~arches:
+        (List.init cfg.servers (fun s -> s mod Array.length Interp.arch_table))
+      ~strategy:
+        Interp.strategy_table.(strats.(abs cfg.seed mod Array.length strats))
+      ()
   in
-  let grounds =
-    Array.init cfg.clients (fun c ->
-        Cluster.add_node cluster ~site:(c + 1) ~strategy ())
-  in
-  let servers =
-    List.init cfg.servers (fun s ->
-        Cluster.add_node cluster
-          ~site:(cfg.clients + 1 + s)
-          ~arch:Interp.arch_table.(s mod Array.length Interp.arch_table)
-          ~strategy ())
-  in
-  Srpc_workloads.Linked_list.register_types cluster;
-  Srpc_workloads.Tree.register_types cluster;
-  Srpc_workloads.Graph.register_types cluster;
-  Srpc_workloads.Matrix.register_types cluster;
-  Array.iter (fun g -> Interp.register_procs ~ground:g servers) grounds;
-  let trace = Trace.create () in
-  Transport.set_trace (Cluster.transport cluster) (Some trace);
   let health = arming.a_faults cluster servers in
   let adm =
     Admission.create ~policy:cfg.policy ~queue_cap:arming.a_queue_cap
       ~retry_budget:arming.a_retry_budget ?health (Cluster.stats cluster)
   in
-  { su_cluster = cluster; su_grounds = grounds; su_servers = servers;
-    su_health = health; su_adm = adm; su_trace = trace }
+  { su_cluster = cluster; su_grounds = Array.of_list grounds;
+    su_servers = servers; su_health = health; su_adm = adm; su_trace = trace }
 
 (* Each client sees the server pool rotated by its own index, so load
    spreads without any client-to-server affinity logic. *)
@@ -222,32 +208,28 @@ type outcome = {
   o_stats : Stats.snapshot;
 }
 
-type cstate = Idle | Wait | Running | Parked | Done
-
-(* The journal is the session's whole resolved op stream; recovery is
-   "re-admit under a fresh id, reset the object table, replay from the
-   top". [cur_total] spans recovery cycles — the client-side give-up
-   bound — while [cur_attempt] drives the backoff ladder. *)
-type current = {
-  mutable cur_id : int;
-  cur_env : Interp.env;
-  cur_arrival : float;  (** original arrival: recovery time counts *)
-  cur_journal : Script.rop list;
-  mutable cur_rops : Script.rop list;
-  mutable cur_attempt : int;
-  mutable cur_total : int;
-  mutable cur_recovering : bool;  (** aborted at least once *)
+(* One session on its client. The stepper's journal is the session's
+   whole resolved op stream; recovery is "renew under a fresh id, reset
+   the object table, replay from the top". [total] counts admission
+   requests across recovery cycles — the client-side give-up bound —
+   while the stepper's attempt count drives the backoff ladder. *)
+type session = {
+  client : client;
+  env : Interp.env;
+  arrival : float;  (** original arrival: recovery time counts *)
+  mutable total : int;
+  mutable recovering : bool;  (** aborted at least once *)
 }
 
-type client = {
+and client = {
   cl_idx : int;
   cl_ground : Node.t;
   cl_fp : Footprint.t;
   mutable cl_peers : string list;  (** this session's server endpoints *)
   mutable cl_time : float;
-  mutable cl_state : cstate;
   mutable cl_jobs : job list;
-  mutable cl_current : current option;
+  mutable cl_current : (Script.rop, session) Stepper.t option;
+  mutable cl_done : bool;  (** stepped with no job left *)
 }
 
 exception Stuck
@@ -279,37 +261,28 @@ let open_loop ?(arming = unarmed) ~name ~horizon cfg =
           cl_fp = job_footprint cfg ~name ~client:c;
           cl_peers = [];
           cl_time = 0.0;
-          cl_state = Idle;
           cl_jobs = gen_jobs ~horizon cfg ~client:c;
           cl_current = None;
+          cl_done = false;
         })
       setup.su_grounds
   in
-  let find_by_sid sid =
-    let holds cl =
-      Option.fold ~none:false ~some:(fun cur -> cur.cur_id = sid) cl.cl_current
-    in
-    match Array.find_opt holds clients with
-    | Some cl -> cl
-    | None ->
-      invalid_arg
-        (String.capitalize_ascii name ^ ": drain admitted an unknown session")
-  in
   (* A drained waiter resumes no earlier than the close that unblocked
-     it: its logical clock jumps to the closer's. *)
+     it: its logical clock jumps to the closer's, once the closer has
+     been charged for the close. *)
   let start_waiters ~closer waiters =
+    let live =
+      List.filter_map (fun cl -> cl.cl_current) (Array.to_list clients)
+    in
     List.iter
-      (fun (sid, _fp) ->
-        let cl = find_by_sid sid in
-        Node.start_admitted cl.cl_ground ~id:sid;
-        cl.cl_time <- Float.max cl.cl_time closer.cl_time;
-        cl.cl_state <- Running)
-      waiters
+      (fun st ->
+        let cl = (Stepper.data st).client in
+        cl.cl_time <- Float.max cl.cl_time closer.cl_time)
+      (Stepper.drain live waiters)
   in
   let finish_session cl =
     cl.cl_current <- None;
-    cl.cl_jobs <- List.tl cl.cl_jobs;
-    cl.cl_state <- Idle
+    cl.cl_jobs <- List.tl cl.cl_jobs
   in
   (* Re-probe this session's unavailable peers before asking again:
      heartbeats keep flowing while the breaker holds, and the first
@@ -322,111 +295,95 @@ let open_loop ?(arming = unarmed) ~name ~horizon cfg =
         (fun e -> if not (Health.available h e) then ignore (Health.probe h e))
         cl.cl_peers
   in
-  let request cl cur =
+  let request cl st =
     observe_health ();
-    cur.cur_total <- cur.cur_total + 1;
+    let s = Stepper.data st in
+    s.total <- s.total + 1;
     match arming.a_give_up with
-    | Some bound when cur.cur_total > bound ->
+    | Some bound when s.total > bound ->
       incr failed;
+      Stepper.abandon st;
       finish_session cl
     | _ -> (
       probe_dead cl;
-      match
-        Node.request_admission ~peers:cl.cl_peers cl.cl_ground setup.su_adm
-          ~id:cur.cur_id ~footprint:cl.cl_fp
-      with
-      | Admission.Admitted -> cl.cl_state <- Running
-      | Admission.Queued -> cl.cl_state <- Parked
+      match Stepper.request ~peers:cl.cl_peers st with
+      | Admission.Admitted | Admission.Queued -> ()
       | (Admission.Denied | Admission.Overloaded _) as d ->
         (* a typed shed is terminal for this request. The retry keeps
            the reserved id (a later success emits its own fresh admit
            mark, per SP009) but backs off harder than a plain denial. *)
         let base = match d with Admission.Denied -> 1e-4 | _ -> 2e-3 in
-        cur.cur_attempt <- cur.cur_attempt + 1;
         cl.cl_time <-
           cl.cl_time
-          +. Admission.backoff_delay ~session:cur.cur_id
-               ~attempt:cur.cur_attempt ~base;
-        cl.cl_state <- Wait)
+          +. Admission.backoff_delay ~session:(Stepper.id st)
+               ~attempt:(Stepper.attempt st) ~base)
   in
   (* Retry under a fresh id, replaying the journal from its first op: an
      aborted or invalidated attempt committed nothing, so replay-once is
      exactly-once. The burnt id keeps the trace's id space unambiguous. *)
-  let replay cl cur =
-    cur.cur_id <- Node.reserve_session cl.cl_ground;
-    cur.cur_rops <- cur.cur_journal;
-    Hashtbl.reset cur.cur_env.Interp.e_objs;
-    request cl cur
+  let replay cl st =
+    Stepper.renew st;
+    Hashtbl.reset (Stepper.data st).env.Interp.e_objs;
+    request cl st
   in
-  (* A mid-session abort (a crash, an exhausted retry) surrenders the
-     admission slot before the replay. *)
-  let abort_and_recover cl cur =
-    incr aborts;
-    start_waiters ~closer:cl
-      (Admission.close ~committed:false setup.su_adm ~session:cur.cur_id);
-    cur.cur_recovering <- true;
-    replay cl cur
+  let start cl job =
+    cl.cl_time <- Float.max cl.cl_time job.j_arrival;
+    let ws =
+      rotated_servers setup ~client:cl.cl_idx ~count:job.j_plan.Script.p_workers
+    in
+    cl.cl_peers <- List.map ep ws;
+    let env = Interp.make_env ~cluster ~ground:cl.cl_ground ~workers:ws in
+    let st =
+      Stepper.create ~ground:cl.cl_ground setup.su_adm ~footprint:cl.cl_fp
+        ~exec:(fun rop -> ignore (Interp.exec_rop env rop))
+        job.j_plan.Script.p_rops
+        { client = cl; env; arrival = cl.cl_time; total = 0;
+          recovering = false }
+    in
+    cl.cl_current <- Some st;
+    request cl st
   in
-  let timed cl f =
+  (* An op's or a close's clock delta is charged to the client only when
+     it returns: a mid-session abort (a crash, an exhausted retry)
+     charges nothing and surrenders the admission slot before the
+     replay. *)
+  let run_step cl st =
+    let s = Stepper.data st in
     let t0 = Cluster.now cluster in
-    let r = f () in
-    cl.cl_time <- cl.cl_time +. (Cluster.now cluster -. t0);
-    r
+    let charge () = cl.cl_time <- cl.cl_time +. (Cluster.now cluster -. t0) in
+    match Stepper.step st with
+    | Stepper.Ran -> charge ()
+    | Stepper.Committed waiters ->
+      charge ();
+      incr committed;
+      if s.recovering then begin
+        incr recovered;
+        Stats.incr_recoveries (Cluster.stats cluster)
+      end;
+      latencies := (cl.cl_time -. s.arrival) :: !latencies;
+      start_waiters ~closer:cl waiters;
+      finish_session cl
+    | Stepper.Invalidated waiters ->
+      charge ();
+      start_waiters ~closer:cl waiters;
+      replay cl st
+    | Stepper.Aborted (_, waiters) ->
+      incr aborts;
+      start_waiters ~closer:cl waiters;
+      s.recovering <- true;
+      replay cl st
   in
   let step cl =
-    match cl.cl_state with
-    | Done | Parked -> ()
-    | Idle -> (
+    match cl.cl_current with
+    | None -> (
       match cl.cl_jobs with
-      | [] -> cl.cl_state <- Done
-      | job :: _ ->
-        cl.cl_time <- Float.max cl.cl_time job.j_arrival;
-        let ws =
-          rotated_servers setup ~client:cl.cl_idx
-            ~count:job.j_plan.Script.p_workers
-        in
-        cl.cl_peers <- List.map ep ws;
-        let cur =
-          {
-            cur_id = Node.reserve_session cl.cl_ground;
-            cur_env = Interp.make_env ~cluster ~ground:cl.cl_ground ~workers:ws;
-            cur_arrival = cl.cl_time;
-            cur_journal = job.j_plan.Script.p_rops;
-            cur_rops = job.j_plan.Script.p_rops;
-            cur_attempt = 0;
-            cur_total = 0;
-            cur_recovering = false;
-          }
-        in
-        cl.cl_current <- Some cur;
-        request cl cur)
-    | Wait ->
-      let cur = Option.get cl.cl_current in
-      request cl cur
-    | Running -> (
-      let cur = Option.get cl.cl_current in
-      match cur.cur_rops with
-      | rop :: rest -> (
-        cur.cur_rops <- rest;
-        try timed cl (fun () -> ignore (Interp.exec_rop cur.cur_env rop))
-        with Session.Session_aborted _ -> abort_and_recover cl cur)
-      | [] -> (
-        match
-          timed cl (fun () -> Node.end_session_validated cl.cl_ground setup.su_adm)
-        with
-        | `Committed, waiters ->
-          incr committed;
-          if cur.cur_recovering then begin
-            incr recovered;
-            Stats.incr_recoveries (Cluster.stats cluster)
-          end;
-          latencies := (cl.cl_time -. cur.cur_arrival) :: !latencies;
-          start_waiters ~closer:cl waiters;
-          finish_session cl
-        | `Validation_failed, waiters ->
-          start_waiters ~closer:cl waiters;
-          replay cl cur
-        | exception Session.Session_aborted _ -> abort_and_recover cl cur))
+      | [] -> cl.cl_done <- true
+      | job :: _ -> start cl job)
+    | Some st -> (
+      match Stepper.state st with
+      | Stepper.Parked | Stepper.Finished -> ()
+      | Stepper.Backoff -> request cl st
+      | Stepper.Running -> run_step cl st)
   in
   let outages = ref arming.a_outages in
   let rec apply_outages upto =
@@ -453,13 +410,14 @@ let open_loop ?(arming = unarmed) ~name ~horizon cfg =
   let runnable () =
     Array.fold_left
       (fun best cl ->
-        match (cl.cl_state, best) with
-        | (Done | Parked), _ -> best
+        match (cl.cl_current, best) with
+        | _ when cl.cl_done -> best
+        | Some st, _ when Stepper.state st = Stepper.Parked -> best
         | _, Some b when b.cl_time <= cl.cl_time -> best
         | _ -> Some cl)
       None clients
   in
-  let all_done () = Array.for_all (fun cl -> cl.cl_state = Done) clients in
+  let all_done () = Array.for_all (fun cl -> cl.cl_done) clients in
   while not (all_done ()) do
     decr fuel;
     if !fuel < 0 then raise Stuck;
@@ -516,30 +474,26 @@ let run_serialized cfg =
             (rotated_servers setup ~client:c
                ~count:job.j_plan.Script.p_workers)
       in
-      let id = Node.reserve_session ground in
-      match
-        Node.request_admission ground setup.su_adm ~id
+      let st =
+        Stepper.create ~ground setup.su_adm
           ~footprint:(job_footprint cfg ~name:"traffic" ~client:c)
-      with
-      | Admission.Queued | Admission.Denied | Admission.Overloaded _ ->
-        (* nothing else is open on the serial timeline *)
-        assert false
-      | Admission.Admitted -> (
-        let t0 = Cluster.now cluster in
-        match
-          List.iter (fun rop -> ignore (Interp.exec_rop env rop))
-            job.j_plan.Script.p_rops;
-          Node.end_session_validated ground setup.su_adm
-        with
-        | `Committed, _ ->
+          ~exec:(fun rop -> ignore (Interp.exec_rop env rop))
+          job.j_plan.Script.p_rops ()
+      in
+      (* nothing else is open on the serial timeline *)
+      if Stepper.request st <> Admission.Admitted then assert false;
+      let t0 = Cluster.now cluster in
+      let rec run () =
+        match Stepper.step st with
+        | Stepper.Ran -> run ()
+        | Stepper.Committed _ ->
           tl := !tl +. (Cluster.now cluster -. t0);
           incr committed;
           latencies := (!tl -. arrival) :: !latencies
-        | `Validation_failed, _ -> ()
-        | exception Session.Session_aborted _ ->
-          tl := !tl +. (Cluster.now cluster -. t0);
-          ignore
-            (Admission.close ~committed:false setup.su_adm ~session:id)))
+        | Stepper.Invalidated _ -> ()
+        | Stepper.Aborted _ -> tl := !tl +. (Cluster.now cluster -. t0)
+      in
+      run ())
     jobs;
   finish_result setup
     ~sessions:(cfg.clients * cfg.sessions_per_client)
@@ -583,19 +537,14 @@ type counter_outcome = {
 
 let run_counter ?(chaos = false) ~clients ~policy () =
   if clients < 1 then invalid_arg "Traffic.run_counter: clients >= 1";
-  let cluster = Cluster.create () in
-  let strategy = Interp.strategy_table.(0) in
-  let grounds =
-    Array.init clients (fun c ->
-        Cluster.add_node cluster ~site:(c + 1) ~strategy ())
+  let cluster, grounds, servers, trace =
+    Interp.cluster ~grounds:clients ~arches:[ 0 ]
+      ~strategy:Interp.strategy_table.(0) ()
   in
-  let server = Cluster.add_node cluster ~site:(clients + 1) ~strategy () in
-  Srpc_workloads.Linked_list.register_types cluster;
+  let server = List.hd servers in
   let head = Srpc_workloads.Linked_list.build server [ 0 ] in
   Node.register server "tf_head" (fun _node _args ->
       [ Access.to_value head ]);
-  let trace = Trace.create () in
-  Transport.set_trace (Cluster.transport cluster) (Some trace);
   let adm = Admission.create ~policy (Cluster.stats cluster) in
   let fp c =
     Footprint.session
@@ -608,80 +557,49 @@ let run_counter ?(chaos = false) ~clients ~policy () =
   Fun.protect
     ~finally:(fun () -> Node.chaos_admit_conflicting := saved_chaos)
     (fun () ->
-      (* per-client state machine: Request -> Fetch -> Bump -> Close *)
-      let stage = Array.make clients `Request in
-      let sid = Array.make clients (-1) in
-      let ptr = Array.make clients None in
-      let start c id =
-        sid.(c) <- id;
-        stage.(c) <- `Fetch
-      in
-      let drain waiters =
-        List.iter
-          (fun (id, _) ->
-            let c =
-              match
-                Array.to_list (Array.mapi (fun i s -> (i, s)) sid)
-                |> List.find_opt (fun (_, s) -> s = id)
-              with
-              | Some (i, _) -> i
-              | None -> invalid_arg "counter: unknown drained session"
+      (* each client's session: fetch the cell's list, bump the cell,
+         close; a failed validation retries under a fresh id *)
+      let sessions =
+        List.mapi
+          (fun c g ->
+            let ptr = ref None in
+            let exec = function
+              | `Fetch ->
+                let v = Node.call g ~dst:(Node.id server) "tf_head" [] in
+                ptr := Some (Access.of_value (List.hd v))
+              | `Bump ->
+                let cell =
+                  Srpc_workloads.Linked_list.nth g (Option.get !ptr) 0
+                in
+                let v = Access.get_int g cell ~field:"value" in
+                Access.set_int g cell ~field:"value" (v + 1)
             in
-            Node.start_admitted grounds.(c) ~id;
-            start c id)
-          waiters
+            Stepper.create ~ground:g adm ~footprint:(fp c) ~exec
+              [ `Fetch; `Bump ] ())
+          grounds
       in
-      let step c =
-        let g = grounds.(c) in
-        match stage.(c) with
-        | `Done -> ()
-        | `Request -> (
-          let id = Node.reserve_session g in
-          sid.(c) <- id;
-          match Node.request_admission g adm ~id ~footprint:(fp c) with
-          | Admission.Admitted -> start c id
-          | Admission.Queued -> stage.(c) <- `Parked
-          | Admission.Denied | Admission.Overloaded _ ->
-            stage.(c) <- `Rerequest)
-        | `Rerequest -> (
-          (* denied-policy retries keep their reserved id, so the
-             controller's deferred table credits sessions_retried *)
-          match
-            Node.request_admission g adm ~id:sid.(c) ~footprint:(fp c)
-          with
-          | Admission.Admitted -> start c sid.(c)
-          | Admission.Queued -> stage.(c) <- `Parked
-          | Admission.Denied | Admission.Overloaded _ ->
-            stage.(c) <- `Rerequest)
-        | `Parked -> ()
-        | `Fetch ->
-          let v = Node.call g ~dst:(Node.id server) "tf_head" [] in
-          ptr.(c) <- Some (Access.of_value (List.hd v));
-          stage.(c) <- `Bump
-        | `Bump ->
-          let p = Option.get ptr.(c) in
-          let cell = Srpc_workloads.Linked_list.nth g p 0 in
-          let v = Access.get_int g cell ~field:"value" in
-          Access.set_int g cell ~field:"value" (v + 1);
-          stage.(c) <- `Close
-        | `Close -> (
-          match Node.end_session_validated g adm with
-          | `Committed, waiters ->
+      let step st =
+        match Stepper.state st with
+        | Stepper.Finished | Stepper.Parked -> ()
+        | Stepper.Backoff -> ignore (Stepper.request st)
+        | Stepper.Running -> (
+          match Stepper.step st with
+          | Stepper.Ran -> ()
+          | Stepper.Committed waiters ->
             incr committed;
-            stage.(c) <- `Done;
-            drain waiters
-          | `Validation_failed, waiters ->
-            drain waiters;
-            stage.(c) <- `Request (* retry under a fresh id *))
+            ignore (Stepper.drain sessions waiters)
+          | Stepper.Invalidated waiters | Stepper.Aborted (_, waiters) ->
+            Stepper.renew st;
+            ignore (Stepper.drain sessions waiters))
       in
       let fuel = ref ((clients * clients * 8) + 64) in
-      let all_done () = Array.for_all (fun s -> s = `Done) stage in
+      let all_done () =
+        List.for_all (fun st -> Stepper.state st = Stepper.Finished) sessions
+      in
       while not (all_done ()) do
         decr fuel;
         if !fuel < 0 then raise Stuck;
-        for c = 0 to clients - 1 do
-          step c
-        done
+        List.iter step sessions
       done);
   let cell = Srpc_workloads.Linked_list.nth server head 0 in
   let final = Access.get_int server cell ~field:"value" in

@@ -167,6 +167,27 @@ let test_admission_retry_budget () =
   | _ -> Alcotest.fail "exhausted budget did not shed");
   Alcotest.(check int) "shed counted" 1 (Stats.snapshot stats).Stats.sheds
 
+(* A session retired before admission (a client that gives up after
+   denials closes its id uncommitted) takes its deferral count with it:
+   the controller keeps no entry per abandoned id. Asked again, the id
+   starts a fresh budget instead of being shed for the old one. *)
+let test_admission_close_forgets_deferrals () =
+  let adm =
+    Admission.create ~policy:Strategy.Abort_retry ~retry_budget:2
+      (Stats.create ())
+  in
+  ignore (Admission.request adm ~session:1 (fp_of "a" [ w "x" ]));
+  for _ = 1 to 2 do
+    match Admission.request adm ~session:2 (fp_of "b" [ w "x" ]) with
+    | Admission.Denied -> ()
+    | _ -> Alcotest.fail "in-budget conflict not denied"
+  done;
+  Alcotest.(check (list int)) "retiring admits nothing" []
+    (List.map fst (Admission.close ~committed:false adm ~session:2));
+  match Admission.request adm ~session:2 (fp_of "b" [ w "x" ]) with
+  | Admission.Denied -> ()
+  | _ -> Alcotest.fail "the retired id's deferrals outlived its close"
+
 (* A two-node cluster the detector can actually probe: the node answers
    heartbeats from its transport dispatcher, and the fault plan lets the
    test crash and revive it. *)
@@ -687,6 +708,8 @@ let () =
         [
           tc "bounded queue sheds" `Quick test_admission_queue_cap;
           tc "retry budget sheds" `Quick test_admission_retry_budget;
+          tc "close forgets a retired session's deferrals" `Quick
+            test_admission_close_forgets_deferrals;
           tc "health probe ladder" `Quick test_health_ladder;
           tc "health folds trace marks" `Quick test_health_observe;
           tc "health observe reads only new events" `Quick

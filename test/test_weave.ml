@@ -1,12 +1,13 @@
-(* The two-session weave checker, exercised for real.
+(* The weave checker, exercised for real.
 
    The acceptance bar for concurrent admission: 500 seeded two-session
    weaves — half disjoint (genuinely interleaved), half conflicting
    (admission must serialize), sweeping both admission policies, with
    message faults on the odd seeds — and every run must satisfy the
    per-side sequential oracle, Race_lint, the multiplexed protocol
-   linter, and commit with no lost update. The deterministic-generation
-   and mutation tests pin the harness itself. *)
+   linter, and commit with no lost update. A hand-written three-session
+   weave checks the FIFO drain with two waiters. The
+   deterministic-generation and mutation tests pin the harness itself. *)
 
 open Srpc_core
 open Srpc_check
@@ -76,7 +77,7 @@ let test_weave_traces_pinned () =
       else Strategy.Abort_retry
     in
     let sa, sb = Gen.pair ~seed ~depth:8 ~fault in
-    let o = Weave.run_pair_full ~policy ~variant sa sb in
+    let o = Weave.run ~policy ~variant [ sa; sb ] in
     Buffer.add_string buf
       (Digest.to_hex
          (Digest.string
@@ -90,11 +91,17 @@ let test_conflicting_serializes () =
   (* a conflicting pair under the queue policy really goes through the
      queue: the stats counters prove a session waited *)
   let sa, sb = Gen.pair ~seed:7 ~depth:6 ~fault:None in
-  (match Weave.run_pair ~policy:Strategy.Queue_conflicts ~variant:Weave.Conflicting sa sb with
+  (match
+     (Weave.run ~policy:Strategy.Queue_conflicts ~variant:Weave.Conflicting
+        [ sa; sb ])
+       .Weave.o_failure
+   with
   | Some d -> Alcotest.failf "conflicting queue weave failed: %s" d
   | None -> ());
   match
-    Weave.run_pair ~policy:Strategy.Abort_retry ~variant:Weave.Conflicting sa sb
+    (Weave.run ~policy:Strategy.Abort_retry ~variant:Weave.Conflicting
+       [ sa; sb ])
+      .Weave.o_failure
   with
   | Some d -> Alcotest.failf "conflicting abort-retry weave failed: %s" d
   | None -> ()
@@ -132,22 +139,72 @@ let test_crash_mid_weave () =
       ]
   in
   let run sb =
-    Weave.run_pair_full ~policy:Strategy.Queue_conflicts
-      ~variant:Weave.Disjoint sa sb
+    Weave.run ~policy:Strategy.Queue_conflicts ~variant:Weave.Disjoint
+      [ sa; sb ]
   in
   let o = run (mk (sb_ops ~revived:true)) in
   (match o.Weave.o_failure with
   | Some d -> Alcotest.failf "crash/revive weave failed: %s" d
   | None -> ());
-  Alcotest.(check bool) "revived side committed" true o.Weave.o_committed_b;
-  Alcotest.(check bool) "local side committed" true o.Weave.o_committed_a;
+  Alcotest.(check bool) "revived side committed" true
+    (List.nth o.Weave.o_committed 1);
+  Alcotest.(check bool) "local side committed" true
+    (List.hd o.Weave.o_committed);
   let o = run (mk (sb_ops ~revived:false)) in
   (match o.Weave.o_failure with
   | Some d -> Alcotest.failf "crash-without-revive weave failed: %s" d
   | None -> ());
   Alcotest.(check bool) "unrevived side aborted" true
-    (o.Weave.o_aborted_b <> None);
-  Alcotest.(check bool) "local side still committed" true o.Weave.o_committed_a
+    (List.nth o.Weave.o_aborted 1 <> None);
+  Alcotest.(check bool) "local side still committed" true
+    (List.hd o.Weave.o_committed)
+
+let test_three_sessions () =
+  (* three sessions on one worker, each building a list, summing it,
+     updating it and summing it again, under colliding footprints:
+     admission must serialize all three. Under the queue policy the
+     first close drains one waiter (the second still conflicts with it)
+     and the second close drains the last, in FIFO order. *)
+  let mk values =
+    {
+      Script.workers = 1;
+      arches = [ 0 ];
+      strategy = 0;
+      fault = None;
+      ops =
+        [
+          Script.Build_list values;
+          Script.Sum { worker = 0; obj = 0 };
+          Script.Update { worker = 0; obj = 0; idx = 1; delta = 5 };
+          Script.Sum { worker = 0; obj = 0 };
+        ];
+    }
+  in
+  let scripts = [ mk [ 1; 2; 3 ]; mk [ 10; 20 ]; mk [ 4; 5; 6; 7 ] ] in
+  let marks o =
+    let open Srpc_simnet.Trace in
+    List.filter_map
+      (fun e ->
+        match e.kind with
+        | Session_admit id -> Some (Printf.sprintf "admit#%d" id)
+        | Session_queued id -> Some (Printf.sprintf "queued#%d" id)
+        | Session_end id -> Some (Printf.sprintf "end#%d" id)
+        | _ -> None)
+      (events o.Weave.o_trace)
+  in
+  List.iter
+    (fun policy ->
+      let o = Weave.run ~policy ~variant:Weave.Conflicting scripts in
+      (match o.Weave.o_failure with
+      | Some d -> Alcotest.failf "three-session weave failed: %s" d
+      | None -> ());
+      Alcotest.(check (list bool)) "all three committed" [ true; true; true ]
+        o.Weave.o_committed;
+      if policy = Strategy.Queue_conflicts then
+        Alcotest.(check string) "FIFO drain, one waiter per close"
+          "admit#1 queued#2 queued#3 end#1 admit#2 end#2 admit#3 end#3"
+          (String.concat " " (marks o)))
+    [ Strategy.Queue_conflicts; Strategy.Abort_retry ]
 
 let test_mutation_chaos_admission () =
   (* bypassing admission on a conflicting pair must be caught: the runs
@@ -163,8 +220,9 @@ let test_mutation_chaos_admission () =
       for seed = 0 to 19 do
         let sa, sb = Gen.pair ~seed ~depth:6 ~fault:None in
         match
-          Weave.run_pair ~policy:Strategy.Queue_conflicts
-            ~variant:Weave.Conflicting sa sb
+          (Weave.run ~policy:Strategy.Queue_conflicts
+             ~variant:Weave.Conflicting [ sa; sb ])
+            .Weave.o_failure
         with
         | Some _ -> found := true
         | None -> ()
@@ -189,6 +247,8 @@ let () =
           tc "traces of 200 seeds pinned" `Quick test_weave_traces_pinned;
           tc "conflicting pairs serialize" `Quick test_conflicting_serializes;
           tc "crash/revive mid-weave" `Quick test_crash_mid_weave;
+          tc "three sessions serialize through the queue" `Quick
+            test_three_sessions;
         ] );
       ( "mutation",
         [
