@@ -50,27 +50,9 @@ type sess = {
          began *)
 }
 
-(* What the machine needs to know of a frame label, decided once per
-   label the trace holds. *)
-type role =
-  | Heartbeat  (* the failure detector's, no session's *)
-  | Offload_call
-  | Inv_delta  (* a delta write-back carrying the invalidation *)
-  | Staged  (* phase one of a staged close *)
-  | Commit
-  | Other
-
-let role = function
-  | "hb" | "hb-ack" -> Heartbeat
-  | "offload-call" -> Offload_call
-  | "wb-delta+inv" -> Inv_delta
-  | "wb-stage" | "wb-stage-delta" -> Staged
-  | "wb-commit" -> Commit
-  | _ -> Other
-
 type state = {
   trace : Trace.t;
-  roles : role array;  (* by label *)
+  phases : Frames.phase array;  (* by label *)
   reply_to : int array;
       (* by request label, the label its reply must carry: [-1] when the
          trace holds no such label, so any labeled reply mismatches, and
@@ -120,21 +102,10 @@ let emit ?(space = "") st idx rule_id message =
       message
     :: st.out
 
-(* The reply opcode each request opcode must be answered with, when
-   frame labels are present ("" = an unlabeled trace, checked only for
-   the reply's existence). [Error] replies pair with anything. *)
-let expected_reply = function
-  | "call" -> Some "return"
-  | "call-d" -> Some "return-d"
-  | "offload-call" -> Some "offload-return"
-  | "fetch" -> Some "fetched"
-  | "alloc-batch" -> Some "allocated"
-  | "write-back" | "free-batch" | "invalidate" | "abort" | "wb-stage"
-  | "wb-commit" | "wb-delta" | "wb-delta+inv" | "wb-stage-delta" ->
-    Some "ack"
-  | _ -> None
-
-(* A [reply_to] entry for a request any reply answers. *)
+(* A [reply_to] entry for a request any reply answers: a label no
+   request row carries, or the empty label of an unlabeled trace
+   (checked only for the reply's existence). [Error] replies pair with
+   anything. *)
 let any_reply = -2
 
 let check_pairing st idx ~rq_lbl ~rep_lbl =
@@ -145,7 +116,7 @@ let check_pairing st idx ~rq_lbl ~rep_lbl =
     emit st idx "SP002"
       (Printf.sprintf "%s request answered by %s, expected %s" rq
          (label_name st rep_lbl)
-         (Option.get (expected_reply rq)))
+         (Option.get (Frames.find rq)).Frames.reply)
 
 (* Frame-level close ordering (the delta-era SP004): a [Wb_delta] frame
    carrying the targeted invalidation belongs to the invalidation phase
@@ -153,15 +124,15 @@ let check_pairing st idx ~rq_lbl ~rep_lbl =
    phase one and must precede the commit point; a commit frame must
    follow it. *)
 let check_close_order st idx ~space s lbl =
-  match st.roles.(lbl) with
-  | Inv_delta when not s.wb_seen ->
+  match st.phases.(lbl) with
+  | Frames.Inv_delta when not s.wb_seen ->
     emit ~space st idx "SP004"
       "invalidate-carrying delta frame before the write-back phase started"
-  | Staged when s.wb_seen ->
+  | Frames.Staged when s.wb_seen ->
     emit ~space st idx "SP004"
       (label_name st lbl
       ^ " frame after the commit point: staged data can no longer be atomic")
-  | Commit when not s.wb_seen ->
+  | Frames.Commit when not s.wb_seen ->
     emit ~space st idx "SP004"
       "commit frame before the commit-point write-back mark"
   | _ -> ()
@@ -173,7 +144,7 @@ let pp_ev st idx = Format.asprintf "%a" Trace.pp_event (Trace.event st.trace idx
    and pairing checks. A live trace only ever carries them between live
    endpoints (the transport raises before recording a frame that names a
    crashed peer). *)
-let is_hb st lbl = match st.roles.(lbl) with Heartbeat -> true | _ -> false
+let is_hb st lbl = st.phases.(lbl) = Frames.Heartbeat
 
 (* SP006: a crashed endpoint neither sends nor receives — any frame
    naming it between its crash and revive marks is a violation. *)
@@ -318,8 +289,8 @@ let request st idx =
        the session has already touched (the client marks the root datum
        before framing the call), and never to a peer that was dead
        before the session began and has not revived. *)
-    (match st.roles.(lbl) with
-    | Offload_call ->
+    (match st.phases.(lbl) with
+    | Frames.Offload_call ->
       if dead_since_begin then
         emit ~space:(name st dst) st idx "SP010"
           (Printf.sprintf
@@ -500,19 +471,17 @@ let step st idx =
         ()))
 
 let check trace =
-  let labels = Array.init (Trace.label_count trace) (Trace.label_name trace) in
   let st =
     {
       trace;
-      roles = Array.map role labels;
+      phases = Frames.phases trace;
       reply_to =
-        Array.map
-          (fun l ->
-            match expected_reply l with
-            | Some want -> Trace.find_label trace want
-            | None -> any_reply)
-          labels;
-      error = Trace.find_label trace "error";
+        Array.init (Trace.label_count trace) (fun l ->
+            match Frames.find (Trace.label_name trace l) with
+            | Some { Frames.reply; _ } when reply <> "" ->
+              Trace.find_label trace reply
+            | Some _ | None -> any_reply);
+      error = Trace.find_label trace Frames.error;
       opened = Hashtbl.create 8;
       admit_marks = Hashtbl.create 8;
       shed = Hashtbl.create 8;

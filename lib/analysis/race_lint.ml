@@ -45,8 +45,7 @@ and copy = { holder : int; mutable installed : int; mutable purge : int }
 
 type state = {
   spaces : space array;  (* by the trace's endpoint ordinal *)
-  hb : int;  (* the heartbeat labels' ordinals, -1 when absent *)
-  hb_ack : int;
+  phases : Frames.phase array;  (* by label *)
   pending_in : datum list Int_table.t;
       (* per session, the data a foreign write of it left pending (a
          datum may repeat) *)
@@ -271,8 +270,7 @@ let session_close st idx id ~committed =
 let step st trace idx =
   match Trace.tag trace idx with
   | (Trace.Tag.Message _ | Trace.Tag.Dup _ | Trace.Tag.Dropped _)
-    when let l = Trace.label trace idx in
-         l = st.hb || l = st.hb_ack ->
+    when st.phases.(Trace.label trace idx) = Frames.Heartbeat ->
     (* failure-detector heartbeats synchronize nothing the program can
        observe — giving them happens-before edges could mask a genuine
        race between sessions, so they are invisible here *)
@@ -314,8 +312,7 @@ let check trace =
         Array.init (Trace.endpoint_count trace) (fun ord ->
             { name = Trace.endpoint trace ord; ord; clock = [||];
               data = Int_table.create 64; purges = 0 });
-      hb = Trace.find_label trace "hb";
-      hb_ack = Trace.find_label trace "hb-ack";
+      phases = Frames.phases trace;
       pending_in = Int_table.create 16;
       closed = Int_table.create 16;
       aborted = false;

@@ -828,12 +828,19 @@ let request t ~dst req =
     in
     attempt 1 t.retry.base_backoff
 
-let expect_ack = function
-  | Wire.Ack -> ()
+(* A reply the request labeled [rq] did not ask for: a remote exception is
+   re-raised, anything else is a protocol error. Callers take [rq] before
+   sending: a request kept live across the round trip gets promoted. *)
+let unexpected rq = function
   | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Fetched _ | Wire.Allocated _ | Wire.Return_d _
-  | Wire.Hb_ack | Wire.Offload_return _ ->
-    failwith "protocol error: expected Ack"
+  | resp ->
+    failwith
+      (Printf.sprintf "protocol error: %s answered by %s" rq
+         (Wire.response_label resp))
+
+let expect_ack t ~dst req =
+  let rq = Wire.request_label req in
+  match request t ~dst req with Wire.Ack -> () | resp -> unexpected rq resp
 
 (* Crash-safe session abort (ground only): discard the modified data set
    instead of writing it back, tell every reachable participant to drop
@@ -850,7 +857,7 @@ let abort_session t ~reason : 'a =
   let others = Space_id.Set.remove t.id info.Session.participants in
   Space_id.Set.iter
     (fun peer ->
-      try expect_ack (request t ~dst:peer (Wire.Abort { session = sid }))
+      try expect_ack t ~dst:peer (Wire.Abort { session = sid })
       with Peer_unreachable _ ->
         (* the dead peer purges its own leftovers on next contact *)
         ())
@@ -896,8 +903,9 @@ let flush_remote_ops t =
             (fun pa -> (pa.prov.Long_pointer.addr, pa.prov.Long_pointer.ty))
             pas
         in
-        match request t ~dst:home (Wire.Alloc_batch { session = session_id t; reqs })
-        with
+        let req = Wire.Alloc_batch { session = session_id t; reqs } in
+        let rq = Wire.request_label req in
+        match request t ~dst:home req with
         | Wire.Allocated { addrs } ->
           List.iter
             (fun pa ->
@@ -910,10 +918,7 @@ let flush_remote_ops t =
                 Cache.rebind t.cache pa.pa_entry lp
               | None -> failwith "protocol error: allocation not answered")
             pas
-        | Wire.Error msg -> raise (Remote_error msg)
-        | Wire.Return _ | Wire.Fetched _ | Wire.Ack | Wire.Return_d _
-        | Wire.Hb_ack | Wire.Offload_return _ ->
-          failwith "protocol error: expected Allocated")
+        | resp -> unexpected rq resp)
       batches
   end;
   if t.pending_frees <> [] then begin
@@ -921,8 +926,7 @@ let flush_remote_ops t =
     t.pending_frees <- [];
     List.iter
       (fun (home, lps) ->
-        expect_ack
-          (request t ~dst:home (Wire.Free_batch { session = session_id t; lps })))
+        expect_ack t ~dst:home (Wire.Free_batch { session = session_id t; lps }))
       batches
   end
 
@@ -1181,21 +1185,22 @@ let call t ~dst proc args =
         t.id Space_id.pp dst proc (List.length b.b_full)
         (List.length b.b_deltas) (List.length eager) (List.length b.b_frees));
   let session = info.Session.id in
-  match
-    request t ~dst
-      (if delta then
-         Wire.Call_d
-           {
-             session;
-             proc;
-             args;
-             writebacks = b.b_full;
-             wb_deltas = b.b_deltas;
-             eager;
-             frees = b.b_frees;
-           }
-       else Wire.Call { session; proc; args; writebacks = b.b_full; eager })
-  with
+  let req =
+    if delta then
+      Wire.Call_d
+        {
+          session;
+          proc;
+          args;
+          writebacks = b.b_full;
+          wb_deltas = b.b_deltas;
+          eager;
+          frees = b.b_frees;
+        }
+    else Wire.Call { session; proc; args; writebacks = b.b_full; eager }
+  in
+  let rq = Wire.request_label req in
+  match request t ~dst req with
   | Wire.Return { results; writebacks; eager } when not delta ->
     apply_batch t ~src:dst ~eager (full_batch writebacks);
     List.map (value_of_wire t) results
@@ -1203,11 +1208,7 @@ let call t ~dst proc args =
     apply_batch t ~src:dst ~eager
       { b_full = writebacks; b_deltas = wb_deltas; b_frees = frees };
     List.map (value_of_wire t) results
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Return_d _ | Wire.Fetched _ | Wire.Allocated _
-  | Wire.Ack | Wire.Hb_ack | Wire.Offload_return _ ->
-    failwith
-      ("protocol error: bad reply to " ^ if delta then "Call_d" else "Call")
+  | resp -> unexpected rq resp
 
 (* The callee's half of [call]: the caller's modified data set lands
    first, the body runs, and the transfer back takes the frame's own
@@ -1239,8 +1240,9 @@ let fetch_missing t missing =
       Stats.incr_callbacks (Transport.stats t.transport);
       let wanted = List.map (fun (e : Cache.entry) -> e.Cache.lp) entries in
       let t0 = Clock.now clock in
-      match request t ~dst:origin (Wire.Fetch { session = session_id t; wanted })
-      with
+      let req = Wire.Fetch { session = session_id t; wanted } in
+      let rq = Wire.request_label req in
+      match request t ~dst:origin req with
       | Wire.Fetched { items } ->
         (* Items we asked for are demand fetches; anything extra in the
            same reply is the server's speculative closure around them. *)
@@ -1285,10 +1287,7 @@ let fetch_missing t missing =
               Srpc_policy.Profile.stall profile ~ty:e.Cache.lp.Long_pointer.ty
                 ~seconds:share)
             entries)
-      | Wire.Error msg -> raise (Remote_error msg)
-      | Wire.Return _ | Wire.Allocated _ | Wire.Ack | Wire.Return_d _
-      | Wire.Hb_ack | Wire.Offload_return _ ->
-        failwith "protocol error: bad reply to Fetch")
+      | resp -> unexpected rq resp)
     batches
 
 let handle_fault t (fault : Address_space.fault) =
@@ -1419,19 +1418,17 @@ let offload_remote t (info : Session.info) ~dst ~(root : Long_pointer.t) plan =
   Log.debug (fun m ->
       m "%a -> %a: offload %a (%d wb)" Space_id.pp t.id Space_id.pp dst
         Offload.pp_plan plan (List.length writebacks));
-  match
-    request t ~dst
-      (Wire.Offload_call { session = info.Session.id; root; plan; writebacks })
-  with
+  let req =
+    Wire.Offload_call { session = info.Session.id; root; plan; writebacks }
+  in
+  let rq = Wire.request_label req in
+  match request t ~dst req with
   | Wire.Offload_return { results; writebacks; wset = _ } ->
     (* the write set rides in [writebacks] too (the home keeps mutated
        data traveling), so installing them refreshes our copies *)
     apply_batch t ~src:dst (full_batch writebacks);
     results
-  | Wire.Error msg -> raise (Remote_error msg)
-  | Wire.Return _ | Wire.Fetched _ | Wire.Allocated _ | Wire.Ack
-  | Wire.Return_d _ | Wire.Hb_ack ->
-    failwith "protocol error: bad reply to Offload_call"
+  | resp -> unexpected rq resp
 
 (* Run a traversal plan rooted at the (ordinary, possibly swizzled)
    address [root]. Where it runs is the strategy's third per-call-site
@@ -1710,7 +1707,7 @@ let close_tail t (info : Session.info) =
    fresh cache slots there), and a frame applied on receipt also
    carries the home's frees and its invalidation. *)
 let deliver t sid ~delta ~staged (home, b) =
-  let send req = expect_ack (request t ~dst:home req) in
+  let send = expect_ack t ~dst:home in
   if delta then
     record_copy t ~dst:home (List.length b.b_full + List.length b.b_deltas);
   if staged then begin
@@ -1751,7 +1748,7 @@ let invalidate t (info : Session.info) ~targeted ~reached ~tolerate =
     (fun peer ->
       Transport.note t.transport ~src:(endpoint t) ~dst:(endpoint_of t peer)
         (Trace.Inval_sent sid);
-      try expect_ack (request t ~dst:peer (Wire.Invalidate { session = sid }))
+      try expect_ack t ~dst:peer (Wire.Invalidate { session = sid })
       with Peer_unreachable _ when tolerate -> ())
     remaining;
   let spared = Space_id.Set.diff others (Space_id.Set.union reached remaining) in
@@ -1803,7 +1800,7 @@ let end_session t =
     write_back_mark ();
     List.iter
       (fun (home, _) ->
-        try expect_ack (request t ~dst:home (Wire.Wb_commit { session = sid }))
+        try expect_ack t ~dst:home (Wire.Wb_commit { session = sid })
         with Peer_unreachable _ ->
           (* the dead home's staged set dies with it and is purged on
              next contact; it never applies a partial set *)

@@ -174,72 +174,97 @@ let decode_delta ~reg dec =
   validate 0 ranges;
   { dlp; base_len; ranges }
 
+module Frames = Srpc_analysis.Frames
+module Trace = Srpc_simnet.Trace
+
+(* Each direction's one constructor-to-tag map; [Frames] says what a tag
+   carries. *)
+let request_tag = function
+  | Call _ -> 0
+  | Fetch _ -> 1
+  | Write_back _ -> 2
+  | Alloc_batch _ -> 3
+  | Free_batch _ -> 4
+  | Invalidate _ -> 5
+  | Abort _ -> 6
+  | Wb_stage _ -> 7
+  | Wb_commit _ -> 8
+  | Wb_delta _ -> 9
+  | Wb_stage_delta _ -> 10
+  | Call_d _ -> 11
+  | Hb -> 12
+  | Offload_call _ -> 13
+
+let response_tag = function
+  | Return _ -> 0
+  | Fetched _ -> 1
+  | Allocated _ -> 2
+  | Ack -> 3
+  | Error _ -> 4
+  | Return_d _ -> 5
+  | Hb_ack -> 6
+  | Offload_return _ -> 7
+
+let request_session = function
+  | Call { session; _ }
+  | Fetch { session; _ }
+  | Write_back { session; _ }
+  | Alloc_batch { session; _ }
+  | Free_batch { session; _ }
+  | Invalidate { session }
+  | Abort { session }
+  | Wb_stage { session; _ }
+  | Wb_commit { session }
+  | Wb_delta { session; _ }
+  | Wb_stage_delta { session; _ }
+  | Call_d { session; _ }
+  | Offload_call { session; _ } -> session
+  | Hb -> -1
+
+let bad_tag dir tag =
+  let what =
+    match dir with Trace.Request -> "request" | Trace.Reply -> "response"
+  in
+  raise (Decode_error (Printf.sprintf "bad %s tag %d" what tag))
+
+let row dir tag = try Frames.by_tag dir tag with Not_found -> bad_tag dir tag
+
 let encode_request_body ~reg enc r =
+  let tag = request_tag r in
+  Enc.int enc tag;
+  if (Frames.by_tag Trace.Request tag).session then
+    Enc.int enc (request_session r);
   match r with
-  | Call { session; proc; args; writebacks; eager } ->
-    Enc.int enc 0;
-    Enc.int enc session;
+  | Call { proc; args; writebacks; eager; _ } ->
     Enc.string enc proc;
     Enc.list enc (encode_wvalue ~reg) args;
     Enc.list enc (encode_item ~reg) writebacks;
     Enc.list enc (encode_item ~reg) eager
-  | Fetch { session; wanted } ->
-    Enc.int enc 1;
-    Enc.int enc session;
-    Enc.list enc (encode_lp ~reg) wanted
-  | Write_back { session; items } ->
-    Enc.int enc 2;
-    Enc.int enc session;
+  | Fetch { wanted = lps; _ } | Free_batch { lps; _ } ->
+    Enc.list enc (encode_lp ~reg) lps
+  | Write_back { items; _ } | Wb_stage { items; _ } ->
     Enc.list enc (encode_item ~reg) items
-  | Alloc_batch { session; reqs } ->
-    Enc.int enc 3;
-    Enc.int enc session;
+  | Alloc_batch { reqs; _ } ->
     Enc.list enc
       (fun enc (id, ty) ->
         Enc.int enc id;
         Enc.string enc ty)
       reqs
-  | Free_batch { session; lps } ->
-    Enc.int enc 4;
-    Enc.int enc session;
-    Enc.list enc (encode_lp ~reg) lps
-  | Invalidate { session } ->
-    Enc.int enc 5;
-    Enc.int enc session
-  | Abort { session } ->
-    Enc.int enc 6;
-    Enc.int enc session
-  | Wb_stage { session; items } ->
-    Enc.int enc 7;
-    Enc.int enc session;
-    Enc.list enc (encode_item ~reg) items
-  | Wb_commit { session } ->
-    Enc.int enc 8;
-    Enc.int enc session
-  | Wb_delta { session; full; deltas; frees; invalidate } ->
-    Enc.int enc 9;
-    Enc.int enc session;
+  | Invalidate _ | Abort _ | Wb_commit _ | Hb -> ()
+  | Wb_delta { full; deltas; frees; invalidate; _ } ->
     Enc.list enc (encode_item ~reg) full;
     Enc.list enc (encode_delta ~reg) deltas;
     Enc.list enc (encode_lp ~reg) frees;
     Enc.bool enc invalidate
-  | Wb_stage_delta { session; deltas } ->
-    Enc.int enc 10;
-    Enc.int enc session;
-    Enc.list enc (encode_delta ~reg) deltas
-  | Call_d { session; proc; args; writebacks; wb_deltas; eager; frees } ->
-    Enc.int enc 11;
-    Enc.int enc session;
+  | Wb_stage_delta { deltas; _ } -> Enc.list enc (encode_delta ~reg) deltas
+  | Call_d { proc; args; writebacks; wb_deltas; eager; frees; _ } ->
     Enc.string enc proc;
     Enc.list enc (encode_wvalue ~reg) args;
     Enc.list enc (encode_item ~reg) writebacks;
     Enc.list enc (encode_delta ~reg) wb_deltas;
     Enc.list enc (encode_item ~reg) eager;
     Enc.list enc (encode_lp ~reg) frees
-  | Hb -> Enc.int enc 12
-  | Offload_call { session; root; plan; writebacks } ->
-    Enc.int enc 13;
-    Enc.int enc session;
+  | Offload_call { root; plan; writebacks; _ } ->
     encode_lp ~reg enc root;
     Offload.encode_plan enc plan;
     Enc.list enc (encode_item ~reg) writebacks
@@ -267,25 +292,19 @@ let encode_framed ~reg ~seq r =
       Enc.int enc seq;
       encode_request_body ~reg enc r)
 
+(* The table refuses a tag no frame carries before any arm runs. *)
 let decode_request_tagged ~reg dec tag =
+  let session = if (row Trace.Request tag).session then Dec.int dec else -1 in
   match tag with
   | 0 ->
-    let session = Dec.int dec in
     let proc = Dec.string dec in
     let args = Dec.list dec (decode_wvalue ~reg) in
     let writebacks = Dec.list dec (decode_item ~reg) in
     let eager = Dec.list dec (decode_item ~reg) in
     Call { session; proc; args; writebacks; eager }
-  | 1 ->
-    let session = Dec.int dec in
-    let wanted = Dec.list dec (decode_lp ~reg) in
-    Fetch { session; wanted }
-  | 2 ->
-    let session = Dec.int dec in
-    let items = Dec.list dec (decode_item ~reg) in
-    Write_back { session; items }
+  | 1 -> Fetch { session; wanted = Dec.list dec (decode_lp ~reg) }
+  | 2 -> Write_back { session; items = Dec.list dec (decode_item ~reg) }
   | 3 ->
-    let session = Dec.int dec in
     let reqs =
       Dec.list dec (fun dec ->
           let id = Dec.int dec in
@@ -293,36 +312,19 @@ let decode_request_tagged ~reg dec tag =
           (id, ty))
     in
     Alloc_batch { session; reqs }
-  | 4 ->
-    let session = Dec.int dec in
-    let lps = Dec.list dec (decode_lp ~reg) in
-    Free_batch { session; lps }
-  | 5 ->
-    let session = Dec.int dec in
-    Invalidate { session }
-  | 6 ->
-    let session = Dec.int dec in
-    Abort { session }
-  | 7 ->
-    let session = Dec.int dec in
-    let items = Dec.list dec (decode_item ~reg) in
-    Wb_stage { session; items }
-  | 8 ->
-    let session = Dec.int dec in
-    Wb_commit { session }
+  | 4 -> Free_batch { session; lps = Dec.list dec (decode_lp ~reg) }
+  | 5 -> Invalidate { session }
+  | 6 -> Abort { session }
+  | 7 -> Wb_stage { session; items = Dec.list dec (decode_item ~reg) }
+  | 8 -> Wb_commit { session }
   | 9 ->
-    let session = Dec.int dec in
     let full = Dec.list dec (decode_item ~reg) in
     let deltas = Dec.list dec (decode_delta ~reg) in
     let frees = Dec.list dec (decode_lp ~reg) in
     let invalidate = Dec.bool dec in
     Wb_delta { session; full; deltas; frees; invalidate }
-  | 10 ->
-    let session = Dec.int dec in
-    let deltas = Dec.list dec (decode_delta ~reg) in
-    Wb_stage_delta { session; deltas }
+  | 10 -> Wb_stage_delta { session; deltas = Dec.list dec (decode_delta ~reg) }
   | 11 ->
-    let session = Dec.int dec in
     let proc = Dec.string dec in
     let args = Dec.list dec (decode_wvalue ~reg) in
     let writebacks = Dec.list dec (decode_item ~reg) in
@@ -332,12 +334,11 @@ let decode_request_tagged ~reg dec tag =
     Call_d { session; proc; args; writebacks; wb_deltas; eager; frees }
   | 12 -> Hb
   | 13 ->
-    let session = Dec.int dec in
     let root = decode_lp ~reg dec in
     let plan = Offload.decode_plan ~reg dec in
     let writebacks = Dec.list dec (decode_item ~reg) in
     Offload_call { session; root; plan; writebacks }
-  | n -> raise (Decode_error (Printf.sprintf "bad request tag %d" n))
+  | n -> bad_tag Trace.Request n
 
 let decode_request ~reg s =
   let dec = Dec.of_string s in
@@ -357,120 +358,48 @@ let decode_framed ~reg s =
   Dec.check_end dec;
   (seq, r)
 
-let request_session = function
-  | Call { session; _ }
-  | Fetch { session; _ }
-  | Write_back { session; _ }
-  | Alloc_batch { session; _ }
-  | Free_batch { session; _ }
-  | Invalidate { session }
-  | Abort { session }
-  | Wb_stage { session; _ }
-  | Wb_commit { session }
-  | Wb_delta { session; _ }
-  | Wb_stage_delta { session; _ }
-  | Call_d { session; _ }
-  | Offload_call { session; _ } -> session
-  (* heartbeats live outside any session; the protocol linter exempts
-     them from session attribution by label *)
-  | Hb -> -1
-
 let request_label = function
-  | Call _ -> "call"
-  | Fetch _ -> "fetch"
-  | Write_back _ -> "write-back"
-  | Alloc_batch _ -> "alloc-batch"
-  | Free_batch _ -> "free-batch"
-  | Invalidate _ -> "invalidate"
-  | Abort _ -> "abort"
-  | Wb_stage _ -> "wb-stage"
-  | Wb_commit _ -> "wb-commit"
-  | Wb_delta { invalidate; _ } -> if invalidate then "wb-delta+inv" else "wb-delta"
-  | Wb_stage_delta _ -> "wb-stage-delta"
-  | Call_d _ -> "call-d"
-  | Hb -> "hb"
-  | Offload_call _ -> "offload-call"
+  | Wb_delta { invalidate = true; _ } -> Frames.inv_delta.label
+  | r -> (Frames.by_tag Trace.Request (request_tag r)).label
 
-let response_label = function
-  | Return _ -> "return"
-  | Fetched _ -> "fetched"
-  | Allocated _ -> "allocated"
-  | Ack -> "ack"
-  | Error _ -> "error"
-  | Return_d _ -> "return-d"
-  | Hb_ack -> "hb-ack"
-  | Offload_return _ -> "offload-return"
+let response_label r = (Frames.by_tag Trace.Reply (response_tag r)).label
 
 (* Labels by tag word, for frames that are recorded but not decoded. A
    [Wb_delta] frame ends with its [invalidate] flag. *)
 let frame_label ~dir frame =
   let word at = Int32.to_int (String.get_int32_be frame at) in
   match dir with
-  | Srpc_simnet.Trace.Request -> (
-    match if word 0 = framed_tag then word 8 else word 0 with
-    | 0 -> "call"
-    | 1 -> "fetch"
-    | 2 -> "write-back"
-    | 3 -> "alloc-batch"
-    | 4 -> "free-batch"
-    | 5 -> "invalidate"
-    | 6 -> "abort"
-    | 7 -> "wb-stage"
-    | 8 -> "wb-commit"
-    | 9 -> (
-      match word (String.length frame - 4) with
-      | 0 -> "wb-delta"
-      | 1 -> "wb-delta+inv"
-      | n -> raise (Decode_error (Printf.sprintf "bad bool %d" n)))
-    | 10 -> "wb-stage-delta"
-    | 11 -> "call-d"
-    | 12 -> "hb"
-    | 13 -> "offload-call"
-    | n -> raise (Decode_error (Printf.sprintf "bad request tag %d" n)))
-  | Srpc_simnet.Trace.Reply -> (
-    match word 0 with
-    | 0 -> "return"
-    | 1 -> "fetched"
-    | 2 -> "allocated"
-    | 3 -> "ack"
-    | 4 -> "error"
-    | 5 -> "return-d"
-    | 6 -> "hb-ack"
-    | 7 -> "offload-return"
-    | n -> raise (Decode_error (Printf.sprintf "bad response tag %d" n)))
+  | Trace.Request ->
+    let tag = if word 0 = framed_tag then word 8 else word 0 in
+    if tag = Frames.inv_delta.tag && word (String.length frame - 4) = 1 then
+      Frames.inv_delta.label
+    else (row dir tag).label
+  | Trace.Reply -> (row dir (word 0)).label
 
 let encode_response ~reg r =
   encoded @@ fun enc ->
+  Enc.int enc (response_tag r);
   match r with
   | Return { results; writebacks; eager } ->
-    Enc.int enc 0;
     Enc.list enc (encode_wvalue ~reg) results;
     Enc.list enc (encode_item ~reg) writebacks;
     Enc.list enc (encode_item ~reg) eager
-  | Fetched { items } ->
-    Enc.int enc 1;
-    Enc.list enc (encode_item ~reg) items
+  | Fetched { items } -> Enc.list enc (encode_item ~reg) items
   | Allocated { addrs } ->
-    Enc.int enc 2;
     Enc.list enc
       (fun enc (id, addr) ->
         Enc.int enc id;
         Enc.hyper enc addr)
       addrs
-  | Ack -> Enc.int enc 3
-  | Error msg ->
-    Enc.int enc 4;
-    Enc.string enc msg
+  | Ack | Hb_ack -> ()
+  | Error msg -> Enc.string enc msg
   | Return_d { results; writebacks; wb_deltas; eager; frees } ->
-    Enc.int enc 5;
     Enc.list enc (encode_wvalue ~reg) results;
     Enc.list enc (encode_item ~reg) writebacks;
     Enc.list enc (encode_delta ~reg) wb_deltas;
     Enc.list enc (encode_item ~reg) eager;
     Enc.list enc (encode_lp ~reg) frees
-  | Hb_ack -> Enc.int enc 6
   | Offload_return { results; writebacks; wset } ->
-    Enc.int enc 7;
     Enc.list enc Enc.hyper results;
     Enc.list enc (encode_item ~reg) writebacks;
     Enc.list enc (encode_lp ~reg) wset
@@ -508,59 +437,7 @@ let decode_response ~reg s =
       let writebacks = Dec.list dec (decode_item ~reg) in
       let wset = Dec.list dec (decode_lp ~reg) in
       Offload_return { results; writebacks; wset }
-    | n -> raise (Decode_error (Printf.sprintf "bad response tag %d" n))
+    | n -> bad_tag Trace.Reply n
   in
   Dec.check_end dec;
   r
-
-let pp_items ppf items = Format.fprintf ppf "%d items" (List.length items)
-
-let pp_request ppf = function
-  | Call { proc; args; writebacks; eager; session } ->
-    Format.fprintf ppf "Call[%d] %s/%d (wb %a, eager %a)" session proc
-      (List.length args) pp_items writebacks pp_items eager
-  | Fetch { wanted; session } ->
-    Format.fprintf ppf "Fetch[%d] %d lps" session (List.length wanted)
-  | Write_back { items; session } ->
-    Format.fprintf ppf "WriteBack[%d] %a" session pp_items items
-  | Alloc_batch { reqs; session } ->
-    Format.fprintf ppf "AllocBatch[%d] %d reqs" session (List.length reqs)
-  | Free_batch { lps; session } ->
-    Format.fprintf ppf "FreeBatch[%d] %d lps" session (List.length lps)
-  | Invalidate { session } -> Format.fprintf ppf "Invalidate[%d]" session
-  | Abort { session } -> Format.fprintf ppf "Abort[%d]" session
-  | Wb_stage { items; session } ->
-    Format.fprintf ppf "WbStage[%d] %a" session pp_items items
-  | Wb_commit { session } -> Format.fprintf ppf "WbCommit[%d]" session
-  | Wb_delta { full; deltas; frees; invalidate; session } ->
-    Format.fprintf ppf "WbDelta[%d] (%a, %d deltas, %d frees, inval %b)"
-      session pp_items full (List.length deltas) (List.length frees)
-      invalidate
-  | Wb_stage_delta { deltas; session } ->
-    Format.fprintf ppf "WbStageDelta[%d] %d deltas" session
-      (List.length deltas)
-  | Call_d { proc; args; writebacks; wb_deltas; eager; frees; session } ->
-    Format.fprintf ppf "CallD[%d] %s/%d (wb %a, %d deltas, eager %a, %d frees)"
-      session proc (List.length args) pp_items writebacks
-      (List.length wb_deltas) pp_items eager (List.length frees)
-  | Hb -> Format.pp_print_string ppf "Hb"
-  | Offload_call { session; root = _; plan; writebacks } ->
-    Format.fprintf ppf "OffloadCall[%d] %a (wb %a)" session Offload.pp_plan
-      plan pp_items writebacks
-
-let pp_response ppf = function
-  | Return { results; writebacks; eager } ->
-    Format.fprintf ppf "Return/%d (wb %a, eager %a)" (List.length results)
-      pp_items writebacks pp_items eager
-  | Fetched { items } -> Format.fprintf ppf "Fetched %a" pp_items items
-  | Allocated { addrs } -> Format.fprintf ppf "Allocated %d" (List.length addrs)
-  | Ack -> Format.pp_print_string ppf "Ack"
-  | Error msg -> Format.fprintf ppf "Error %S" msg
-  | Return_d { results; writebacks; wb_deltas; eager; frees } ->
-    Format.fprintf ppf "ReturnD/%d (wb %a, %d deltas, eager %a, %d frees)"
-      (List.length results) pp_items writebacks (List.length wb_deltas)
-      pp_items eager (List.length frees)
-  | Hb_ack -> Format.pp_print_string ppf "HbAck"
-  | Offload_return { results; writebacks; wset } ->
-    Format.fprintf ppf "OffloadReturn/%d (wb %a, %d wset)"
-      (List.length results) pp_items writebacks (List.length wset)

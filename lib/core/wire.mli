@@ -86,9 +86,8 @@ type request =
           docs/DELTA.md). *)
   | Hb
       (** liveness probe from the failure detector ({!Health}); answered
-          with a bare [Ack]. Carries no session — [request_session]
-          reports [-1] and the protocol linter exempts frames labeled
-          ["hb"] from session attribution. *)
+          with [Hb_ack]. Carries no session: the protocol linter exempts
+          heartbeat frames from session attribution. *)
   | Offload_call of {
       session : int;
       root : Long_pointer.t;
@@ -145,12 +144,11 @@ val encode_framed : reg:Srpc_types.Registry.t -> seq:int -> request -> string
 val decode_framed :
   reg:Srpc_types.Registry.t -> string -> int option * request
 
-(** The session id carried by every request. *)
+(** The session id a request carries; [-1] for [Hb], which has none. *)
 val request_session : request -> int
 
-(** Stable frame-opcode names for trace labels — [Wb_delta] frames
-    carrying the targeted invalidation render as ["wb-delta+inv"] so the
-    protocol linter can order them against the close marks. *)
+(** A frame's label in {!Srpc_analysis.Frames}: a [Wb_delta] carrying
+    the targeted invalidation is ["wb-delta+inv"]. *)
 val request_label : request -> string
 
 val response_label : response -> string
@@ -164,5 +162,3 @@ val frame_label : dir:Srpc_simnet.Trace.direction -> string -> string
 
 val encode_response : reg:Srpc_types.Registry.t -> response -> string
 val decode_response : reg:Srpc_types.Registry.t -> string -> response
-val pp_request : Format.formatter -> request -> unit
-val pp_response : Format.formatter -> response -> unit

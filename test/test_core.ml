@@ -212,16 +212,7 @@ let test_wire_request_roundtrips () =
   List.iter
     (fun req ->
       let req' = Wire.decode_request ~reg (Wire.encode_request ~reg req) in
-      Alcotest.(check string)
-        "request roundtrip"
-        (Format.asprintf "%a" Wire.pp_request req)
-        (Format.asprintf "%a" Wire.pp_request req');
-      (* structural check for the Call payload *)
-      match (req, req') with
-      | Wire.Call a, Wire.Call b ->
-        Alcotest.(check bool) "args equal" true (a.args = b.args);
-        Alcotest.(check int) "wb" 1 (List.length b.writebacks)
-      | _ -> ())
+      Alcotest.(check bool) "request roundtrip" true (req = req'))
     reqs
 
 let test_wire_response_roundtrips () =
@@ -241,10 +232,7 @@ let test_wire_response_roundtrips () =
   List.iter
     (fun resp ->
       let resp' = Wire.decode_response ~reg (Wire.encode_response ~reg resp) in
-      Alcotest.(check string)
-        "response roundtrip"
-        (Format.asprintf "%a" Wire.pp_response resp)
-        (Format.asprintf "%a" Wire.pp_response resp'))
+      Alcotest.(check bool) "response roundtrip" true (resp = resp'))
     resps
 
 let test_wire_garbage_rejected () =

@@ -67,15 +67,17 @@ let test_weave_sweep () =
    that moves the weave's schedule is caught here. *)
 let pinned_weave_traces = "4a1fe1cb731b3b14df76168cbb97d922"
 
+(* The variant and admission policy [Weave.check] gives [seed]. *)
+let sweep_config seed =
+  ( (if seed mod 2 = 0 then Weave.Disjoint else Weave.Conflicting),
+    if seed / 2 mod 2 = 0 then Strategy.Queue_conflicts
+    else Strategy.Abort_retry )
+
 let test_weave_traces_pinned () =
   let buf = Buffer.create 8192 in
   for seed = 0 to 199 do
     let fault = Runner.fault_for ~faults:0.02 ~seed in
-    let variant = if seed mod 2 = 0 then Weave.Disjoint else Weave.Conflicting in
-    let policy =
-      if seed / 2 mod 2 = 0 then Strategy.Queue_conflicts
-      else Strategy.Abort_retry
-    in
+    let variant, policy = sweep_config seed in
     let sa, sb = Gen.pair ~seed ~depth:8 ~fault in
     let o = Weave.run ~policy ~variant [ sa; sb ] in
     Buffer.add_string buf
@@ -86,6 +88,34 @@ let test_weave_traces_pinned () =
   done;
   Alcotest.(check string) "weave traces of seeds 0-199" pinned_weave_traces
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* [Gen.pair] emits no [Crash], so the sweep never aborts a session.
+   Here each of seeds 0-199 gets a fault plan, without which
+   [Script.resolve] drops a crash, and side B a crash of worker [seed]
+   before its op [1 + seed mod (n-1)]: after its build, before its last
+   op. Every run must pass every oracle, and some sessions must abort. *)
+let test_generated_aborts () =
+  let aborted = ref 0 in
+  for seed = 0 to 199 do
+    let fault = Some { Script.fseed = seed; drop = 0.02; dup = 0.01 } in
+    let variant, policy = sweep_config seed in
+    let sa, sb = Gen.pair ~seed ~depth:8 ~fault in
+    let at = 1 + (seed mod (List.length sb.Script.ops - 1)) in
+    let ops =
+      List.concat
+        (List.mapi
+           (fun i op ->
+             if i = at then [ Script.Crash { worker = seed }; op ] else [ op ])
+           sb.Script.ops)
+    in
+    let o = Weave.run ~policy ~variant [ sa; { sb with Script.ops } ] in
+    (match o.Weave.o_failure with
+    | Some d -> Alcotest.failf "seed %d: weave with a crash failed: %s" seed d
+    | None -> ());
+    aborted :=
+      !aborted + List.length (List.filter Option.is_some o.Weave.o_aborted)
+  done;
+  if !aborted = 0 then Alcotest.fail "no generated weave aborted a session"
 
 let test_conflicting_serializes () =
   (* a conflicting pair under the queue policy really goes through the
@@ -247,6 +277,8 @@ let () =
           tc "traces of 200 seeds pinned" `Quick test_weave_traces_pinned;
           tc "conflicting pairs serialize" `Quick test_conflicting_serializes;
           tc "crash/revive mid-weave" `Quick test_crash_mid_weave;
+          tc "generated weaves with a crash abort cleanly" `Quick
+            test_generated_aborts;
           tc "three sessions serialize through the queue" `Quick
             test_three_sessions;
         ] );

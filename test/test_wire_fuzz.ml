@@ -361,6 +361,66 @@ let test_tag_labels () =
         (Wire.frame_label ~dir:Trace.Reply frame))
     responses
 
+(* Every frame kind the table names, [wb-delta+inv] included, labels
+   some corpus frame, so none escapes the attacks above. *)
+let test_corpus_covers_table () =
+  let open Srpc_simnet in
+  List.iter
+    (fun dir ->
+      let labels =
+        List.filter_map
+          (fun (kind, frame, _) ->
+            if (kind = "response") = (dir = Trace.Reply) then
+              Some (Wire.frame_label ~dir frame)
+            else None)
+          corpus
+      in
+      List.iter
+        (fun (row : Srpc_analysis.Frames.row) ->
+          if not (List.mem row.label labels) then
+            Alcotest.failf "no corpus frame is labeled %s" row.label)
+        (Srpc_analysis.Frames.rows dir))
+    [ Trace.Request; Trace.Reply ]
+
+(* The (tag, label) rows of the opcode table in docs/PROTOCOL.md's
+   section [heading]: the first and third cells of each row whose first
+   cell is a number. *)
+let doc_rows heading =
+  let cell s = String.concat "" (String.split_on_char '`' (String.trim s)) in
+  let rec section = function
+    | [] -> []
+    | l :: rest -> if l = heading then body rest else section rest
+  and body = function
+    | [] -> []
+    | l :: _ when String.starts_with ~prefix:"## " l -> []
+    | l :: rest -> (
+      match String.split_on_char '|' l with
+      | "" :: tag :: _ :: label :: _ -> (
+        match int_of_string_opt (cell tag) with
+        | Some tag -> (tag, cell label) :: body rest
+        | None -> body rest)
+      | _ -> body rest)
+  in
+  (* [dune test] runs in test/; [dune exec] from the repository root *)
+  let doc =
+    List.find Sys.file_exists [ "../docs/PROTOCOL.md"; "docs/PROTOCOL.md" ]
+  in
+  section
+    (String.split_on_char '\n'
+       (In_channel.with_open_text doc In_channel.input_all))
+
+let test_doc_tables () =
+  let open Srpc_simnet in
+  List.iter
+    (fun (heading, dir) ->
+      Alcotest.(check (list (pair int string)))
+        heading
+        (List.map
+           (fun (r : Srpc_analysis.Frames.row) -> (r.tag, r.label))
+           (Srpc_analysis.Frames.rows dir))
+        (doc_rows heading))
+    [ ("## Requests", Trace.Request); ("## Responses", Trace.Reply) ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "wire-fuzz"
@@ -377,5 +437,8 @@ let () =
           tc "seeded corruption is typed" `Quick test_random_corruption;
           tc "pure garbage is typed" `Quick test_garbage_frames;
           tc "tag labels match decoded labels" `Quick test_tag_labels;
+          tc "corpus covers the frame table" `Quick test_corpus_covers_table;
+          tc "PROTOCOL.md opcode tables match the frame table" `Quick
+            test_doc_tables;
         ] );
     ]
